@@ -33,7 +33,6 @@ from .engine import (
     corpus_bias,
     corpus_intensity,
     document_spectrum,
-    frame_seed,
     log_odds_dirichlet,
     rank_sum_select,
     separation,
@@ -98,7 +97,6 @@ __all__ = [
     "corpus_bias",
     "corpus_intensity",
     "document_spectrum",
-    "frame_seed",
     "load_embeddings",
     "log_odds_dirichlet",
     "make_document",

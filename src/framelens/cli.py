@@ -707,7 +707,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--topic-words", dest="topic_words", help="newline file of topic words to mask")
     p.add_argument("--seed", type=int, help="master RNG seed (default 0)")
     p.add_argument("--out", help="output directory (default ./reports)")
-    p.add_argument("--workers", type=int, help="parallel frame workers (default 1)")
+    p.add_argument(
+        "--workers", type=int,
+        help="accepted for compatibility; no effect, frames share one set of draws",
+    )
     p.add_argument("--keep-case", dest="keep_case", action="store_true", default=None,
                    help="do not lowercase corpus tokens")
     p.add_argument("--formats", help="comma-separated subset of tsv,json,svg (default all)")

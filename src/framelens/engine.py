@@ -13,15 +13,18 @@ All accumulation iterates count tables in sorted-token order (O(|vocab|)
 per frame, not O(tokens)) and is carried out in float64 regardless of the
 storage dtype of the embedding table.
 
-Reproducibility: every frame draws from its own substream, derived from
-(master seed, frame index), so results are identical for any degree of
-parallelism or scheduling order.
+Frames are scored in blocks: one frames-major GEMM gives the cosines of
+up to _FRAME_BLOCK frames with the whole vocabulary, and bias, intensity
+and their nulls are matrix products on that block.
+
+Reproducibility: one bootstrap stream, ``default_rng(seed)``, is drawn
+once per run and shared by every frame, so a frame's null depends on the
+seed and the corpus, not on the other frames or their order. The same
+seed gives byte-identical reports on every run.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,9 +34,15 @@ from .embeddings import EmbeddingTable
 from .errors import DataError
 from .frames import FrameRegistry, Microframe
 
-#: Bootstrap draws happen in fixed-size batches so memory stays bounded and
-#: the consumed random stream never depends on worker count.
+#: Bootstrap draws happen in fixed-size batches so memory stays bounded.
 _BOOTSTRAP_BATCH = 256
+
+#: Frames scored together in one block of contributions.
+_FRAME_BLOCK = 64
+
+#: Null samples this close to the observed value are ties and count in both
+#: tails, so the rounding of a blocked matrix product never decides a tail.
+_TIE_TOLERANCE = 1e-12
 
 SHIFT_KINDS = ("bias", "intensity")
 BOOTSTRAP_UNITS = ("token", "document")
@@ -161,6 +170,35 @@ def _count_vector(view: CorpusView, tokens: list[str]) -> np.ndarray:
     return np.array([view.counts[t] for t in tokens], dtype=np.float64)
 
 
+def _unit_rows(table: EmbeddingTable, tokens: list[str]) -> np.ndarray:
+    """Embedding rows of `tokens` scaled to unit length (V×d, float64)."""
+    rows = table.matrix_for(tokens)
+    norms = np.linalg.norm(rows, axis=1)
+    if np.any(norms == 0.0):
+        raise DataError("zero-norm vector has no direction")
+    rows /= norms[:, None]
+    return rows
+
+
+def _cosine_blocks(frames, unit_rows: np.ndarray):
+    """Yield (frame slice, contributions) for at most _FRAME_BLOCK frames at a time.
+
+    Contributions are a frames-major fb×V block of cosines between each
+    frame's axis and each unit row. The block bounds memory at any
+    vocabulary size, and fb×V keeps BLAS packing frame-wide, not
+    vocabulary-wide, panels. Axes are stacked per block for the same reason.
+    """
+    frames = list(frames)
+    for start in range(0, len(frames), _FRAME_BLOCK):
+        block = slice(start, start + _FRAME_BLOCK)
+        axes = np.array([f.axis for f in frames[block]], dtype=np.float64)
+        norms = np.linalg.norm(axes, axis=1)
+        if np.any(norms == 0.0):
+            raise DataError("zero-norm axis")
+        axes /= norms[:, None]
+        yield block, axes @ unit_rows.T
+
+
 def corpus_bias(view: CorpusView, frame: Microframe, table: EmbeddingTable) -> float:
     """Frequency-weighted mean contribution of the view on `frame`."""
     tokens = view.vocabulary()
@@ -195,63 +233,6 @@ def corpus_intensity(
 # Bootstrap null model and significance
 
 
-def frame_seed(master_seed: int, frame_index: int) -> int:
-    """Derive the substream seed for one frame from the master seed.
-
-    Uses numpy's SeedSequence spawn keys, so per-frame streams are
-    independent and reproducible regardless of scheduling.
-    """
-    ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(frame_index,))
-    return int(ss.generate_state(2, np.uint32).view(np.uint64)[0])
-
-
-def _null_samples_token(
-    rng: np.random.Generator,
-    probs: np.ndarray,
-    contrib: np.ndarray,
-    sq_dev: np.ndarray,
-    sample_size: int,
-    n: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    bias = np.empty(n, dtype=np.float64)
-    intensity = np.empty(n, dtype=np.float64)
-    done = 0
-    while done < n:
-        b = min(_BOOTSTRAP_BATCH, n - done)
-        draws = rng.multinomial(sample_size, probs, size=b)
-        bias[done : done + b] = draws @ contrib / sample_size
-        intensity[done : done + b] = draws @ sq_dev / sample_size
-        done += b
-    return bias, intensity
-
-
-def _null_samples_document(
-    rng: np.random.Generator,
-    doc_bias_sum: np.ndarray,
-    doc_int_sum: np.ndarray,
-    doc_total: np.ndarray,
-    sample_docs: int,
-    n: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    n_docs = doc_total.shape[0]
-    bias = np.empty(n, dtype=np.float64)
-    intensity = np.empty(n, dtype=np.float64)
-    done = 0
-    while done < n:
-        b = min(_BOOTSTRAP_BATCH, n - done)
-        picks = rng.integers(0, n_docs, size=(b, sample_docs))
-        totals = doc_total[picks].sum(axis=1)
-        # All-empty resamples have no tokens to average; redraw those rows.
-        while np.any(totals == 0.0):
-            bad = np.flatnonzero(totals == 0.0)
-            picks[bad] = rng.integers(0, n_docs, size=(bad.size, sample_docs))
-            totals = doc_total[picks].sum(axis=1)
-        bias[done : done + b] = doc_bias_sum[picks].sum(axis=1) / totals
-        intensity[done : done + b] = doc_int_sum[picks].sum(axis=1) / totals
-        done += b
-    return bias, intensity
-
-
 def _doc_coo(view: CorpusView, tokens: list[str]):
     """Sparse (document, token) count triplets over the given token order,
     plus per-document countable totals."""
@@ -269,6 +250,88 @@ def _doc_coo(view: CorpusView, tokens: list[str]):
     val_arr = np.array(vals, dtype=np.float64)
     doc_total = np.bincount(row_arr, weights=val_arr, minlength=len(view.doc_counts))
     return row_arr, col_arr, val_arr, doc_total
+
+
+def _resampled_counts(
+    view: CorpusView,
+    tokens: list[str],
+    counts: np.ndarray,
+    unit: str,
+    sample_size: int,
+    n: int,
+    seed: int,
+):
+    """Yield `n` bootstrap resamples of `view` in batches of at most _BOOTSTRAP_BATCH.
+
+    Each batch is (B×V resampled token counts over `tokens`, the B sample
+    token totals), all drawn from one ``default_rng(seed)`` stream. The
+    token unit draws `sample_size` tokens per sample (a multinomial over
+    `counts`). The document unit draws `sample_size` documents with
+    replacement, redraws any all-empty sample, and sums the picked
+    documents' counts.
+    """
+    rng = np.random.default_rng(seed)
+    if unit == "document":
+        rows, cols, vals, doc_total = _doc_coo(view, tokens)
+        n_docs = doc_total.shape[0]
+    probs = counts / counts.sum()
+    for done in range(0, n, _BOOTSTRAP_BATCH):
+        b = min(_BOOTSTRAP_BATCH, n - done)
+        if unit == "token":
+            draws = rng.multinomial(sample_size, probs, size=b)
+            yield draws.astype(np.float64), np.full(b, float(sample_size))
+            continue
+        picks = rng.integers(0, n_docs, size=(b, sample_size))
+        totals = doc_total[picks].sum(axis=1)
+        # All-empty resamples have no tokens to average; redraw those rows.
+        while np.any(totals == 0.0):
+            bad = np.flatnonzero(totals == 0.0)
+            picks[bad] = rng.integers(0, n_docs, size=(bad.size, sample_size))
+            totals = doc_total[picks].sum(axis=1)
+        resampled = np.empty((b, len(tokens)))
+        for i, row_picks in enumerate(picks):
+            times_picked = np.bincount(row_picks, minlength=n_docs)[rows]
+            resampled[i] = np.bincount(cols, weights=times_picked * vals, minlength=len(tokens))
+        yield resampled, totals
+
+
+def _score_frames(
+    frames,
+    unit_rows: np.ndarray,
+    n_full: np.ndarray,
+    n_target: np.ndarray,
+    draws,
+    n: int,
+):
+    """Baseline, target bias and intensity, and `n` null samples of each, per frame.
+
+    `n_full` and `n_target` are counts over the rows of `unit_rows`;
+    `draws` yields the resampled count batches that every frame shares.
+    For a frame block C (fb×V contributions) and S = (C - baseline)²,
+    the target statistics are C @ n_target and S @ n_target over the
+    target total, and the null samples are C @ D.T and S @ D.T over each
+    sample's total. Returns five arrays: three of F values, two F×n.
+    """
+    n_frames = len(frames)
+    baseline, bias, intensity = np.empty((3, n_frames))
+    null_bias, null_intensity = np.empty((2, n_frames, n))
+    total_full = n_full.sum()
+    total_target = n_target.sum()
+    done = 0
+    for resampled, sizes in draws:
+        batch = slice(done, done + len(sizes))
+        for block, c in _cosine_blocks(frames, unit_rows):
+            base = c @ n_full / total_full
+            baseline[block] = base
+            bias[block] = c @ n_target / total_target
+            null_bias[block, batch] = c @ resampled.T / sizes
+            # C becomes S in place, so a block holds one fb×V buffer
+            c -= base[:, None]
+            np.square(c, out=c)
+            intensity[block] = c @ n_target / total_target
+            null_intensity[block, batch] = c @ resampled.T / sizes
+        done += len(sizes)
+    return baseline, bias, intensity, null_bias, null_intensity
 
 
 def bootstrap_null(
@@ -289,7 +352,9 @@ def bootstrap_null(
     sensitivity-analysis alternative, not the default, because bias and
     intensity are token-weighted statistics. Intensity of every sample is
     measured against the full-corpus baseline bias. Deterministic under
-    `seed`.
+    `seed`: this is the one-frame case of `analyze_frames`, and scores
+    the frame on the same draws that `analyze_frames` shares across
+    frames under the same seed.
     """
     if n < 1:
         raise DataError(f"need at least one bootstrap sample, got {n}")
@@ -300,33 +365,20 @@ def bootstrap_null(
     tokens = full_view.vocabulary()
     if not tokens:
         raise DataError("empty corpus view")
-    contrib = _contribution_vector(table, tokens, frame)
     counts = _count_vector(full_view, tokens)
-    total = counts.sum()
-    baseline = float((counts @ contrib) / total)
-    sq_dev = (contrib - baseline) ** 2
-    rng = np.random.default_rng(seed)
-    if unit == "token":
-        bias, intensity = _null_samples_token(
-            rng, counts / total, contrib, sq_dev, sample_size, n
-        )
-    else:
-        rows, cols, vals, doc_total = _doc_coo(full_view, tokens)
-        n_docs = doc_total.shape[0]
-        doc_bias_sum = np.bincount(rows, weights=vals * contrib[cols], minlength=n_docs)
-        doc_int_sum = np.bincount(rows, weights=vals * sq_dev[cols], minlength=n_docs)
-        bias, intensity = _null_samples_document(
-            rng, doc_bias_sum, doc_int_sum, doc_total, sample_size, n
-        )
+    draws = _resampled_counts(full_view, tokens, counts, unit, sample_size, n, seed)
+    *_, bias, intensity = _score_frames(
+        [frame], _unit_rows(table, tokens), counts, counts, draws, n
+    )
     return NullDistribution(
-        frame_id=frame.id, bias_samples=bias, intensity_samples=intensity, seed=seed
+        frame_id=frame.id, bias_samples=bias[0], intensity_samples=intensity[0], seed=seed
     )
 
 
 def _two_tailed_p(observed: float, samples: np.ndarray) -> float:
     n = samples.shape[0]
-    ge = int(np.count_nonzero(samples >= observed))
-    le = int(np.count_nonzero(samples <= observed))
+    ge = int(np.count_nonzero(samples >= observed - _TIE_TOLERANCE))
+    le = int(np.count_nonzero(samples <= observed + _TIE_TOLERANCE))
     greater = (ge + 1) / (n + 1)
     lesser = (le + 1) / (n + 1)
     return min(1.0, 2.0 * min(greater, lesser))
@@ -342,6 +394,8 @@ def significance(
     The effect size is the observed value minus the null-sample mean. The
     p-value uses the add-one rule (r + 1) / (N + 1) per tail so it is
     never exactly zero, doubled and clamped to 1 for the two-tailed test.
+    A sample within _TIE_TOLERANCE of the observed value is a tie and
+    counts in both tails.
     """
     if null.bias_samples.size == 0:
         raise DataError("empty null distribution")
@@ -482,16 +536,11 @@ def baseline_biases(
     tokens = view.vocabulary()
     if not tokens:
         raise DataError("empty corpus view")
-    matrix = table.matrix_for(tokens)
-    norms = np.linalg.norm(matrix, axis=1)
     counts = _count_vector(view, tokens)
-    total = counts.sum()
-    out: dict[str, float] = {}
-    for frame in frames:
-        na = float(np.linalg.norm(frame.axis))
-        contrib = (matrix @ frame.axis) / (norms * na)
-        out[frame.id] = float((counts @ contrib) / total)
-    return out
+    biases = np.empty(len(frames))
+    for block, c in _cosine_blocks(frames, _unit_rows(table, tokens)):
+        biases[block] = c @ counts / counts.sum()
+    return {frame.id: b for frame, b in zip(frames, biases.tolist())}
 
 
 # ---------------------------------------------------------------------------
@@ -523,60 +572,45 @@ def separation(
     tokens_b = view_b.vocabulary()
     if not tokens_a or not tokens_b:
         raise DataError("empty corpus view")
-    matrix_a = table.matrix_for(tokens_a)
-    matrix_b = table.matrix_for(tokens_b)
-    norms_a = np.linalg.norm(matrix_a, axis=1)
-    norms_b = np.linalg.norm(matrix_b, axis=1)
+    for frame in frames:
+        if frame.id not in baseline:
+            raise DataError(f"no baseline bias for frame {frame.id!r}")
+    base = np.array([baseline[frame.id] for frame in frames], dtype=np.float64)
     counts_a = _count_vector(view_a, tokens_a)
     counts_b = _count_vector(view_b, tokens_b)
     total_a = counts_a.sum()
     total_b = counts_b.sum()
-
-    rows: list[dict] = []
-    for frame in frames:
-        if frame.id not in baseline:
-            raise DataError(f"no baseline bias for frame {frame.id!r}")
-        b_t = baseline[frame.id]
-        na = float(np.linalg.norm(frame.axis))
-        c_a = (matrix_a @ frame.axis) / (norms_a * na)
-        c_b = (matrix_b @ frame.axis) / (norms_b * na)
-        bias_a = float((counts_a @ c_a) / total_a)
-        bias_b = float((counts_b @ c_b) / total_b)
-        int_a = float((counts_a @ (c_a - b_t) ** 2) / total_a)
-        int_b = float((counts_b @ (c_b - b_t) ** 2) / total_b)
-        mean_int = (total_a * int_a + total_b * int_b) / (total_a + total_b)
-        rows.append(
-            {
-                "frame_id": frame.id,
-                "bias_a": bias_a,
-                "bias_b": bias_b,
-                "intensity_a": int_a,
-                "intensity_b": int_b,
-                "mean_intensity": mean_int,
-            }
+    bias_a, bias_b, int_a, int_b = np.empty((4, len(frames)))
+    blocks_a = _cosine_blocks(frames, _unit_rows(table, tokens_a))
+    blocks_b = _cosine_blocks(frames, _unit_rows(table, tokens_b))
+    for (block, c_a), (_, c_b) in zip(blocks_a, blocks_b):
+        b_t = base[block, None]
+        bias_a[block] = c_a @ counts_a / total_a
+        bias_b[block] = c_b @ counts_b / total_b
+        int_a[block] = (c_a - b_t) ** 2 @ counts_a / total_a
+        int_b[block] = (c_b - b_t) ** 2 @ counts_b / total_b
+    mean_int = (total_a * int_a + total_b * int_b) / (total_a + total_b)
+    ids = [frame.id for frame in frames]
+    rank_b = _ordinal_ranks(list(zip(np.abs(bias_a - bias_b).tolist(), ids)))
+    rank_i = _ordinal_ranks(list(zip(mean_int.tolist(), ids)))
+    columns = zip(ids, bias_a.tolist(), bias_b.tolist(), int_a.tolist(), int_b.tolist(),
+                  mean_int.tolist())
+    return [
+        SeparationResult(
+            frame_id=fid,
+            delta_bias=ba - bb,
+            delta_intensity=ia - ib,
+            rank_bias=rank_b[fid],
+            rank_intensity=rank_i[fid],
+            rank_sum=rank_b[fid] + rank_i[fid],
+            bias_a=ba,
+            bias_b=bb,
+            intensity_a=ia,
+            intensity_b=ib,
+            mean_intensity=mi,
         )
-
-    rank_b = _ordinal_ranks([(abs(r["bias_a"] - r["bias_b"]), r["frame_id"]) for r in rows])
-    rank_i = _ordinal_ranks([(r["mean_intensity"], r["frame_id"]) for r in rows])
-    results = []
-    for r in rows:
-        fid = r["frame_id"]
-        results.append(
-            SeparationResult(
-                frame_id=fid,
-                delta_bias=r["bias_a"] - r["bias_b"],
-                delta_intensity=r["intensity_a"] - r["intensity_b"],
-                rank_bias=rank_b[fid],
-                rank_intensity=rank_i[fid],
-                rank_sum=rank_b[fid] + rank_i[fid],
-                bias_a=r["bias_a"],
-                bias_b=r["bias_b"],
-                intensity_a=r["intensity_a"],
-                intensity_b=r["intensity_b"],
-                mean_intensity=r["mean_intensity"],
-            )
-        )
-    return results
+        for fid, ba, bb, ia, ib, mi in columns
+    ]
 
 
 def rank_sum_select(separations: list[SeparationResult], m: int) -> list[str]:
@@ -620,63 +654,7 @@ def log_odds_dirichlet(
 
 
 # ---------------------------------------------------------------------------
-# Full-registry analysis pipeline (cached arrays, optional process pool)
-
-_WORKER_CTX: dict | None = None
-
-
-def _init_worker(ctx: dict) -> None:
-    global _WORKER_CTX
-    _WORKER_CTX = ctx
-
-
-def _frame_task(task: tuple[int, str, np.ndarray]) -> FramingResult:
-    ctx = _WORKER_CTX
-    assert ctx is not None, "worker context not initialized"
-    index, fid, axis = task
-    matrix = ctx["matrix"]
-    norms = ctx["norms"]
-    n_full = ctx["n_full"]
-    total_full = ctx["total_full"]
-    idx_t = ctx["idx_target"]
-    n_t = ctx["n_target"]
-    total_t = ctx["total_target"]
-
-    na = float(np.linalg.norm(axis))
-    contrib = (matrix @ axis) / (norms * na)
-    baseline = float((n_full @ contrib) / total_full)
-    sq_dev = (contrib - baseline) ** 2
-    bias_t = float((n_t @ contrib[idx_t]) / total_t)
-    int_t = float((n_t @ sq_dev[idx_t]) / total_t)
-
-    seed = frame_seed(ctx["master_seed"], index)
-    rng = np.random.default_rng(seed)
-    n_boot = ctx["n_bootstrap"]
-    if ctx["unit"] == "token":
-        bias_s, int_s = _null_samples_token(
-            rng, ctx["probs"], contrib, sq_dev, int(total_t), n_boot
-        )
-    else:
-        rows, cols, vals = ctx["doc_rows"], ctx["doc_cols"], ctx["doc_vals"]
-        n_docs = ctx["doc_total"].shape[0]
-        doc_bias = np.bincount(rows, weights=vals * contrib[cols], minlength=n_docs)
-        doc_int = np.bincount(rows, weights=vals * sq_dev[cols], minlength=n_docs)
-        bias_s, int_s = _null_samples_document(
-            rng, doc_bias, doc_int, ctx["doc_total"], ctx["sample_docs"], n_boot
-        )
-    null = NullDistribution(fid, bias_s, int_s, seed)
-    p_b, p_i, eff_b, eff_i = significance(bias_t, int_t, null)
-    return FramingResult(
-        frame_id=fid,
-        bias=bias_t,
-        intensity=int_t,
-        baseline_bias=baseline,
-        effect_bias=eff_b,
-        effect_intensity=eff_i,
-        p_bias=p_b,
-        p_intensity=p_i,
-        n_bootstrap=n_boot,
-    )
+# Full-registry analysis pipeline
 
 
 def analyze_frames(
@@ -697,10 +675,14 @@ def analyze_frames(
     full-corpus baseline bias, and bootstrap significance with the null
     sized to the target (token count for the token unit, document count
     for the document unit). The embedding rows for the full vocabulary
-    are gathered once and shared across frames. Results come back in
-    registry order whatever the worker count. `progress`, when given, is
-    called with (frames done, frames total) as results complete; it must
-    not influence the computation.
+    are gathered once, and one set of resamples, drawn from
+    ``default_rng(seed)``, is shared by every frame: a frame's row is the
+    same, up to rounding, whichever other frames the registry holds, and
+    its null is the one `bootstrap_null` gives under the same seed.
+    `workers` is accepted for compatibility and has no effect. Results
+    come back in registry order. `progress`, when given, is called with
+    (frames done, frames total) as results are assembled; it must not
+    influence the computation.
     """
     if n_bootstrap < 1:
         raise DataError(f"need at least one bootstrap sample, got {n_bootstrap}")
@@ -715,55 +697,41 @@ def analyze_frames(
     if not set(tokens_target) <= set(tokens_full):
         raise DataError("target vocabulary is not contained in the full corpus")
 
-    matrix = table.matrix_for(tokens_full)
-    norms = np.linalg.norm(matrix, axis=1)
     n_full = _count_vector(full_view, tokens_full)
-    total_full = n_full.sum()
     positions = {t: i for i, t in enumerate(tokens_full)}
-    idx_target = np.array([positions[t] for t in tokens_target], dtype=np.intp)
-    n_target = _count_vector(target_view, tokens_target)
+    n_target = np.zeros_like(n_full)
+    n_target[[positions[t] for t in tokens_target]] = _count_vector(target_view, tokens_target)
+    if bootstrap_unit == "token":
+        sample_size = target_view.total_tokens
+    else:
+        sample_size = max(len(target_view.documents), 1)
+    draws = _resampled_counts(
+        full_view, tokens_full, n_full, bootstrap_unit, sample_size, n_bootstrap, seed
+    )
+    baseline, bias, intensity, null_bias, null_intensity = _score_frames(
+        registry.frames, _unit_rows(table, tokens_full), n_full, n_target, draws, n_bootstrap
+    )
 
-    ctx: dict = {
-        "matrix": matrix,
-        "norms": norms,
-        "n_full": n_full,
-        "total_full": total_full,
-        "probs": n_full / total_full,
-        "idx_target": idx_target,
-        "n_target": n_target,
-        "total_target": float(target_view.total_tokens),
-        "n_bootstrap": n_bootstrap,
-        "master_seed": seed,
-        "unit": bootstrap_unit,
-    }
-    if bootstrap_unit == "document":
-        rows, cols, vals, doc_total = _doc_coo(full_view, tokens_full)
-        ctx["doc_rows"] = rows
-        ctx["doc_cols"] = cols
-        ctx["doc_vals"] = vals
-        ctx["doc_total"] = doc_total
-        ctx["sample_docs"] = max(len(target_view.documents), 1)
-
-    tasks = [(i, f.id, f.axis) for i, f in enumerate(registry.frames)]
-    total = len(tasks)
+    total = len(registry.frames)
     step = max(1, total // 20)
-
-    def _collect(iterator) -> list[FramingResult]:
-        results: list[FramingResult] = []
-        for res in iterator:
-            results.append(res)
-            if progress and (len(results) % step == 0 or len(results) == total):
-                progress(len(results), total)
-        return results
-
-    if workers <= 1 or total == 1:
-        _init_worker(ctx)
-        try:
-            return _collect(map(_frame_task, tasks))
-        finally:
-            _init_worker(None)  # type: ignore[arg-type]
-    chunk = max(1, math.ceil(total / (workers * 4)))
-    with concurrent.futures.ProcessPoolExecutor(
-        max_workers=workers, initializer=_init_worker, initargs=(ctx,)
-    ) as pool:
-        return _collect(pool.map(_frame_task, tasks, chunksize=chunk))
+    results: list[FramingResult] = []
+    for i, frame in enumerate(registry.frames):
+        null = NullDistribution(frame.id, null_bias[i], null_intensity[i], seed)
+        bias_t, int_t = float(bias[i]), float(intensity[i])
+        p_b, p_i, eff_b, eff_i = significance(bias_t, int_t, null)
+        results.append(
+            FramingResult(
+                frame_id=frame.id,
+                bias=bias_t,
+                intensity=int_t,
+                baseline_bias=float(baseline[i]),
+                effect_bias=eff_b,
+                effect_intensity=eff_i,
+                p_bias=p_b,
+                p_intensity=p_i,
+                n_bootstrap=n_bootstrap,
+            )
+        )
+        if progress and ((i + 1) % step == 0 or i + 1 == total):
+            progress(i + 1, total)
+    return results

@@ -27,7 +27,8 @@ def _cell(value) -> str:
     if value is None:
         return ""
     if isinstance(value, float):
-        return repr(value)
+        # repr(float) keeps numpy scalars, a float subclass, plain.
+        return repr(float(value))
     return str(value)
 
 

@@ -5,8 +5,8 @@ Two checks depend on external data and run only when it is present:
 criterion 7 needs the exact pretrained 300-d embedding file (point
 FRAMELENS_GLOVE at it) and, for its corpus half, a SemEval-2014 task 4
 restaurant XML file (FRAMELENS_SEMEVAL). Criterion 9's hardware baseline
-is an 8-core machine; on smaller boxes the test measures a full-fidelity
-subset and extrapolates, conservatively, to 8 cores.
+is an 8-core machine; on smaller boxes the test times all 1,621 frames
+and extrapolates, conservatively, to 8 cores.
 """
 
 import json
@@ -350,11 +350,11 @@ def test_criterion_9_desk_scale_throughput():
     )
     # frame poles drawn from corpus vocabulary so every axis resolves
     vocab = view.vocabulary()
-    subset_frames = 40
-    pair_tokens = rng.choice(vocab, size=(subset_frames, 2), replace=False)
+    total_frames = 1621
+    pair_tokens = rng.choice(vocab, size=(total_frames, 2), replace=False)
     pairs = [(a, b) for a, b in pair_tokens]
     registry = build_registry(pairs, table)
-    assert len(registry.frames) == subset_frames
+    assert len(registry.frames) == total_frames
     target_docs = list(view.documents[:5])
     target = build_view(target_docs, table, set())
 
@@ -363,12 +363,10 @@ def test_criterion_9_desk_scale_throughput():
     results = analyze_frames(
         view, target, registry, table, n_bootstrap=1000, seed=1, workers=workers
     )
-    elapsed = time.perf_counter() - started
-    assert len(results) == subset_frames
+    this_box = time.perf_counter() - started
+    assert len(results) == total_frames
 
-    per_frame = elapsed / subset_frames
-    total_frames = 1621
-    this_box = per_frame * total_frames
+    per_frame = this_box / total_frames
     # scale measured throughput from `workers` cores to the 8-core baseline
     # with a conservative 0.75 parallel efficiency on the extra cores
     speedup = (8 / workers) * 0.75
@@ -376,8 +374,8 @@ def test_criterion_9_desk_scale_throughput():
     ok = eight_core < 600.0
     _report(
         9, "desk-scale throughput", ok,
-        f"{per_frame * 1000:.0f} ms/frame at {workers} workers, vocab {len(vocab)}, "
-        f"100k tokens, N=1000; 1621 frames => {this_box:.0f}s here, "
-        f"~{eight_core:.0f}s extrapolated to 8 cores (< 600s required)",
+        f"{per_frame * 1000:.1f} ms/frame at {workers} workers, vocab {len(vocab)}, "
+        f"100k tokens, N=1000; {total_frames} frames timed: {this_box:.1f}s here, "
+        f"~{eight_core:.1f}s extrapolated to 8 cores (< 600s required)",
     )
     assert eight_core < 600.0

@@ -224,6 +224,14 @@ class TestSeparation:
         content = open(stem + ".svg", encoding="utf-8").read()
         assert "bias separation" in content
 
+    def test_every_cell_parses_as_a_number(self, setup):
+        code = main(base_args(setup, "separation") + ["--group-a", "pos", "--group-b", "neg"])
+        assert code == 0
+        _, header, rows = read_tsv(os.path.join(setup["out"], "separation_pos_vs_neg.tsv"))
+        for row in rows:
+            for column in header[1:]:
+                float(row[column])
+
     def test_identical_groups_zero_deltas(self, setup):
         code = main(
             base_args(setup, "separation") + ["--group-a", "pos", "--group-b", "pos"]

@@ -15,7 +15,6 @@ from framelens.engine import (
     corpus_bias,
     corpus_intensity,
     document_spectrum,
-    frame_seed,
     log_odds_dirichlet,
     rank_sum_select,
     separation,
@@ -26,7 +25,7 @@ from framelens.engine import (
     word_shifts,
 )
 from framelens.errors import DataError
-from framelens.frames import Microframe, build_registry, make_frame
+from framelens.frames import FrameRegistry, Microframe, build_registry, make_frame
 
 import oracles
 from conftest import random_instance, table_from_dict
@@ -245,6 +244,41 @@ class TestBootstrapNull:
         assert np.array_equal(n1.bias_samples, n2.bias_samples)
         assert np.all(np.abs(n1.bias_samples) <= 1.0)
 
+    @pytest.mark.parametrize("unit", ["token", "document"])
+    def test_samples_match_an_independent_resample(self, toy_table, unit):
+        """Each sample is the bias and intensity of the tokens or documents
+        that default_rng(seed) picks, recomputed from token streams."""
+        docs = [
+            make_document("a", "good great good"),
+            make_document("b", "bad awful"),
+            make_document("c", "service meal slow good"),
+        ]
+        view = build_view(docs, toy_table)
+        frame = make_frame("bad", "good", toy_table)
+        null = bootstrap_null(view, frame, toy_table, sample_size=4, n=50, seed=11, unit=unit)
+        full_stream = oracles.counted_stream(view.documents, toy_table, set())
+        contrib = oracles.contributions_by_token(full_stream, toy_table, frame)
+        baseline = oracles.stream_bias(full_stream, contrib)
+        rng = np.random.default_rng(11)
+        if unit == "token":
+            tokens = view.vocabulary()
+            counts = np.array([view.counts[t] for t in tokens], dtype=np.float64)
+            draws = rng.multinomial(4, counts / counts.sum(), size=50)
+            streams = [[t for t, k in zip(tokens, row) for _ in range(k)] for row in draws]
+        else:
+            picks = rng.integers(0, len(docs), size=(50, 4))
+            streams = [
+                oracles.counted_stream([view.documents[d] for d in row], toy_table, set())
+                for row in picks
+            ]
+        for i, stream in enumerate(streams):
+            assert null.bias_samples[i] == pytest.approx(
+                oracles.stream_bias(stream, contrib), abs=1e-12
+            )
+            assert null.intensity_samples[i] == pytest.approx(
+                oracles.stream_intensity(stream, contrib, baseline), abs=1e-12
+            )
+
     def test_rejects_bad_arguments(self, toy_table):
         docs = [make_document("d", "good bad")]
         view = build_view(docs, toy_table)
@@ -255,11 +289,6 @@ class TestBootstrapNull:
             bootstrap_null(view, frame, toy_table, sample_size=0, n=5, seed=0)
         with pytest.raises(DataError):
             bootstrap_null(view, frame, toy_table, sample_size=2, n=5, seed=0, unit="word")
-
-    def test_frame_seed_is_stable_and_distinct(self):
-        assert frame_seed(123, 0) == frame_seed(123, 0)
-        seeds = {frame_seed(123, i) for i in range(100)}
-        assert len(seeds) == 100
 
 
 class TestSignificance:
@@ -287,6 +316,11 @@ class TestSignificance:
         null = self._null(samples)
         _, _, eff_b, _ = significance(0.25, 0.0, null)
         assert eff_b == pytest.approx(0.25 - samples.mean(), abs=1e-15)
+
+    def test_rounding_level_differences_are_ties(self):
+        null = self._null([0.4 + 1e-15] * 100)
+        p_b, p_i, _, _ = significance(0.4, 0.4, null)
+        assert p_b == 1.0 and p_i == 1.0
 
     def test_p_never_zero_and_never_above_one(self):
         null = self._null(np.linspace(-1, 1, 50))
@@ -558,9 +592,11 @@ class TestAnalyzePipeline:
         registry = build_registry([("bad", "good"), ("awful", "great"), ("slow", "meal")], toy_table)
         return full, target, registry
 
-    def test_matches_single_frame_operations(self, toy_table):
+    def _check_against_single_frame(self, toy_table, unit, sample_size):
         full, target, registry = self._setup(toy_table)
-        results = analyze_frames(full, target, registry, toy_table, n_bootstrap=64, seed=3)
+        results = analyze_frames(
+            full, target, registry, toy_table, n_bootstrap=64, seed=3, bootstrap_unit=unit
+        )
         for res, frame in zip(results, registry.frames):
             b_t = corpus_bias(full, frame, toy_table)
             assert res.baseline_bias == pytest.approx(b_t, abs=1e-12)
@@ -568,15 +604,90 @@ class TestAnalyzePipeline:
             assert res.intensity == pytest.approx(
                 corpus_intensity(target, frame, toy_table, b_t), abs=1e-12
             )
+            # every frame is scored on the draws of the master seed
             null = bootstrap_null(
-                full, frame, toy_table,
-                sample_size=target.total_tokens, n=64,
-                seed=frame_seed(3, registry.frames.index(frame)),
+                full, frame, toy_table, sample_size=sample_size(target), n=64, seed=3,
+                unit=unit,
             )
             p_b, p_i, eff_b, eff_i = significance(res.bias, res.intensity, null)
             assert res.p_bias == p_b and res.p_intensity == p_i
             assert res.effect_bias == pytest.approx(eff_b, abs=1e-15)
             assert res.effect_intensity == pytest.approx(eff_i, abs=1e-15)
+
+    def test_matches_single_frame_operations(self, toy_table):
+        self._check_against_single_frame(toy_table, "token", lambda t: t.total_tokens)
+
+    def test_matches_single_frame_operations_document_unit(self, toy_table):
+        self._check_against_single_frame(toy_table, "document", lambda t: len(t.documents))
+
+    @staticmethod
+    def _wide_registry(rng):
+        """40 corpus words and 150 frames, so a registry spans three blocks."""
+        vocab = [f"w{i}" for i in range(40)]
+        vectors = {t: rng.normal(size=6).tolist() for t in vocab}
+        pairs = []
+        for i in range(150):
+            pairs.append((f"m{i}", f"p{i}"))
+            vectors[f"m{i}"] = rng.normal(size=6).tolist()
+            vectors[f"p{i}"] = rng.normal(size=6).tolist()
+        table = table_from_dict(vectors)
+        registry = build_registry(pairs, table)
+        assert len(registry.frames) == 150
+        return vocab, table, registry
+
+    @staticmethod
+    def _assert_same_row(row, inside):
+        assert row.frame_id == inside.frame_id
+        assert row.n_bootstrap == inside.n_bootstrap
+        assert row.p_bias == inside.p_bias and row.p_intensity == inside.p_intensity
+        for name in ("bias", "intensity", "baseline_bias", "effect_bias", "effect_intensity"):
+            assert getattr(row, name) == pytest.approx(getattr(inside, name), abs=1e-15)
+
+    def test_frame_row_is_registry_invariant(self):
+        """A frame's row is the same alone as inside a registry of several
+        frame blocks, at more draws than one batch, for both units. Only the
+        rounding of the blocked products may differ; p-values are exact."""
+        rng = np.random.default_rng(17)
+        vocab, table, registry = self._wide_registry(rng)
+        docs = [
+            make_document(f"d{d}", " ".join(rng.choice(vocab, size=12)), group=str(d % 4))
+            for d in range(30)
+        ]
+        full = build_view(docs, table)
+        target, _ = split_by_group(full, "0")
+        for unit in ("token", "document"):
+            everything = analyze_frames(
+                full, target, registry, table, n_bootstrap=300, seed=5, bootstrap_unit=unit
+            )
+            for index in (0, 70, 149):
+                alone = FrameRegistry(frames=(registry.frames[index],), dropped=())
+                (row,) = analyze_frames(
+                    full, target, alone, table, n_bootstrap=300, seed=5, bootstrap_unit=unit
+                )
+                self._assert_same_row(row, everything[index])
+
+    def test_exact_ties_are_registry_invariant(self):
+        """A one-document target under the document unit: every resample that
+        picks the target document ties with it exactly, and each such tie
+        counts in both tails whatever the block the frame was scored in."""
+        rng = np.random.default_rng(1)
+        vocab, table, registry = self._wide_registry(rng)
+        common = ["w1", "w2", "w3", "w7"]
+        docs = [make_document("t", " ".join(common), group="t")] + [
+            make_document(f"d{d}", " ".join(common + list(rng.choice(vocab[:8], size=2))))
+            for d in range(10)
+        ]
+        full = build_view(docs, table)
+        target, _ = split_by_group(full, "t")
+        everything = analyze_frames(
+            full, target, registry, table, n_bootstrap=300, seed=5, bootstrap_unit="document"
+        )
+        for frame, inside in zip(registry.frames, everything):
+            alone = FrameRegistry(frames=(frame,), dropped=())
+            (row,) = analyze_frames(
+                full, target, alone, table, n_bootstrap=300, seed=5, bootstrap_unit="document"
+            )
+            self._assert_same_row(row, inside)
 
     def test_parallel_equals_serial(self, toy_table):
         full, target, registry = self._setup(toy_table)
