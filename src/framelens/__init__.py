@@ -39,6 +39,7 @@ from .engine import (
     shift_table,
     significance,
     top_significant_frames,
+    view_statistics,
     word_contribution,
     word_shifts,
 )
@@ -46,10 +47,10 @@ from .errors import DataError, UsageError
 from .frames import (
     FrameRegistry,
     Microframe,
-    axis_vector,
     build_registry,
     make_frame,
     read_pairs_tsv,
+    registry_record,
     registry_to_json,
 )
 from .relevance import (
@@ -88,7 +89,6 @@ __all__ = [
     "UNK",
     "UsageError",
     "analyze_frames",
-    "axis_vector",
     "baseline_biases",
     "bootstrap_null",
     "build_registry",
@@ -106,6 +106,7 @@ __all__ = [
     "read_jsonl",
     "read_pairs_tsv",
     "read_topic_words",
+    "registry_record",
     "registry_to_json",
     "relevance_embedding",
     "relevance_perplexity",
@@ -115,6 +116,7 @@ __all__ = [
     "split_by_group",
     "tokenize",
     "top_significant_frames",
+    "view_statistics",
     "word_contribution",
     "word_shifts",
 ]

@@ -203,6 +203,8 @@ def read_jsonl(path: str, config: NormalizerConfig | None = None) -> list[Docume
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+            if not isinstance(obj, dict):
+                raise DataError(f"{path}:{lineno}: record must be a JSON object")
             if "id" not in obj or "text" not in obj:
                 raise DataError(f"{path}:{lineno}: record needs 'id' and 'text'")
             if not isinstance(obj["text"], str):

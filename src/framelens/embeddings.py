@@ -70,13 +70,18 @@ class EmbeddingTable:
             return None
         return self._matrix[i]
 
-    def matrix_for(self, tokens: list[str]) -> np.ndarray:
-        """Stack vectors for `tokens` (all must be present) as float64 rows."""
+    def unit_rows(self, tokens: list[str]) -> np.ndarray:
+        """Vectors for `tokens` (all must be present) as float64 rows of unit length."""
         try:
             rows = [self._index[t] for t in tokens]
         except KeyError as exc:
             raise DataError(f"token not in embedding table: {exc.args[0]!r}") from None
-        return self._matrix[rows].astype(np.float64)
+        matrix = self._matrix[rows].astype(np.float64)
+        norms = np.linalg.norm(matrix, axis=1)
+        if np.any(norms == 0.0):
+            raise DataError("zero-norm vector has no direction")
+        matrix /= norms[:, None]
+        return matrix
 
 
 def _looks_like_header(parts: list[str]) -> bool:
@@ -111,7 +116,8 @@ def load_embeddings(
     DataError
         Unreadable file, no loadable vectors, or inconsistent dimension
         across lines. Zero-norm vectors and malformed lines are skipped
-        and counted, not fatal.
+        and counted, not fatal. A line kept by the filter whose vector
+        has a component that is not finite as float32 is malformed.
     """
     index: dict[str, int] = {}
     rows: list[np.ndarray] = []
@@ -123,7 +129,9 @@ def load_embeddings(
     except OSError as exc:
         raise DataError(f"cannot read embeddings file {path!r}: {exc}") from exc
 
-    with fh:
+    # A component beyond float32 range becomes inf on the cast; the finiteness
+    # check below skips the record, so the cast's overflow warning is noise.
+    with fh, np.errstate(over="ignore"):
         for lineno, line in enumerate(fh, start=1):
             parts = line.split()
             if not parts:
@@ -148,7 +156,10 @@ def load_embeddings(
             if vocab_filter is not None and token not in vocab_filter:
                 filtered += 1
                 continue
-            if not np.any(vec):
+            if not np.isfinite(vec).all():
+                malformed += 1
+                continue
+            if not vec.any():
                 zero_vectors += 1
                 continue
             if token in index:

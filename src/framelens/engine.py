@@ -9,13 +9,14 @@ samples of the full corpus sized to match the target: token draws are
 i.i.d. with replacement from the full corpus's bag of words, implemented
 as multinomial count resampling so no token strings are ever touched.
 
-All accumulation iterates count tables in sorted-token order (O(|vocab|)
-per frame, not O(tokens)) and is carried out in float64 regardless of the
-storage dtype of the embedding table.
-
-Frames are scored in blocks: one frames-major GEMM gives the cosines of
-up to _FRAME_BLOCK frames with the whole vocabulary, and bias, intensity
-and their nulls are matrix products on that block.
+Contributions are formed in one place, `_cosine_blocks`: the view's
+unit-length embedding rows (sorted-token order, float64 regardless of the
+table's storage dtype) times the unit axes of up to _FRAME_BLOCK frames,
+as one frames-major fb×V block. Every statistic is a count-weighted
+product on such a block: bias, intensity and their bootstrap nulls for
+many frames (`_score_frames`, `view_statistics`), and the per-token
+shifts and per-document sums of one frame (`shift_table`,
+`document_spectrum`).
 
 Reproducibility: one bootstrap stream, ``default_rng(seed)``, is drawn
 once per run and shared by every frame, so a frame's null depends on the
@@ -65,19 +66,6 @@ class FramingResult:
     p_bias: float
     p_intensity: float
     n_bootstrap: int
-
-    def to_dict(self) -> dict:
-        return {
-            "frame_id": self.frame_id,
-            "bias": self.bias,
-            "intensity": self.intensity,
-            "baseline_bias": self.baseline_bias,
-            "effect_bias": self.effect_bias,
-            "effect_intensity": self.effect_intensity,
-            "p_bias": self.p_bias,
-            "p_intensity": self.p_intensity,
-            "n_bootstrap": self.n_bootstrap,
-        }
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,32 +140,8 @@ def word_contribution(word_vector: np.ndarray, frame: Microframe) -> float:
     return float(v @ a / (nv * na))
 
 
-def _contribution_vector(
-    table: EmbeddingTable, tokens: list[str], frame: Microframe
-) -> np.ndarray:
-    """Contributions for many tokens at once; tokens must resolve in `table`."""
-    matrix = table.matrix_for(tokens)
-    norms = np.linalg.norm(matrix, axis=1)
-    if np.any(norms == 0.0):
-        raise DataError("zero-norm vector has no direction")
-    na = float(np.linalg.norm(frame.axis))
-    if na == 0.0:
-        raise DataError("zero-norm axis")
-    return (matrix @ frame.axis) / (norms * na)
-
-
 def _count_vector(view: CorpusView, tokens: list[str]) -> np.ndarray:
     return np.array([view.counts[t] for t in tokens], dtype=np.float64)
-
-
-def _unit_rows(table: EmbeddingTable, tokens: list[str]) -> np.ndarray:
-    """Embedding rows of `tokens` scaled to unit length (V×d, float64)."""
-    rows = table.matrix_for(tokens)
-    norms = np.linalg.norm(rows, axis=1)
-    if np.any(norms == 0.0):
-        raise DataError("zero-norm vector has no direction")
-    rows /= norms[:, None]
-    return rows
 
 
 def _cosine_blocks(frames, unit_rows: np.ndarray):
@@ -199,14 +163,46 @@ def _cosine_blocks(frames, unit_rows: np.ndarray):
         yield block, axes @ unit_rows.T
 
 
-def corpus_bias(view: CorpusView, frame: Microframe, table: EmbeddingTable) -> float:
-    """Frequency-weighted mean contribution of the view on `frame`."""
+def _frame_contributions(view: CorpusView, frame: Microframe, table: EmbeddingTable):
+    """The view's sorted vocabulary and its contributions (V values) to `frame`."""
     tokens = view.vocabulary()
     if not tokens:
         raise DataError("empty corpus view")
-    c = _contribution_vector(table, tokens, frame)
-    n = _count_vector(view, tokens)
-    return float((n @ c) / n.sum())
+    _, (c,) = next(_cosine_blocks([frame], table.unit_rows(tokens)))
+    return tokens, c
+
+
+def view_statistics(
+    view: CorpusView,
+    frames,
+    table: EmbeddingTable,
+    baseline: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Per-frame bias of `view`, and its intensity when `baseline` is given.
+
+    `baseline` holds one full-corpus bias per frame, in the order of
+    `frames`; intensity is measured about it. The view's embedding rows
+    are gathered once for all frames. Returns (bias, intensity) arrays of
+    one value per frame; intensity is None without a baseline.
+    """
+    tokens = view.vocabulary()
+    if not tokens:
+        raise DataError("empty corpus view")
+    counts = _count_vector(view, tokens)
+    total = counts.sum()
+    bias = np.empty(len(frames))
+    intensity = None if baseline is None else np.empty(len(frames))
+    for block, c in _cosine_blocks(frames, table.unit_rows(tokens)):
+        bias[block] = c @ counts / total
+        if intensity is not None:
+            intensity[block] = (c - baseline[block, None]) ** 2 @ counts / total
+    return bias, intensity
+
+
+def corpus_bias(view: CorpusView, frame: Microframe, table: EmbeddingTable) -> float:
+    """Frequency-weighted mean contribution of the view on `frame`."""
+    bias, _ = view_statistics(view, [frame], table)
+    return float(bias[0])
 
 
 def corpus_intensity(
@@ -220,13 +216,8 @@ def corpus_intensity(
     The baseline is the full-corpus bias on the same frame, computed once
     on the whole corpus and passed down; it is never recomputed per view.
     """
-    tokens = view.vocabulary()
-    if not tokens:
-        raise DataError("empty corpus view")
-    c = _contribution_vector(table, tokens, frame)
-    n = _count_vector(view, tokens)
-    dev = (c - baseline_bias) ** 2
-    return float((n @ dev) / n.sum())
+    _, intensity = view_statistics(view, [frame], table, np.array([baseline_bias]))
+    return float(intensity[0])
 
 
 # ---------------------------------------------------------------------------
@@ -235,13 +226,17 @@ def corpus_intensity(
 
 def _doc_coo(view: CorpusView, tokens: list[str]):
     """Sparse (document, token) count triplets over the given token order,
-    plus per-document countable totals."""
+    plus per-document countable totals.
+
+    Triplets run in document order and, within a document, in sorted-token
+    order, so documents with the same counts accumulate identically.
+    """
     index = {t: i for i, t in enumerate(tokens)}
     rows: list[int] = []
     cols: list[int] = []
     vals: list[float] = []
     for d, dc in enumerate(view.doc_counts):
-        for tok, cnt in dc.items():
+        for tok, cnt in sorted(dc.items()):
             rows.append(d)
             cols.append(index[tok])
             vals.append(float(cnt))
@@ -368,7 +363,7 @@ def bootstrap_null(
     counts = _count_vector(full_view, tokens)
     draws = _resampled_counts(full_view, tokens, counts, unit, sample_size, n, seed)
     *_, bias, intensity = _score_frames(
-        [frame], _unit_rows(table, tokens), counts, counts, draws, n
+        [frame], table.unit_rows(tokens), counts, counts, draws, n
     )
     return NullDistribution(
         frame_id=frame.id, bias_samples=bias[0], intensity_samples=intensity[0], seed=seed
@@ -446,10 +441,7 @@ def shift_table(
     """
     if kind not in SHIFT_KINDS:
         raise DataError(f"unknown shift kind {kind!r}")
-    tokens = view.vocabulary()
-    if not tokens:
-        raise DataError("empty corpus view")
-    c = _contribution_vector(table, tokens, frame)
+    tokens, c = _frame_contributions(view, frame, table)
     n = _count_vector(view, tokens)
     if kind == "bias":
         values = n * c / n.sum()
@@ -502,28 +494,19 @@ def document_spectrum(
     Documents empty after masking are emitted with absent (None) values
     and sorted to the end by document id.
     """
-    tokens = view.vocabulary()
-    if not tokens:
-        raise DataError("empty corpus view")
-    c = _contribution_vector(table, tokens, frame)
-    contrib = dict(zip(tokens, c.tolist()))
+    tokens, c = _frame_contributions(view, frame, table)
+    rows, cols, vals, doc_total = _doc_coo(view, tokens)
+    n_docs = doc_total.shape[0]
+    bias_sum = np.bincount(rows, weights=vals * c[cols], minlength=n_docs)
+    int_sum = np.bincount(rows, weights=vals * (c[cols] - baseline_bias) ** 2, minlength=n_docs)
     present: list[SpectrumEntry] = []
     absent: list[SpectrumEntry] = []
-    for doc, dc in zip(view.documents, view.doc_counts):
-        if not dc:
+    sums = zip(doc_total.tolist(), bias_sum.tolist(), int_sum.tolist())
+    for doc, (total, b, i) in zip(view.documents, sums):
+        if total == 0.0:
             absent.append(SpectrumEntry(doc.doc_id, doc.group, None, None))
-            continue
-        total = 0
-        bias_sum = 0.0
-        int_sum = 0.0
-        for tok, cnt in sorted(dc.items()):
-            cw = contrib[tok]
-            bias_sum += cnt * cw
-            int_sum += cnt * (cw - baseline_bias) ** 2
-            total += cnt
-        present.append(
-            SpectrumEntry(doc.doc_id, doc.group, bias_sum / total, int_sum / total)
-        )
+        else:
+            present.append(SpectrumEntry(doc.doc_id, doc.group, b / total, i / total))
     present.sort(key=lambda e: (e.doc_bias, e.doc_id))
     absent.sort(key=lambda e: e.doc_id)
     return present + absent
@@ -533,13 +516,7 @@ def baseline_biases(
     view: CorpusView, frames: FrameRegistry, table: EmbeddingTable
 ) -> dict[str, float]:
     """Full-corpus bias per frame, with the embedding rows gathered once."""
-    tokens = view.vocabulary()
-    if not tokens:
-        raise DataError("empty corpus view")
-    counts = _count_vector(view, tokens)
-    biases = np.empty(len(frames))
-    for block, c in _cosine_blocks(frames, _unit_rows(table, tokens)):
-        biases[block] = c @ counts / counts.sum()
+    biases, _ = view_statistics(view, frames, table)
     return {frame.id: b for frame, b in zip(frames, biases.tolist())}
 
 
@@ -568,27 +545,16 @@ def separation(
     equals the intensity of the pooled counts); the bias rank orders by
     |delta bias|. Ranks are 1-based, descending, ties by frame id.
     """
-    tokens_a = view_a.vocabulary()
-    tokens_b = view_b.vocabulary()
-    if not tokens_a or not tokens_b:
+    if not view_a.counts or not view_b.counts:
         raise DataError("empty corpus view")
     for frame in frames:
         if frame.id not in baseline:
             raise DataError(f"no baseline bias for frame {frame.id!r}")
     base = np.array([baseline[frame.id] for frame in frames], dtype=np.float64)
-    counts_a = _count_vector(view_a, tokens_a)
-    counts_b = _count_vector(view_b, tokens_b)
-    total_a = counts_a.sum()
-    total_b = counts_b.sum()
-    bias_a, bias_b, int_a, int_b = np.empty((4, len(frames)))
-    blocks_a = _cosine_blocks(frames, _unit_rows(table, tokens_a))
-    blocks_b = _cosine_blocks(frames, _unit_rows(table, tokens_b))
-    for (block, c_a), (_, c_b) in zip(blocks_a, blocks_b):
-        b_t = base[block, None]
-        bias_a[block] = c_a @ counts_a / total_a
-        bias_b[block] = c_b @ counts_b / total_b
-        int_a[block] = (c_a - b_t) ** 2 @ counts_a / total_a
-        int_b[block] = (c_b - b_t) ** 2 @ counts_b / total_b
+    bias_a, int_a = view_statistics(view_a, frames, table, base)
+    bias_b, int_b = view_statistics(view_b, frames, table, base)
+    total_a = float(view_a.total_tokens)
+    total_b = float(view_b.total_tokens)
     mean_int = (total_a * int_a + total_b * int_b) / (total_a + total_b)
     ids = [frame.id for frame in frames]
     rank_b = _ordinal_ranks(list(zip(np.abs(bias_a - bias_b).tolist(), ids)))
@@ -709,7 +675,7 @@ def analyze_frames(
         full_view, tokens_full, n_full, bootstrap_unit, sample_size, n_bootstrap, seed
     )
     baseline, bias, intensity, null_bias, null_intensity = _score_frames(
-        registry.frames, _unit_rows(table, tokens_full), n_full, n_target, draws, n_bootstrap
+        registry.frames, table.unit_rows(tokens_full), n_full, n_target, draws, n_bootstrap
     )
 
     total = len(registry.frames)

@@ -119,11 +119,6 @@ def build_registry(pairs: list[tuple[str, str]], table: EmbeddingTable) -> Frame
     return FrameRegistry(frames=tuple(frames), dropped=tuple(dropped))
 
 
-def axis_vector(frame: Microframe) -> np.ndarray:
-    """The frame's axis: positive pole vector minus negative pole vector."""
-    return frame.axis
-
-
 def read_pairs_tsv(path: str) -> list[tuple[str, str]]:
     """Read a pole-pair file: two tab-separated columns, ``#`` comments."""
     pairs: list[tuple[str, str]] = []
@@ -145,9 +140,9 @@ def read_pairs_tsv(path: str) -> list[tuple[str, str]]:
     return pairs
 
 
-def registry_to_json(registry: FrameRegistry) -> str:
-    """Audit export: kept frames (id and poles) and dropped pairs with reasons."""
-    doc = {
+def registry_record(registry: FrameRegistry) -> dict:
+    """Audit record: kept frames (id and poles) and dropped pairs with reasons."""
+    return {
         "frames": [
             {"id": f.id, "pole_minus": f.pole_minus, "pole_plus": f.pole_plus}
             for f in registry.frames
@@ -156,4 +151,8 @@ def registry_to_json(registry: FrameRegistry) -> str:
             {"pair": list(pair), "reason": reason} for pair, reason in registry.dropped
         ],
     }
-    return json.dumps(doc, indent=2, sort_keys=False) + "\n"
+
+
+def registry_to_json(registry: FrameRegistry) -> str:
+    """The audit record as JSON text, without provenance."""
+    return json.dumps(registry_record(registry), indent=2, sort_keys=False) + "\n"

@@ -18,8 +18,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Protocol
 
-import numpy as np
-
 from .embeddings import EmbeddingTable
 from .errors import DataError
 from .frames import FrameRegistry
@@ -64,31 +62,25 @@ def make_relevance_query(
     return RelevanceQuery(topic_words=resolved, frames=frames, unresolved=unresolved)
 
 
-def _cosine(u: np.ndarray, v: np.ndarray) -> float:
-    a = u.astype(np.float64)
-    b = v.astype(np.float64)
-    return float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
-
-
 def relevance_embedding(
     query: RelevanceQuery, table: EmbeddingTable
 ) -> list[RelevanceScore]:
     """Mean over topic words of the two pole cosines, averaged per frame.
 
     Symmetric in pole order by construction. Sorted by score descending,
-    ties by frame id.
+    ties by frame id. Topic and pole rows are normalised once and every
+    cosine comes from one topic×pole product.
     """
-    scores: list[RelevanceScore] = []
-    for frame in query.frames:
-        v_plus = table.vector_of(frame.pole_plus)
-        v_minus = table.vector_of(frame.pole_minus)
-        if v_plus is None or v_minus is None:
+    frames = query.frames.frames
+    for frame in frames:
+        if frame.pole_plus not in table or frame.pole_minus not in table:
             raise DataError(f"frame {frame.id!r} has a pole missing from the table")
-        per_word: dict[str, float] = {}
-        for word in query.topic_words:
-            v_w = table.vector_of(word)
-            assert v_w is not None  # query validated against this table
-            per_word[word] = (_cosine(v_w, v_plus) + _cosine(v_w, v_minus)) / 2.0
+    poles = [f.pole_plus for f in frames] + [f.pole_minus for f in frames]
+    cosines = table.unit_rows(list(query.topic_words)) @ table.unit_rows(poles).T
+    pole_means = ((cosines[:, : len(frames)] + cosines[:, len(frames) :]) / 2.0).T
+    scores: list[RelevanceScore] = []
+    for frame, means in zip(frames, pole_means.tolist()):
+        per_word = dict(zip(query.topic_words, means))
         score = sum(per_word.values()) / len(per_word)
         scores.append(
             RelevanceScore(

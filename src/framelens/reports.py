@@ -46,8 +46,7 @@ def write_tsv(
     lines.append("\t".join(columns))
     for row in rows:
         lines.append("\t".join(_cell(row.get(c)) for c in columns))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def write_json(path: str, payload: dict, config: dict) -> None:
@@ -59,6 +58,7 @@ def write_json(path: str, payload: dict, config: dict) -> None:
 
 
 def write_text(path: str, content: str) -> None:
+    """Write a report or chart: UTF-8 with LF line endings."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(content)
 

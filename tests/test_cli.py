@@ -1,6 +1,7 @@
 import json
 import os
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -96,6 +97,29 @@ class TestAnalyze:
         assert open(os.path.join(setup["out"], "results.tsv"), "rb").read() == first
         assert open(os.path.join(setup["out"], "results.json"), "rb").read() == first_json
 
+    @pytest.mark.parametrize(
+        "command, extra",
+        [
+            ("shifts", ["--group", "pos", "--frame", "bad--good", "--kind", "intensity"]),
+            ("spectrum", ["--frame", "bad--good"]),
+            ("map", ["--frame", "bad--good", "--unit", "outlet", "--min-docs", "1"]),
+            ("separation", ["--group-a", "pos", "--group-b", "neg"]),
+            ("relevance", ["--topics", "waiter,meal"]),
+            ("frames build", []),
+        ],
+    )
+    def test_every_command_writes_identical_files_on_rerun(self, setup, command, extra):
+        args = command.split() + base_args(setup, command)[1:] + extra
+
+        def snapshot():
+            return {p.name: p.read_bytes() for p in sorted(Path(setup["out"]).iterdir())}
+
+        assert main(args) == 0
+        first = snapshot()
+        assert first
+        assert main(args) == 0
+        assert snapshot() == first
+
     def test_empty_corpus_is_data_error(self, setup, capsys):
         bad = setup["tmp"] / "empty.jsonl"
         bad.write_text(
@@ -108,6 +132,16 @@ class TestAnalyze:
         code = main(args)
         assert code == 2
         assert "empty corpus view" in capsys.readouterr().err
+
+    def test_non_object_corpus_line_is_data_error(self, setup, capsys):
+        bad = setup["tmp"] / "scalar.jsonl"
+        bad.write_text(json.dumps(DOCS[0]) + "\n5\n", encoding="utf-8")
+        args = [
+            "analyze", "--embeddings", setup["emb"], "--pairs", setup["pairs"],
+            "--corpus", str(bad), "--group", "pos", "--out", setup["out"],
+        ]
+        assert main(args) == 2
+        assert "scalar.jsonl:2: record must be a JSON object" in capsys.readouterr().err
 
     def test_missing_group_is_usage_error(self, setup, capsys):
         code = main(base_args(setup, "analyze"))

@@ -208,6 +208,14 @@ class TestIO:
         with pytest.raises(DataError, match="invalid JSON"):
             read_jsonl(str(p))
 
+    @pytest.mark.parametrize("line", ["5", "[1]", '"text"', "null"])
+    def test_read_jsonl_rejects_non_object_record(self, tmp_path, line):
+        p = tmp_path / "corpus.jsonl"
+        p.write_text(json.dumps({"id": "1", "text": "x"}) + "\n" + line + "\n",
+                     encoding="utf-8")
+        with pytest.raises(DataError, match=r"corpus\.jsonl:2: record must be a JSON object"):
+            read_jsonl(str(p))
+
     def test_read_jsonl_rejects_non_object_meta(self, tmp_path):
         p = tmp_path / "corpus.jsonl"
         p.write_text(

@@ -64,6 +64,14 @@ def test_malformed_line_skipped(tmp_path):
     assert table.stats.malformed == 1
 
 
+def test_non_finite_components_are_malformed(tmp_path):
+    # 1e39 parses as a float but overflows float32 to inf on the cast
+    path = write(tmp_path, "vecs.txt", "a 1 2\nnotanumber nan 1\nhuge 1e39 1\nb 3 4\n")
+    table = load_embeddings(path, warn=False)
+    assert set(table.vocabulary) == {"a", "b"}
+    assert table.stats.malformed == 2
+
+
 def test_vocab_filter_soundness(tmp_path):
     path = write(tmp_path, "vecs.txt", "a 1 2\nb 3 4\nc 5 6\n")
     table = load_embeddings(path, vocab_filter={"a", "c", "zz"})

@@ -157,6 +157,12 @@ class TestCorpusStatistics:
         got_int = corpus_intensity(view, frame, table, got_bias)
         assert got_int == pytest.approx(want_int, abs=1e-12)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_corpus_bias_is_the_one_frame_baseline(self, seed):
+        table, _, _, view, frame = random_instance(np.random.default_rng(seed))
+        registry = FrameRegistry((frame,), ())
+        assert corpus_bias(view, frame, table) == baseline_biases(view, registry, table)[frame.id]
+
     def test_bias_bounded_by_max_contribution(self, toy_table):
         docs = [make_document("d", "good bad great awful service")]
         view = build_view(docs, toy_table)
@@ -450,6 +456,20 @@ class TestDocumentSpectrum:
         assert [e.doc_id for e in entries] == sorted(expected, key=expected.get)
         for e in entries:
             assert e.doc_bias == pytest.approx(expected[e.doc_id], abs=1e-12)
+
+    def test_same_bag_in_any_token_order_gives_equal_values(self):
+        rng = np.random.default_rng(11)
+        tokens = [f"w{i}" for i in range(40)]
+        vectors = {t: rng.normal(size=8).tolist() for t in tokens + ["m", "p"]}
+        table = table_from_dict(vectors)
+        frame = make_frame("m", "p", table)
+        bag = [t for i, t in enumerate(tokens) for _ in range(1 + i % 3)]
+        shuffled = [bag[i] for i in rng.permutation(len(bag))]
+        docs = [make_document("a", " ".join(bag)), make_document("b", " ".join(shuffled))]
+        view = build_view(docs, table)
+        first, second = document_spectrum(view, frame, table, 0.1)
+        assert first.doc_bias == second.doc_bias
+        assert first.doc_intensity == second.doc_intensity
 
     def test_empty_document_gets_absent_marker_at_end(self, toy_table):
         docs = [make_document("full", "good"), make_document("hollow", "xyzzy")]

@@ -5,7 +5,6 @@ import pytest
 
 from framelens.errors import DataError
 from framelens.frames import (
-    axis_vector,
     build_registry,
     make_frame,
     read_pairs_tsv,
@@ -65,7 +64,7 @@ def test_axis_is_componentwise_difference(toy_table):
     vp = toy_table.vector_of("good")
     vm = toy_table.vector_of("bad")
     expected = [float(p) - float(m) for p, m in zip(vp, vm)]
-    assert axis_vector(frame).tolist() == expected
+    assert frame.axis.tolist() == expected
 
 
 def test_axis_matches_independent_recompute_300d():
