@@ -52,7 +52,7 @@ from .relevance import (
     relevance_embedding,
     relevance_perplexity,
 )
-from .reports import ensure_outdir, write_json, write_text, write_tsv
+from .reports import ensure_outdir, escape_stem, write_json, write_text, write_tsv
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -111,6 +111,8 @@ def _stage(name: str):
         yield
     except DataError as exc:
         raise StageFailure(name, exc) from exc
+    except OSError as exc:  # e.g. --out names a file, or a report cannot be written
+        raise StageFailure(name, DataError(str(exc))) from exc
 
 
 def _progress(message: str) -> None:
@@ -375,7 +377,7 @@ def cmd_shifts(cfg: RunConfig) -> None:
     with _stage("write reports"):
         outdir = ensure_outdir(cfg.out)
         config = asdict(cfg)
-        stem = f"shifts_{frame.id}_{cfg.kind}"
+        stem = f"shifts_{escape_stem(frame.id)}_{cfg.kind}"
         fmts = _formats(cfg)
         if "tsv" in fmts:
             write_tsv(os.path.join(outdir, stem + ".tsv"), SHIFT_COLUMNS, rows, config)
@@ -401,7 +403,7 @@ def cmd_spectrum(cfg: RunConfig) -> None:
     with _stage("write reports"):
         outdir = ensure_outdir(cfg.out)
         config = asdict(cfg)
-        stem = f"spectrum_{frame.id}"
+        stem = f"spectrum_{escape_stem(frame.id)}"
         fmts = _formats(cfg)
         if "tsv" in fmts:
             write_tsv(os.path.join(outdir, stem + ".tsv"), SPECTRUM_COLUMNS, rows, config)
@@ -471,7 +473,7 @@ def cmd_map(cfg: RunConfig) -> None:
     with _stage("write reports"):
         outdir = ensure_outdir(cfg.out)
         config = asdict(cfg)
-        stem = f"map_{frame.id}"
+        stem = f"map_{escape_stem(frame.id)}"
         fmts = _formats(cfg)
         if "tsv" in fmts:
             write_tsv(os.path.join(outdir, stem + ".tsv"), MAP_COLUMNS, rows, config)
@@ -509,7 +511,7 @@ def cmd_separation(cfg: RunConfig) -> None:
     with _stage("write reports"):
         outdir = ensure_outdir(cfg.out)
         config = asdict(cfg)
-        stem = f"separation_{cfg.group_a}_vs_{cfg.group_b}"
+        stem = f"separation_{escape_stem(cfg.group_a)}_vs_{escape_stem(cfg.group_b)}"
         fmts = _formats(cfg)
         if "tsv" in fmts:
             write_tsv(

@@ -32,6 +32,12 @@ class NormalizerConfig:
     strip_punctuation: bool = True
 
 
+#: The ASCII characters whose Unicode category is punctuation (P*).
+_ASCII_PUNCT = "".join(
+    c for c in map(chr, range(128)) if unicodedata.category(c).startswith("P")
+)
+
+
 def _strip_edge_punct(token: str) -> str:
     start, end = 0, len(token)
     while start < end and unicodedata.category(token[start]).startswith("P"):
@@ -48,7 +54,9 @@ def tokenize(raw_text: str, config: NormalizerConfig | None = None) -> list[str]
     case folding, and leading/trailing punctuation stripping per
     `config`; empty tokens are dropped. The literal chunk ``<UNK>`` is
     preserved verbatim so the reserved sentinel survives normalization.
-    Idempotent on its own output.
+    Idempotent on its own output. An ASCII chunk is already NFC and stays
+    ASCII when lowercased, so it skips normalization and strips with
+    `str.strip` over the ASCII punctuation.
     """
     cfg = config or NormalizerConfig()
     out: list[str] = []
@@ -56,11 +64,12 @@ def tokenize(raw_text: str, config: NormalizerConfig | None = None) -> list[str]
         if chunk == UNK:
             out.append(UNK)
             continue
-        tok = unicodedata.normalize("NFC", chunk) if cfg.nfc else chunk
+        ascii_only = chunk.isascii()
+        tok = unicodedata.normalize("NFC", chunk) if cfg.nfc and not ascii_only else chunk
         if cfg.lowercase:
             tok = tok.lower()
         if cfg.strip_punctuation:
-            tok = _strip_edge_punct(tok)
+            tok = tok.strip(_ASCII_PUNCT) if ascii_only else _strip_edge_punct(tok)
         if tok:
             out.append(tok)
     return out
@@ -189,8 +198,9 @@ def split_by_group(view: CorpusView, group: str) -> tuple[CorpusView, CorpusView
 
 def read_jsonl(path: str, config: NormalizerConfig | None = None) -> list[Document]:
     """Read a JSONL corpus: one object per line with `id`, `text`,
-    optional `group`, optional `meta`."""
+    optional `group`, optional `meta`. Ids must be unique."""
     docs: list[Document] = []
+    first_line: dict[str, int] = {}
     try:
         fh = open(path, "r", encoding="utf-8")
     except OSError as exc:
@@ -212,10 +222,14 @@ def read_jsonl(path: str, config: NormalizerConfig | None = None) -> list[Docume
             meta = obj.get("meta") or {}
             if not isinstance(meta, dict):
                 raise DataError(f"{path}:{lineno}: 'meta' must be an object")
+            doc_id = str(obj["id"])
+            first = first_line.setdefault(doc_id, lineno)
+            if first != lineno:
+                raise DataError(f"{path}:{lineno}: duplicate id {doc_id!r} (first on line {first})")
             group = obj.get("group")
             docs.append(
                 make_document(
-                    doc_id=str(obj["id"]),
+                    doc_id=doc_id,
                     raw_text=obj["text"],
                     group=str(group) if group is not None else None,
                     meta=meta,

@@ -117,7 +117,9 @@ def load_embeddings(
         Unreadable file, no loadable vectors, or inconsistent dimension
         across lines. Zero-norm vectors and malformed lines are skipped
         and counted, not fatal. A line kept by the filter whose vector
-        has a component that is not finite as float32 is malformed.
+        has a component that is not finite as float32 is malformed. A
+        line the filter drops is counted as filtered; its components are
+        parsed only when its field count differs from the dimension.
     """
     index: dict[str, int] = {}
     rows: list[np.ndarray] = []
@@ -139,8 +141,16 @@ def load_embeddings(
             if lineno == 1 and _looks_like_header(parts):
                 continue
             token = parts[0]
+            # Once the dimension is known, a record of the right length that
+            # the filter drops is not parsed. Any other record is, so a wrong
+            # length still aborts the load, or counts as malformed.
+            if vocab_filter is not None and len(parts) - 1 == dim and token not in vocab_filter:
+                filtered += 1
+                continue
             try:
-                vec = np.array([float(x) for x in parts[1:]], dtype=np.float32)
+                # numpy reads each string with float() and rounds that double
+                # to float32: the bytes of a Python float cast to float32.
+                vec = np.array(parts[1:], dtype=np.float32)
             except ValueError:
                 malformed += 1
                 continue

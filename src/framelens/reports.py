@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+from urllib.parse import quote
 
 from . import __version__
 
@@ -61,6 +62,13 @@ def write_text(path: str, content: str) -> None:
     """Write a report or chart: UTF-8 with LF line endings."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(content)
+
+
+def escape_stem(text: str) -> str:
+    """`text` as part of a file name: each character outside [A-Za-z0-9._-],
+    `%` included, becomes `%XX` per UTF-8 byte, so `urllib.parse.unquote`
+    reverses it."""
+    return quote(text, safe="").replace("~", "%7E")
 
 
 def ensure_outdir(path: str) -> str:

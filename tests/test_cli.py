@@ -143,6 +143,26 @@ class TestAnalyze:
         assert main(args) == 2
         assert "scalar.jsonl:2: record must be a JSON object" in capsys.readouterr().err
 
+    def test_duplicate_corpus_id_is_data_error(self, setup, capsys):
+        bad = setup["tmp"] / "dup.jsonl"
+        bad.write_text("\n".join(json.dumps(d) for d in DOCS + DOCS[1:2]) + "\n",
+                       encoding="utf-8")
+        args = [
+            "analyze", "--embeddings", setup["emb"], "--pairs", setup["pairs"],
+            "--corpus", str(bad), "--group", "pos", "--out", setup["out"],
+        ]
+        assert main(args) == 2
+        assert "dup.jsonl:7: duplicate id 'p2' (first on line 2)" in capsys.readouterr().err
+
+    def test_unwritable_out_is_data_error(self, setup, capsys):
+        taken = setup["tmp"] / "taken"
+        taken.write_text("not a directory\n", encoding="utf-8")
+        args = base_args(setup, "analyze") + ["--group", "pos", "--n-bootstrap", "5",
+                                              "--out", str(taken)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "error [write reports]" in err and str(taken) in err
+
     def test_missing_group_is_usage_error(self, setup, capsys):
         code = main(base_args(setup, "analyze"))
         assert code == 1
@@ -424,6 +444,33 @@ class TestFormats:
     def test_analyze_needs_a_tabular_format(self, setup, capsys):
         code = main(base_args(setup, "analyze") + ["--group", "pos", "--formats", ""])
         assert code == 1
+
+
+class TestReportFileNames:
+    @pytest.mark.parametrize(
+        "command, extra, stem",
+        [
+            ("shifts", ["--group", "pos/+", "--frame", "bad--w/x"], "shifts_bad--w%2Fx_bias"),
+            ("spectrum", ["--frame", "bad--w/x"], "spectrum_bad--w%2Fx"),
+            ("map", ["--frame", "bad--w/x", "--unit", "outlet", "--min-docs", "1"],
+             "map_bad--w%2Fx"),
+            ("separation", ["--group-a", "pos/+", "--group-b", "50% n\u00e9g"],
+             "separation_pos%2F%2B_vs_50%25%20n%C3%A9g"),
+        ],
+    )
+    def test_ids_and_labels_are_escaped(self, setup, command, extra, stem):
+        with open(setup["emb"], "a", encoding="utf-8") as fh:
+            fh.write("w/x 0.4 -0.6 0.3\n")
+        with open(setup["pairs"], "a", encoding="utf-8") as fh:
+            fh.write("bad\tw/x\n")
+        relabel = {"pos": "pos/+", "neg": "50% n\u00e9g"}
+        docs = [{**d, "group": relabel[d["group"]]} for d in DOCS]
+        Path(setup["corpus"]).write_text(
+            "\n".join(json.dumps(d) for d in docs) + "\n", encoding="utf-8"
+        )
+        assert main(base_args(setup, command) + extra) == 0
+        names = os.listdir(setup["out"])
+        assert names and {os.path.splitext(n)[0] for n in names} == {stem}
 
 
 class TestExitCodes:

@@ -1,4 +1,6 @@
+import itertools
 import json
+import unicodedata
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from framelens.corpus import (
     NormalizerConfig,
     UNK,
+    _strip_edge_punct,
     build_view,
     make_document,
     read_jsonl,
@@ -53,6 +56,57 @@ class TestTokenize:
         once = tokenize(text)
         again = tokenize(" ".join(once))
         assert once == again
+
+
+def reference_tokenize(text, cfg):
+    """The tokenizer without its ASCII fast path: NFC, lower, category-P strip."""
+    out = []
+    for chunk in text.split():
+        if chunk == UNK:
+            out.append(UNK)
+            continue
+        tok = unicodedata.normalize("NFC", chunk) if cfg.nfc else chunk
+        if cfg.lowercase:
+            tok = tok.lower()
+        if cfg.strip_punctuation:
+            tok = _strip_edge_punct(tok)
+        if tok:
+            out.append(tok)
+    return out
+
+
+# ASCII letters, digits, punctuation and symbols, whitespace, and non-ASCII
+# letters (composed, decomposed, and ones that lowercase or NFC to ASCII) and
+# punctuation.
+MIXED_TEXT = st.lists(
+    st.one_of(
+        st.sampled_from(
+            "aZq09'!\"#%&()*,-./:;?@[\\]_{}$+<=>^|~`"
+            " \t\n\u00a0\u2003"
+            "\u00e9\u00c9\u00df\u0130\u212a\u212b\u0301\u00e5\u03a3"
+            "\u00ab\u00bb\u00bf\u00a1\u2014\u2026\u201c\u201d\u3002"
+        ),
+        st.just(" <UNK> "),
+        st.just("e\u0301"),
+    ),
+    max_size=60,
+).map("".join)
+
+
+class TestAsciiFastPath:
+    @pytest.mark.parametrize(
+        "lowercase, nfc, strip", list(itertools.product([True, False], repeat=3))
+    )
+    @given(text=MIXED_TEXT)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_reference_tokenizer(self, lowercase, nfc, strip, text):
+        cfg = NormalizerConfig(lowercase=lowercase, nfc=nfc, strip_punctuation=strip)
+        assert tokenize(text, cfg) == reference_tokenize(text, cfg)
+
+    def test_ascii_symbols_are_not_stripped(self):
+        assert tokenize("$5 a+b <x> =y ^z |w ~v `u` (t).") == [
+            "$5", "a+b", "<x>", "=y", "^z", "|w", "~v", "`u`", "t",
+        ]
 
 
 class TestBuildView:
@@ -223,6 +277,17 @@ class TestIO:
             encoding="utf-8",
         )
         with pytest.raises(DataError, match="'meta' must be an object"):
+            read_jsonl(str(p))
+
+    @pytest.mark.parametrize("second_id", ["1", 1])
+    def test_read_jsonl_rejects_duplicate_id(self, tmp_path, second_id):
+        p = tmp_path / "corpus.jsonl"
+        records = [{"id": "1", "text": "x"}, {"id": "2", "text": "y"},
+                   {"id": second_id, "text": "z"}]
+        p.write_text("\n".join(json.dumps(r) for r in records) + "\n", encoding="utf-8")
+        with pytest.raises(
+            DataError, match=r"corpus\.jsonl:3: duplicate id '1' \(first on line 1\)"
+        ):
             read_jsonl(str(p))
 
     def test_read_jsonl_coerces_group_to_string(self, tmp_path):

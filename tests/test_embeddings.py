@@ -113,3 +113,63 @@ def test_storage_is_float32_and_norms_positive(tmp_path):
     assert table.vector_of("b").dtype == np.float32
     for tok in table.vocabulary:
         assert np.linalg.norm(table.vector_of(tok)) > 0.0
+
+
+def test_filtered_record_with_wrong_count_still_aborts(tmp_path):
+    path = write(tmp_path, "vecs.txt", "a 1 2\nx 1 2 3\nb 3 4\n")
+    with pytest.raises(DataError, match="vecs.txt:2: vector has 3 components, expected 2"):
+        load_embeddings(path, vocab_filter={"a", "b"})
+
+
+def test_filtered_record_with_wrong_count_of_non_numbers_is_malformed(tmp_path):
+    path = write(tmp_path, "vecs.txt", "a 1 2\n. . . 1 2\nb 3 4\n")
+    table = load_embeddings(path, vocab_filter={"a", "b"}, warn=False)
+    assert set(table.vocabulary) == {"a", "b"}
+    assert (table.stats.malformed, table.stats.filtered) == (1, 0)
+
+
+def test_filtered_record_of_the_right_length_is_not_parsed(tmp_path):
+    # its fields are never read as numbers, so it counts as filtered, not malformed
+    path = write(tmp_path, "vecs.txt", "a 1 2\nx foo bar\nb 3 4\n")
+    table = load_embeddings(path, vocab_filter={"a", "b"}, warn=False)
+    assert set(table.vocabulary) == {"a", "b"}
+    assert (table.stats.malformed, table.stats.filtered) == (0, 1)
+
+
+def test_filtered_first_record_still_fixes_the_dimension(tmp_path):
+    path = write(tmp_path, "vecs.txt", "x 1 2 3\na 1 2 3\nb 4 5\n")
+    with pytest.raises(DataError, match="vecs.txt:3: vector has 2 components, expected 3"):
+        load_embeddings(path, vocab_filter={"a", "b"})
+    path = write(tmp_path, "vecs2.txt", "x 1 2 3\na 1 2 3\n")
+    table = load_embeddings(path, vocab_filter={"a"})
+    assert table.dimension == 3
+    assert (len(table), table.stats.filtered) == (1, 1)
+
+
+def test_filtered_rows_are_byte_identical_to_unfiltered_rows(tmp_path):
+    rng = np.random.default_rng(0)
+    formats = ("{!r}", "{:.6f}", "{:.3e}", "{:+.9g}", "{:.0f}.")
+    lines = []
+    for i in range(200):
+        values = (rng.standard_normal(5) * 10.0 ** rng.integers(-8, 8)).tolist()
+        fields = [formats[(i + j) % len(formats)].format(v) for j, v in enumerate(values)]
+        lines.append(f"t{i} " + " ".join(fields))
+    # doubles halfway between float32 neighbours: a string parsed straight to
+    # float32 can round away from where float() then float32 rounds it
+    low = np.float32(1.0) + np.float32(2.0**-23) * np.arange(1, 6, dtype=np.float32)
+    high = np.nextafter(low, np.float32(2.0))
+    halfway = (low.astype(np.float64) + high.astype(np.float64)) / 2
+    lines.append("t200 " + " ".join(repr(float(v)) for v in halfway))
+    path = write(tmp_path, "vecs.txt", "\n".join(lines) + "\n")
+    wanted = {f"t{i}" for i in range(0, 201, 3)}
+    full = load_embeddings(path)
+    filtered = load_embeddings(path, vocab_filter=wanted)
+    assert set(filtered.vocabulary) == wanted
+    assert filtered.stats.filtered == 201 - len(wanted)
+    for line in lines:
+        token, *fields = line.split()
+        # the float32 rounding of a Python float, component by component
+        expected = np.array([float(x) for x in fields], dtype=np.float32).tobytes()
+        assert full.vector_of(token).tobytes() == expected
+        if token in wanted:
+            assert filtered.vector_of(token).tobytes() == expected
