@@ -53,6 +53,7 @@ from .relevance import (
     relevance_perplexity,
 )
 from .reports import ensure_outdir, escape_stem, write_json, write_text, write_tsv
+from .textio import numbered_lines, open_text
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -128,11 +129,11 @@ def parse_config_file(path: str) -> dict:
     known = {f.name for f in fields(RunConfig)} - {"command"}
     out: dict = {}
     try:
-        fh = open(path, "r", encoding="utf-8")
+        fh = open_text(path)
     except OSError as exc:
         raise UsageError(f"cannot read config file {path!r}: {exc}") from exc
     with fh:
-        for lineno, line in enumerate(fh, start=1):
+        for lineno, line in numbered_lines(fh, path, UsageError):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue

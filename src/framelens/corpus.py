@@ -15,9 +15,11 @@ import json
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .embeddings import EmbeddingTable
 from .errors import DataError
+from .textio import numbered_lines, open_text
 
 #: Reserved sentinel. Documents containing it literally get it masked too.
 UNK = "<UNK>"
@@ -135,24 +137,21 @@ def _classify(
     table: EmbeddingTable,
     topics: frozenset[str],
 ) -> CorpusView:
-    counts: Counter[str] = Counter()
-    masked: set[str] = set()
-    oov: set[str] = set()
-    doc_counts: list[dict[str, int]] = []
-    for doc in documents:
-        dc: Counter[str] = Counter()
-        for tok in doc.tokens:
-            if tok == UNK or tok in topics:
-                masked.add(tok)
-            elif tok not in table:
-                oov.add(tok)
-            else:
-                dc[tok] += 1
-        counts.update(dc)
-        doc_counts.append(dict(dc))
+    # Each distinct type is classified once for the whole view. The counts,
+    # of the view and of each document, keep their types in first-occurrence
+    # order, as a loop over the occurrences would insert them.
+    totals = Counter(chain.from_iterable(doc.tokens for doc in documents))
+    vocabulary = table.vocabulary
+    masked = {tok for tok in totals if tok == UNK or tok in topics}
+    oov = {tok for tok in totals if tok not in vocabulary and tok not in masked}
+    counts = {tok: n for tok, n in totals.items() if tok in vocabulary and tok not in masked}
+    doc_counts = [
+        {tok: n for tok, n in Counter(doc.tokens).items() if tok in counts}
+        for doc in documents
+    ]
     return CorpusView(
         documents=tuple(documents),
-        counts=dict(counts),
+        counts=counts,
         total_tokens=sum(counts.values()),
         masked=frozenset(masked),
         oov=frozenset(oov),
@@ -202,11 +201,11 @@ def read_jsonl(path: str, config: NormalizerConfig | None = None) -> list[Docume
     docs: list[Document] = []
     first_line: dict[str, int] = {}
     try:
-        fh = open(path, "r", encoding="utf-8")
+        fh = open_text(path)
     except OSError as exc:
         raise DataError(f"cannot read corpus {path!r}: {exc}") from exc
     with fh:
-        for lineno, line in enumerate(fh, start=1):
+        for lineno, line in numbered_lines(fh, path):
             if not line.strip():
                 continue
             try:
@@ -245,11 +244,11 @@ def read_topic_words(path: str, config: NormalizerConfig | None = None) -> set[s
     """Read a newline-delimited topic word list, normalized like corpus text."""
     words: set[str] = set()
     try:
-        fh = open(path, "r", encoding="utf-8")
+        fh = open_text(path)
     except OSError as exc:
         raise DataError(f"cannot read topic words {path!r}: {exc}") from exc
     with fh:
-        for line in fh:
+        for _, line in numbered_lines(fh, path):
             for tok in tokenize(line, config):
                 words.add(tok)
     return words

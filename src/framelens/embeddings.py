@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
+from .textio import numbered_lines, open_text
 
 
 @dataclass(frozen=True)
@@ -94,6 +95,127 @@ def _looks_like_header(parts: list[str]) -> bool:
     return True
 
 
+#: Components per bulk parse of kept records: a chunk's float32 block stays at
+#: 64 KiB, below glibc's default 128 KiB mmap threshold. Larger chunks, and
+#: blocks grown by reallocation, raised the peak RSS of a process that loads
+#: a table many times.
+_CHUNK_COMPONENTS = 1 << 14
+
+#: Every byte but the ASCII whitespace that `str.split` splits on.
+_NOT_WHITESPACE = bytes(range(256)).translate(None, b" \t\n\v\f\r\x1c\x1d\x1e\x1f")
+
+
+def _spaced_fields(text: str, count: int) -> bool:
+    """Whether ASCII `text`, which does not start with whitespace, is `count`
+    fields joined by single spaces, with no other whitespace except one final
+    newline. True implies ``len(text.split()) == count``, without building
+    the fields; False says nothing."""
+    raw = text.encode("ascii")
+    end = len(raw) - raw.endswith(b"\n")
+    whitespace = raw.translate(None, _NOT_WHITESPACE)
+    return (
+        len(whitespace) == count - 1 + len(raw) - end
+        and whitespace.count(b" ") == count - 1
+        and raw[end - 1] != 0x20
+        and raw.find(b"  ") < 0
+    )
+
+
+class _Loader:
+    """State of one load: the index, the kept rows as float32 blocks, the
+    line accounting, and the kept records queued for a bulk parse."""
+
+    def __init__(self, path: str, vocab_filter: set[str] | None):
+        self.path = path
+        self.vocab_filter = vocab_filter
+        self.index: dict[str, int] = {}
+        self.blocks: list[np.ndarray] = []
+        self.dim: int | None = None
+        self.malformed = self.zero_vectors = self.duplicates = self.filtered = 0
+        self.pending: list[tuple[int, str, str]] = []
+
+    def record(self, lineno: int, parts: list[str]) -> None:
+        """The reference path: one record, split into its fields. The queue
+        must be flushed first, so rows keep file order."""
+        if lineno == 1 and _looks_like_header(parts):
+            return
+        token = parts[0]
+        vocab_filter = self.vocab_filter
+        # Once the dimension is known, a record of the right length that
+        # the filter drops is not parsed. Any other record is, so a wrong
+        # length still aborts the load, or counts as malformed.
+        if vocab_filter is not None and len(parts) - 1 == self.dim and token not in vocab_filter:
+            self.filtered += 1
+            return
+        try:
+            # numpy reads each string with float() and rounds that double
+            # to float32: the bytes of a Python float cast to float32.
+            vec = np.array(parts[1:], dtype=np.float32)
+        except ValueError:
+            self.malformed += 1
+            return
+        if vec.size == 0:
+            self.malformed += 1
+            return
+        if self.dim is None:
+            self.dim = int(vec.size)
+        elif vec.size != self.dim:
+            raise DataError(
+                f"{self.path}:{lineno}: vector has {vec.size} components, expected {self.dim}"
+            )
+        if vocab_filter is not None and token not in vocab_filter:
+            self.filtered += 1
+            return
+        self._keep([token], vec[None, :])
+
+    def queue(self, lineno: int, token: str, fields: str) -> None:
+        """Queue a kept record whose `fields` are `dim` single-space-separated
+        ASCII fields; parse the queue once it holds a chunk."""
+        self.pending.append((lineno, token, fields))
+        if len(self.pending) * self.dim >= _CHUNK_COMPONENTS:
+            self.flush()
+
+    def flush(self) -> None:
+        """Parse the queued records in one call. `np.loadtxt` parses each
+        field to a double and casts it, as `record` does; a chunk it rejects
+        (it refuses `1_000`, which float() reads) goes through `record`."""
+        pending, self.pending = self.pending, []
+        if not pending:
+            return
+        try:
+            # max_rows lets loadtxt allocate the block once instead of growing it
+            block = np.loadtxt(
+                [fields for _, _, fields in pending],
+                dtype=np.float32, comments=None, ndmin=2, max_rows=len(pending),
+            )
+        except ValueError:
+            for lineno, token, fields in pending:
+                self.record(lineno, [token, *fields.split()])
+            return
+        self._keep([token for _, token, _ in pending], block)
+
+    def _keep(self, tokens: list[str], block: np.ndarray) -> None:
+        """Store the rows of `block` that are finite, nonzero and first of their token."""
+        finite = np.isfinite(block).all(axis=1).tolist()
+        nonzero = block.any(axis=1).tolist()
+        index = self.index
+        kept = []
+        for i, token in enumerate(tokens):
+            if not finite[i]:
+                self.malformed += 1
+            elif not nonzero[i]:
+                self.zero_vectors += 1
+            elif token in index:
+                self.duplicates += 1
+            else:
+                index[token] = len(index)
+                kept.append(i)
+        if len(kept) == len(tokens):
+            self.blocks.append(block)
+        elif kept:
+            self.blocks.append(block[kept])
+
+
 def load_embeddings(
     path: str,
     vocab_filter: set[str] | None = None,
@@ -114,86 +236,66 @@ def load_embeddings(
     Raises
     ------
     DataError
-        Unreadable file, no loadable vectors, or inconsistent dimension
-        across lines. Zero-norm vectors and malformed lines are skipped
-        and counted, not fatal. A line kept by the filter whose vector
-        has a component that is not finite as float32 is malformed. A
-        line the filter drops is counted as filtered; its components are
-        parsed only when its field count differs from the dimension.
+        Unreadable file, a line that is not UTF-8, no loadable vectors, or
+        inconsistent dimension across lines. Zero-norm vectors and
+        malformed lines are skipped and counted, not fatal. A line kept by
+        the filter whose vector has a component that is not finite as
+        float32 is malformed. A line the filter drops is counted as
+        filtered; its components are parsed only when its field count
+        differs from the dimension.
     """
-    index: dict[str, int] = {}
-    rows: list[np.ndarray] = []
-    dim: int | None = None
-    malformed = zero_vectors = duplicates = filtered = 0
-
     try:
-        fh = open(path, "r", encoding="utf-8")
+        fh = open_text(path)
     except OSError as exc:
         raise DataError(f"cannot read embeddings file {path!r}: {exc}") from exc
 
+    load = _Loader(path, vocab_filter)
+    # Once the first record has fixed the dimension, a record whose vector
+    # part is `dim` single-space-separated ASCII fields is counted without
+    # splitting when the filter drops it, and queued for a bulk parse when
+    # it is kept. Every other record takes the reference path.
+    #
     # A component beyond float32 range becomes inf on the cast; the finiteness
-    # check below skips the record, so the cast's overflow warning is noise.
+    # check skips the record, so the cast's overflow warning is noise.
     with fh, np.errstate(over="ignore"):
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
+        for lineno, line in numbered_lines(fh, path):
+            head = line.split(maxsplit=1)
+            if not head:
                 continue
-            if lineno == 1 and _looks_like_header(parts):
-                continue
-            token = parts[0]
-            # Once the dimension is known, a record of the right length that
-            # the filter drops is not parsed. Any other record is, so a wrong
-            # length still aborts the load, or counts as malformed.
-            if vocab_filter is not None and len(parts) - 1 == dim and token not in vocab_filter:
-                filtered += 1
-                continue
-            try:
-                # numpy reads each string with float() and rounds that double
-                # to float32: the bytes of a Python float cast to float32.
-                vec = np.array(parts[1:], dtype=np.float32)
-            except ValueError:
-                malformed += 1
-                continue
-            if vec.size == 0:
-                malformed += 1
-                continue
-            if dim is None:
-                dim = int(vec.size)
-            elif vec.size != dim:
-                raise DataError(
-                    f"{path}:{lineno}: vector has {vec.size} components, expected {dim}"
-                )
-            if vocab_filter is not None and token not in vocab_filter:
-                filtered += 1
-                continue
-            if not np.isfinite(vec).all():
-                malformed += 1
-                continue
-            if not vec.any():
-                zero_vectors += 1
-                continue
-            if token in index:
-                duplicates += 1
-                continue
-            index[token] = len(rows)
-            rows.append(vec)
+            dim = load.dim
+            if dim is not None and len(head) == 2:
+                token, fields = head
+                dropped = vocab_filter is not None and token not in vocab_filter
+                if fields.isascii() and _spaced_fields(fields, dim):
+                    if dropped:
+                        load.filtered += 1
+                    else:
+                        load.queue(lineno, token, fields)
+                    continue
+                if dropped and len(fields.split()) == dim:
+                    load.filtered += 1
+                    continue
+            load.flush()
+            load.record(lineno, line.split())
+        load.flush()
 
-    if not rows:
+    if not load.blocks:
         raise DataError(f"no loadable vectors in {path!r}")
 
     stats = LoadStats(
-        kept=len(rows),
-        malformed=malformed,
-        zero_vectors=zero_vectors,
-        duplicates=duplicates,
-        filtered=filtered,
+        kept=len(load.index),
+        malformed=load.malformed,
+        zero_vectors=load.zero_vectors,
+        duplicates=load.duplicates,
+        filtered=load.filtered,
     )
     if warn and stats.skipped:
         print(
             f"embeddings: skipped {stats.skipped} lines in {path} "
-            f"(malformed={malformed}, zero={zero_vectors}, duplicate={duplicates})",
+            f"(malformed={stats.malformed}, zero={stats.zero_vectors}, "
+            f"duplicate={stats.duplicates})",
             file=sys.stderr,
         )
-    matrix = np.vstack(rows)
-    assert dim is not None
-    return EmbeddingTable(dimension=dim, _index=index, _matrix=matrix, stats=stats)
+    matrix = np.vstack(load.blocks)
+    assert load.dim is not None
+    return EmbeddingTable(dimension=load.dim, _index=load.index, _matrix=matrix, stats=stats)

@@ -16,6 +16,7 @@ import numpy as np
 
 from .embeddings import EmbeddingTable
 from .errors import DataError
+from .textio import numbered_lines, open_text
 
 # Axes shorter than this are degenerate: contributions divide by the axis norm.
 MIN_AXIS_NORM = 1e-8
@@ -123,11 +124,11 @@ def read_pairs_tsv(path: str) -> list[tuple[str, str]]:
     """Read a pole-pair file: two tab-separated columns, ``#`` comments."""
     pairs: list[tuple[str, str]] = []
     try:
-        fh = open(path, "r", encoding="utf-8")
+        fh = open_text(path)
     except OSError as exc:
         raise DataError(f"cannot read pair file {path!r}: {exc}") from exc
     with fh:
-        for lineno, line in enumerate(fh, start=1):
+        for lineno, line in numbered_lines(fh, path):
             line = line.rstrip("\n")
             if not line.strip() or line.lstrip().startswith("#"):
                 continue

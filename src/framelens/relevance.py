@@ -21,6 +21,7 @@ from typing import Protocol
 from .embeddings import EmbeddingTable
 from .errors import DataError
 from .frames import FrameRegistry
+from .textio import numbered_lines, open_text
 
 DEFAULT_TEMPLATES = ("{topic} is {pole}.", "{topic} are {pole}.")
 
@@ -107,11 +108,11 @@ def read_templates(path: str) -> tuple[str, ...]:
     """Read template sentences (one per line, {topic}/{pole} placeholders)."""
     lines: list[str] = []
     try:
-        fh = open(path, "r", encoding="utf-8")
+        fh = open_text(path)
     except OSError as exc:
         raise DataError(f"cannot read template file {path!r}: {exc}") from exc
     with fh:
-        for line in fh:
+        for _, line in numbered_lines(fh, path):
             line = line.strip()
             if line and not line.startswith("#"):
                 if "{topic}" not in line or "{pole}" not in line:

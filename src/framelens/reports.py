@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from urllib.parse import quote
 
 from . import __version__
@@ -53,15 +54,35 @@ def write_tsv(
 def write_json(path: str, payload: dict, config: dict) -> None:
     doc = {"provenance": provenance(config)}
     doc.update(payload)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    # json.dump streams its chunks; json.dumps would first hold all of them,
+    # about 3 MB for the 0.6 MB results.json of the full registry.
+    with _replaced(path) as fh:
         json.dump(doc, fh, indent=2, sort_keys=False)
         fh.write("\n")
 
 
 def write_text(path: str, content: str) -> None:
     """Write a report or chart: UTF-8 with LF line endings."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _replaced(path) as fh:
         fh.write(content)
+
+
+@contextmanager
+def _replaced(path: str):
+    """A new file in the target's directory that replaces the target once
+    written, so a reader sees the old report or the whole new one. When
+    writing fails, the new file is removed and the old report is left as
+    it was."""
+    directory, name = os.path.split(path)
+    tmp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
+    fh = open(tmp, "x", encoding="utf-8", newline="\n")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def escape_stem(text: str) -> str:

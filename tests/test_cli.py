@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from framelens import reports
 from framelens.cli import main
 
 EMBEDDINGS = """good 1.0 0.2 0.1
@@ -54,6 +55,18 @@ def setup(tmp_path):
     }
 
 
+#: One invocation of each command on the fixture, with its own flags.
+EVERY_COMMAND = [
+    ("shifts", ["--group", "pos", "--frame", "bad--good", "--kind", "intensity"]),
+    ("spectrum", ["--frame", "bad--good"]),
+    ("map", ["--frame", "bad--good", "--unit", "outlet", "--min-docs", "1"]),
+    ("separation", ["--group-a", "pos", "--group-b", "neg"]),
+    ("relevance", ["--topics", "waiter,meal"]),
+    ("frames build", []),
+    ("analyze", ["--group", "pos", "--n-bootstrap", "20"]),
+]
+
+
 def base_args(s, command):
     return [
         command,
@@ -97,17 +110,7 @@ class TestAnalyze:
         assert open(os.path.join(setup["out"], "results.tsv"), "rb").read() == first
         assert open(os.path.join(setup["out"], "results.json"), "rb").read() == first_json
 
-    @pytest.mark.parametrize(
-        "command, extra",
-        [
-            ("shifts", ["--group", "pos", "--frame", "bad--good", "--kind", "intensity"]),
-            ("spectrum", ["--frame", "bad--good"]),
-            ("map", ["--frame", "bad--good", "--unit", "outlet", "--min-docs", "1"]),
-            ("separation", ["--group-a", "pos", "--group-b", "neg"]),
-            ("relevance", ["--topics", "waiter,meal"]),
-            ("frames build", []),
-        ],
-    )
+    @pytest.mark.parametrize("command, extra", EVERY_COMMAND)
     def test_every_command_writes_identical_files_on_rerun(self, setup, command, extra):
         args = command.split() + base_args(setup, command)[1:] + extra
 
@@ -119,6 +122,22 @@ class TestAnalyze:
         assert first
         assert main(args) == 0
         assert snapshot() == first
+
+    @pytest.mark.parametrize("command, extra", EVERY_COMMAND)
+    def test_every_command_writes_only_inside_out(self, setup, monkeypatch, command, extra):
+        opened = []
+
+        def spy(path, mode="r", *args, **kwargs):
+            if set(mode) & set("wxa+"):
+                opened.append(os.path.dirname(os.path.abspath(path)))
+            return open(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr(reports, "open", spy, raising=False)
+        before = sorted(os.listdir(setup["tmp"]))
+        assert main(command.split() + base_args(setup, command)[1:] + extra) == 0
+        assert opened and set(opened) == {os.path.abspath(setup["out"])}
+        assert sorted(os.listdir(setup["tmp"])) == sorted(before + ["reports"])
+        assert not [name for name in os.listdir(setup["out"]) if name.startswith(".")]
 
     def test_empty_corpus_is_data_error(self, setup, capsys):
         bad = setup["tmp"] / "empty.jsonl"
@@ -379,6 +398,38 @@ class TestFramesBuild:
             "bad--good", "awful--great", "stale--fresh", "slow--fast"
         ]
         assert doc["dropped"] == []
+
+
+#: reader -> (file bytes, the line with a byte that is not UTF-8, exit code)
+BAD_UTF8 = {
+    "emb": (EMBEDDINGS.encode() + "caf\u00e9 1 2 3\n".encode() + b"x\xff 1 2 3\n", 15, 2),
+    "corpus": ("\n".join(json.dumps(d, ensure_ascii=False) for d in DOCS[:2] + [
+        {"id": "z", "text": "caf\u00e9"}]).encode() + b'\n{"id": "y", "text": "\xff"}\n', 4, 2),
+    "pairs": (PAIRS.encode() + b"aw\xfful\tgreat\n", 5, 2),
+    "topic-words": ("caf\u00e9\n".encode() + b"me\xe9al\n", 2, 2),
+    "templates": ("{topic} is {pole} \u00e9\n".encode() + b"{topic} \xc3 {pole}\n", 2, 2),
+    "config": ("# caf\u00e9\n".encode() + b"seed = 3 # \xff\n", 2, 1),
+}
+
+
+class TestInvalidUtf8:
+    """A byte that is not UTF-8 names its file and line: exit 2 for data, 1 for
+    the config file. A valid non-ASCII line before it is read as usual."""
+
+    @pytest.mark.parametrize("reader", list(BAD_UTF8))
+    def test_reader_names_the_line(self, setup, capsys, reader):
+        content, line, code = BAD_UTF8[reader]
+        path = setup["tmp"] / f"bad_{reader}"
+        path.write_bytes(content)
+        inputs = {**setup, reader: str(path)}
+        args = base_args(inputs, "analyze") + ["--group", "pos", "--n-bootstrap", "5"]
+        if reader in ("topic-words", "config"):
+            args += [f"--{reader}", str(path)]
+        elif reader == "templates":
+            args = base_args(inputs, "relevance") + [
+                "--topics", "meal", "--method", "perplexity", "--templates", str(path)]
+        assert main(args) == code
+        assert f"{path}:{line}: not valid UTF-8" in capsys.readouterr().err
 
 
 class TestConfigPrecedence:

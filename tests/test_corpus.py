@@ -2,11 +2,13 @@ import itertools
 import json
 import unicodedata
 
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from framelens.corpus import (
+    Document,
     NormalizerConfig,
     UNK,
     _strip_edge_punct,
@@ -234,6 +236,49 @@ def test_split_conserves_tokens_for_any_labeling(labels):
         return
     target, background = split_by_group(view, "x")
     assert target.total_tokens + background.total_tokens == view.total_tokens
+
+
+# in the table, topic words, the sentinel, and out of the table
+_VIEW_TOKENS = st.sampled_from(["good", "bad", "service", "food", "meal", UNK, "zzz", "qq", "É"])
+
+
+@given(
+    st.lists(
+        st.tuples(st.lists(_VIEW_TOKENS, max_size=15), st.sampled_from(["x", "y", None])),
+        min_size=1,
+        max_size=8,
+    ),
+    st.sets(st.sampled_from(["good", "meal", "zzz"])),
+)
+@settings(max_examples=200, deadline=None)
+def test_views_match_the_occurrence_loop(docs, topics):
+    from conftest import table_from_dict
+
+    words = ("good", "bad", "service", "food", "meal")
+    table = table_from_dict({w: [1.0, i] for i, w in enumerate(words)})
+    documents = [
+        Document(doc_id=f"d{i}", raw_text=" ".join(toks), tokens=tuple(toks), group=group)
+        for i, (toks, group) in enumerate(docs)
+    ]
+
+    def check(view, subset):
+        counts, doc_counts, masked, oov = oracles.classify_occurrences(subset, table, topics)
+        assert list(view.counts.items()) == list(counts.items())
+        assert [list(d.items()) for d in view.doc_counts] == [list(d.items()) for d in doc_counts]
+        assert (view.masked, view.oov) == (masked, oov)
+        assert view.total_tokens == sum(counts.values())
+
+    if not oracles.classify_occurrences(documents, table, topics)[0]:
+        with pytest.raises(DataError, match="empty corpus view"):
+            build_view(documents, table, topics)
+        return
+    view = build_view(documents, table, topics)
+    check(view, documents)
+    target_docs = [d for d in documents if d.group == "x"]
+    if target_docs and oracles.classify_occurrences(target_docs, table, topics)[0]:
+        target, background = split_by_group(view, "x")
+        check(target, target_docs)
+        check(background, [d for d in documents if d.group != "x"])
 
 
 class TestIO:

@@ -1,6 +1,15 @@
-import numpy as np
-import pytest
+import dataclasses
+import os
+import tempfile
+from unittest import mock
 
+import numpy as np
+import oracles
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from framelens import embeddings
 from framelens.embeddings import load_embeddings
 from framelens.errors import DataError
 
@@ -173,3 +182,118 @@ def test_filtered_rows_are_byte_identical_to_unfiltered_rows(tmp_path):
         assert full.vector_of(token).tobytes() == expected
         if token in wanted:
             assert filtered.vector_of(token).tobytes() == expected
+
+
+# Components that go through the bulk parse, the reference path, or neither:
+# `1_000`, full-width and Arabic-Indic digits are numbers to float() only.
+_COMPONENTS = st.sampled_from(
+    ["1", "-2.5", "0.125", "3e-2", "-0", "0", "0.0", "nan", "1e39", "-inf", "1_000",
+     "１", "٣", "x", "1e-46", "3.4028235e38", "16777217"]
+) | st.floats(allow_nan=False, allow_infinity=False, width=32).map(repr)
+_TOKENS = st.sampled_from(["a", "b", "c", "d", "é", "東京", "x.y", "1", "2", "<UNK>"])
+_SEPARATORS = st.sampled_from([" "] * 16 + ["\t", "  ", " \t", "　"])
+
+
+@st.composite
+def _tables(draw):
+    dim = draw(st.integers(1, 4))
+    lines = []
+    if draw(st.booleans()):
+        lines.append(f"{draw(st.integers(0, 9))} {dim}")
+    for _ in range(draw(st.integers(0, 30))):
+        kind = draw(st.sampled_from(["record"] * 8 + ["zero", "short", "short", "long", "blank"]))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", "   ", "\t"])))
+            continue
+        size = {"short": dim - 1, "long": dim + 1}.get(kind, dim)
+        fields = draw(st.lists(_COMPONENTS, min_size=size, max_size=size))
+        if kind == "zero":
+            fields = ["0"] * size
+        seps = draw(st.lists(_SEPARATORS, min_size=size, max_size=size))
+        line = draw(_TOKENS) + "".join(sep + field for sep, field in zip(seps, fields))
+        lines.append(line + draw(st.sampled_from(["", "", " ", "\t"])))
+    text = "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+    vocab_filter = draw(st.none() | st.sets(_TOKENS))
+    chunk_rows = draw(st.integers(1, 4))
+    return text, vocab_filter, chunk_rows * dim
+
+
+def _outcome(load, path, vocab_filter):
+    try:
+        return load(path, vocab_filter)
+    except DataError as exc:
+        return str(exc)
+
+
+@given(_tables())
+@settings(max_examples=400, deadline=None)
+def test_loader_matches_the_per_record_reference(table):
+    text, vocab_filter, chunk_components = table
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "vecs.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        expected = _outcome(oracles.load_embeddings_reference, path, vocab_filter)
+        with mock.patch.object(embeddings, "_CHUNK_COMPONENTS", chunk_components):
+            got = _outcome(
+                lambda p, f: load_embeddings(p, f, warn=False), path, vocab_filter
+            )
+    if isinstance(expected, str):
+        assert got == expected
+        return
+    tokens, matrix, counts = expected
+    assert list(got.vocabulary) == tokens
+    assert got._matrix.tobytes() == matrix.tobytes()
+    assert dataclasses.asdict(got.stats) == counts
+
+
+def _midpoint_strings(n, rng):
+    """Decimal strings of doubles halfway between float32 neighbours: a
+    parser that rounds straight to float32 can land on the other neighbour."""
+    bits = rng.integers(1, 0x7F7FFFFF, size=n, dtype=np.uint32)
+    low = bits.view(np.float32) * rng.choice(np.array([-1, 1], dtype=np.float32), size=n)
+    high = np.nextafter(low, np.copysign(np.float32(np.inf), low))
+    halfway = (low.astype(np.float64) + high.astype(np.float64)) / 2
+    return [repr(v) for v in halfway.tolist()]
+
+
+def test_bulk_parse_is_bit_identical_to_float(tmp_path):
+    strings = _midpoint_strings(20_000, np.random.default_rng(0))
+    dim = 100
+    lines = [f"m{i} " + " ".join(strings[i : i + dim]) for i in range(0, len(strings), dim)]
+    path = write(tmp_path, "vecs.txt", "\n".join(lines) + "\n")
+    with mock.patch.object(embeddings._Loader, "record", autospec=True,
+                           side_effect=embeddings._Loader.record) as reference:
+        table = load_embeddings(path)
+    assert reference.call_count == 1  # the first record fixes the dimension
+    expected = np.array([float(s) for s in strings]).astype(np.float32)
+    assert table._matrix.tobytes() == expected.tobytes()
+
+
+def test_edge_strings_match_float(tmp_path):
+    edges = ["1_000", "1__0", "0x10", "nan", "-nan", "inf", "-Infinity", "infinity", "1e39",
+             "-1e39", "1e-46", "1e-400", "1E400", "-0", ".5", "5.", "+.5e-3", "٣",
+             "１", "1,5", "1j", "--1", "1e", "e1", ".", "+", "0b1", "00012",
+             "3.4028235e38", "3.4028236e38", "1.4e-45", "nan(1)"]
+    assert len(edges) == 32
+    lines = ["first 1 1"] + [f"e{i} {s} 1" for i, s in enumerate(edges)]
+    path = write(tmp_path, "vecs.txt", "\n".join(lines) + "\n")
+    table = load_embeddings(path, warn=False)
+    tokens, matrix, counts = oracles.load_embeddings_reference(path)
+    assert list(table.vocabulary) == tokens
+    assert table._matrix.tobytes() == matrix.tobytes()
+    assert dataclasses.asdict(table.stats) == counts
+
+
+@given(
+    st.lists(st.text(st.sampled_from("ab1.-"), min_size=1), min_size=1, max_size=6),
+    st.lists(st.sampled_from([" "] * 6 + ["  ", "\t", "\n", "\v", "\f", "\r", "\x1c", "\x1f"])),
+    st.sampled_from(["", "", "\n", " ", " \n", "\n\n", "\t"]),
+)
+@settings(max_examples=300, deadline=None)
+def test_spaced_fields_implies_the_split_count(fields, separators, end):
+    seps = separators + [" "] * len(fields)
+    text = fields[0] + "".join(sep + field for sep, field in zip(seps, fields[1:])) + end
+    for count in range(1, 9):
+        if embeddings._spaced_fields(text, count):
+            assert len(text.split()) == count
