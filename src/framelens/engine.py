@@ -133,11 +133,23 @@ def word_contribution(word_vector: np.ndarray, frame: Microframe) -> float:
         raise DataError(
             f"dimension mismatch: word has {v.shape}, axis has {a.shape}"
         )
+    v, a = _power_of_two_scaled(v), _power_of_two_scaled(a)
     nv = float(np.linalg.norm(v))
     na = float(np.linalg.norm(a))
     if nv == 0.0 or na == 0.0:
         raise DataError("zero-norm vector has no direction")
     return float(v @ a / (nv * na))
+
+
+def _power_of_two_scaled(x: np.ndarray) -> np.ndarray:
+    """`x` scaled by the power of two that brings its largest component into [0.5, 1).
+
+    The scaling is exact and leaves every cosine unchanged, but keeps the
+    squares inside the norm out of the subnormal range, where tiny
+    components would lose the precision that bounds the cosine by 1.
+    """
+    _, exponent = np.frexp(np.max(np.abs(x)))
+    return np.ldexp(x, -exponent)
 
 
 def _count_vector(view: CorpusView, tokens: list[str]) -> np.ndarray:

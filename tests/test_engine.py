@@ -76,6 +76,12 @@ class TestWordContribution:
             scaled_axis = frame_with_axis(lam * f.axis)
             assert abs(word_contribution(v, scaled_axis) - base) <= 1e-12
 
+    def test_tiny_axis_stays_within_unit_interval(self):
+        # the axis components square into the subnormal range
+        f = frame_with_axis([2.9082596896782157e-158, 2.9082596896782157e-158])
+        c = word_contribution(np.array([1.0, 1.0]), f)
+        assert abs(c - 1.0) <= 1e-15
+
     finite = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
 
     @given(st.lists(finite, min_size=2, max_size=8), st.lists(finite, min_size=2, max_size=8))
