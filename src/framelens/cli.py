@@ -12,8 +12,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections.abc import Callable
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 
 from . import __version__, svg
 from .corpus import (
@@ -185,17 +186,8 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _require_paths(cfg: RunConfig, *names: str) -> None:
-    for name in names:
-        value = getattr(cfg, name)
-        if not value:
-            flag = name.replace("_", "-")
-            raise UsageError(f"--{flag} is required for '{cfg.command}'")
-        if not os.path.isfile(value):
-            raise UsageError(f"--{name.replace('_', '-')}: no such file: {value}")
-
-
-def _validate(cfg: RunConfig) -> None:
+def _validate(cfg: RunConfig) -> Command:
+    """Check every value and every input the command needs before any is read."""
     if cfg.n_bootstrap < 1:
         raise UsageError(f"--n-bootstrap must be >= 1, got {cfg.n_bootstrap}")
     if not (0.0 < cfg.alpha < 1.0):
@@ -211,13 +203,28 @@ def _validate(cfg: RunConfig) -> None:
     for name in ("top_m", "k", "min_docs", "workers"):
         if getattr(cfg, name) < 1:
             raise UsageError(f"--{name.replace('_', '-')} must be >= 1")
-    if cfg.templates and not os.path.isfile(cfg.templates):
-        raise UsageError(f"--templates: no such file: {cfg.templates}")
-    if cfg.topic_words and not os.path.isfile(cfg.topic_words):
-        raise UsageError(f"--topic-words: no such file: {cfg.topic_words}")
-    unknown = _formats(cfg) - {"tsv", "json", "svg"}
+    chosen = _formats(cfg)
+    unknown = chosen - {"tsv", "json", "svg"}
     if unknown:
         raise UsageError(f"--formats: unknown format(s) {sorted(unknown)}")
+    command = _COMMANDS[cfg.command]
+    files, needed_by = command.files, f"'{cfg.command}'"
+    if cfg.command == "relevance" and cfg.method == "perplexity":
+        # the character n-gram provider trains on the corpus text
+        files, needed_by = files + ("corpus",), "--method perplexity"
+    for name in files + command.values:
+        if not getattr(cfg, name):
+            raise UsageError(f"--{name.replace('_', '-')} is required for {needed_by}")
+    for name in files + ("templates", "topic_words"):
+        path = getattr(cfg, name)
+        if path and not os.path.isfile(path):
+            raise UsageError(f"--{name.replace('_', '-')}: no such file: {path}")
+    if not chosen & set(command.formats):
+        raise UsageError(
+            f"{cfg.command} writes {'/'.join(command.formats)} reports; "
+            "none selected in --formats"
+        )
+    return command
 
 
 def _formats(cfg: RunConfig) -> set[str]:
@@ -295,15 +302,28 @@ def _resolve_frame(cfg: RunConfig, registry):
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers
+# Subcommand handlers: each computes its results and returns them as a Report
+
+
+@dataclass
+class Report:
+    """What one command computed. `_write_report` writes the parts that
+    --formats selects: the TSV from `columns` and `rows` (with `extra` in
+    its provenance line), the JSON from `payload`, the SVG that `chart`
+    draws."""
+
+    stem: str
+    columns: list[str] | None = None
+    rows: list[dict] = field(default_factory=list)
+    extra: dict | None = None
+    payload: dict | None = None
+    chart: Callable[[], str] | None = None
+
 
 RESULT_COLUMNS = [f.name for f in fields(FramingResult)]
 
 
-def cmd_analyze(cfg: RunConfig) -> None:
-    _require_paths(cfg, "embeddings", "pairs", "corpus")
-    if not cfg.group:
-        raise UsageError("--group is required for 'analyze'")
+def cmd_analyze(cfg: RunConfig) -> Report:
     _, _, table, registry, full_view = _assemble(cfg)
     with _stage("build corpus views"):
         target_view, _ = split_by_group(full_view, cfg.group)
@@ -321,48 +341,30 @@ def cmd_analyze(cfg: RunConfig) -> None:
             seed=cfg.seed,
             workers=cfg.workers,
             bootstrap_unit=cfg.bootstrap_unit,
-            progress=lambda done, total: _progress(f"analyze: {done}/{total} frames"),
         )
     alpha_eff = cfg.alpha / len(results) if cfg.bonferroni else cfg.alpha
     top_bias = top_significant_frames(results, "bias", cfg.top_m, alpha_eff)
     top_int = top_significant_frames(results, "intensity", cfg.top_m, alpha_eff)
-    fmts = _formats(cfg)
-    if not fmts & {"tsv", "json"}:
-        raise UsageError("analyze writes tsv/json reports; none selected in --formats")
-    with _stage("write reports"):
-        outdir = ensure_outdir(cfg.out)
-        config = asdict(cfg)
-        # A result's vars() are its fields in declaration order; asdict()
-        # deep-copies every field, about 40x slower per row.
-        rows = [vars(r) for r in results]
-        written = []
-        if "tsv" in fmts:
-            write_tsv(os.path.join(outdir, "results.tsv"), RESULT_COLUMNS, rows, config)
-            written.append("results.tsv")
-        if "json" in fmts:
-            write_json(
-                os.path.join(outdir, "results.json"),
-                {
-                    "alpha_effective": alpha_eff,
-                    "top_significant_bias": [r.frame_id for r in top_bias],
-                    "top_significant_intensity": [r.frame_id for r in top_int],
-                    "results": rows,
-                },
-                config,
-            )
-            written.append("results.json")
-    _progress(f"wrote {', '.join(written)} in {outdir}")
+    # A result's vars() are its fields in declaration order; asdict()
+    # deep-copies every field, about 40x slower per row.
+    rows = [vars(r) for r in results]
+    return Report(
+        "results",
+        RESULT_COLUMNS,
+        rows,
+        payload={
+            "alpha_effective": alpha_eff,
+            "top_significant_bias": [r.frame_id for r in top_bias],
+            "top_significant_intensity": [r.frame_id for r in top_int],
+            "results": rows,
+        },
+    )
 
 
 SHIFT_COLUMNS = ["frame_id", "kind", "token", "shift_target", "shift_background", "shift_delta"]
 
 
-def cmd_shifts(cfg: RunConfig) -> None:
-    _require_paths(cfg, "embeddings", "pairs", "corpus")
-    if not cfg.group:
-        raise UsageError("--group is required for 'shifts'")
-    if not cfg.frame:
-        raise UsageError("--frame is required for 'shifts'")
+def cmd_shifts(cfg: RunConfig) -> Report:
     _, _, table, registry, full_view = _assemble(cfg)
     frame = _resolve_frame(cfg, registry)
     with _stage("build corpus views"):
@@ -375,57 +377,38 @@ def cmd_shifts(cfg: RunConfig) -> None:
             target_view, background_view, frame, table, cfg.kind, baseline, cfg.k
         )
     rows = [{"frame_id": frame.id, **vars(e)} for e in entries]
-    with _stage("write reports"):
-        outdir = ensure_outdir(cfg.out)
-        config = asdict(cfg)
-        stem = f"shifts_{escape_stem(frame.id)}_{cfg.kind}"
-        fmts = _formats(cfg)
-        if "tsv" in fmts:
-            write_tsv(os.path.join(outdir, stem + ".tsv"), SHIFT_COLUMNS, rows, config)
-        if "svg" in fmts:
-            title = f"{frame.id}: {cfg.kind} shifts, {cfg.group} vs background"
-            write_text(os.path.join(outdir, stem + ".svg"), svg.chart_shifts(rows, title))
-    _progress(f"wrote {stem}.* in {outdir}")
+    title = f"{frame.id}: {cfg.kind} shifts, {cfg.group} vs background"
+    return Report(
+        f"shifts_{escape_stem(frame.id)}_{cfg.kind}",
+        SHIFT_COLUMNS,
+        rows,
+        chart=lambda: svg.chart_shifts(rows, title),
+    )
 
 
 SPECTRUM_COLUMNS = [f.name for f in fields(SpectrumEntry)]
 
 
-def cmd_spectrum(cfg: RunConfig) -> None:
-    _require_paths(cfg, "embeddings", "pairs", "corpus")
-    if not cfg.frame:
-        raise UsageError("--frame is required for 'spectrum'")
+def cmd_spectrum(cfg: RunConfig) -> Report:
     _, _, table, registry, full_view = _assemble(cfg)
     frame = _resolve_frame(cfg, registry)
     with _stage("analyze"):
         baseline = corpus_bias(full_view, frame, table)
         entries = document_spectrum(full_view, frame, table, baseline)
     rows = [vars(e) for e in entries]
-    with _stage("write reports"):
-        outdir = ensure_outdir(cfg.out)
-        config = asdict(cfg)
-        stem = f"spectrum_{escape_stem(frame.id)}"
-        fmts = _formats(cfg)
-        if "tsv" in fmts:
-            write_tsv(os.path.join(outdir, stem + ".tsv"), SPECTRUM_COLUMNS, rows, config)
-        if "svg" in fmts:
-            title = f"{frame.id}: document bias spectrum"
-            write_text(
-                os.path.join(outdir, stem + ".svg"),
-                svg.chart_spectrum(rows, title, frame.pole_minus, frame.pole_plus),
-            )
-    _progress(f"wrote {stem}.* in {outdir}")
+    title = f"{frame.id}: document bias spectrum"
+    return Report(
+        f"spectrum_{escape_stem(frame.id)}",
+        SPECTRUM_COLUMNS,
+        rows,
+        chart=lambda: svg.chart_spectrum(rows, title, frame.pole_minus, frame.pole_plus),
+    )
 
 
 MAP_COLUMNS = ["unit", "group", "n_docs", "bias", "intensity"]
 
 
-def cmd_map(cfg: RunConfig) -> None:
-    _require_paths(cfg, "embeddings", "pairs", "corpus")
-    if not cfg.frame:
-        raise UsageError("--frame is required for 'map'")
-    if not cfg.unit:
-        raise UsageError("--unit is required for 'map'")
+def cmd_map(cfg: RunConfig) -> Report:
     docs, topics, table, registry, full_view = _assemble(cfg)
     frame = _resolve_frame(cfg, registry)
     with _stage("build unit views"):
@@ -471,29 +454,19 @@ def cmd_map(cfg: RunConfig) -> None:
             raise DataError(
                 f"no unit has at least {cfg.min_docs} documents; lower --min-docs"
             )
-    with _stage("write reports"):
-        outdir = ensure_outdir(cfg.out)
-        config = asdict(cfg)
-        stem = f"map_{escape_stem(frame.id)}"
-        fmts = _formats(cfg)
-        if "tsv" in fmts:
-            write_tsv(os.path.join(outdir, stem + ".tsv"), MAP_COLUMNS, rows, config)
-        if "svg" in fmts:
-            title = f"{frame.id}: bias-intensity map by {cfg.unit}"
-            write_text(
-                os.path.join(outdir, stem + ".svg"),
-                svg.chart_map(rows, title, frame.pole_minus, frame.pole_plus),
-            )
-    _progress(f"wrote {stem}.* in {outdir}")
+    title = f"{frame.id}: bias-intensity map by {cfg.unit}"
+    return Report(
+        f"map_{escape_stem(frame.id)}",
+        MAP_COLUMNS,
+        rows,
+        chart=lambda: svg.chart_map(rows, title, frame.pole_minus, frame.pole_plus),
+    )
 
 
 SEPARATION_COLUMNS = [f.name for f in fields(SeparationResult)]
 
 
-def cmd_separation(cfg: RunConfig) -> None:
-    _require_paths(cfg, "embeddings", "pairs", "corpus")
-    if not cfg.group_a or not cfg.group_b:
-        raise UsageError("--group-a and --group-b are required for 'separation'")
+def cmd_separation(cfg: RunConfig) -> Report:
     docs, topics, table, registry, full_view = _assemble(cfg)
     with _stage("build corpus views"):
         docs_a = [d for d in docs if d.group == cfg.group_a]
@@ -509,36 +482,21 @@ def cmd_separation(cfg: RunConfig) -> None:
         seps = separation(view_a, view_b, registry, table, baselines)
         selected = rank_sum_select(seps, cfg.top_m)
     rows = [vars(s) for s in seps]
-    with _stage("write reports"):
-        outdir = ensure_outdir(cfg.out)
-        config = asdict(cfg)
-        stem = f"separation_{escape_stem(cfg.group_a)}_vs_{escape_stem(cfg.group_b)}"
-        fmts = _formats(cfg)
-        if "tsv" in fmts:
-            write_tsv(
-                os.path.join(outdir, stem + ".tsv"),
-                SEPARATION_COLUMNS,
-                rows,
-                config,
-                extra={"group_a": cfg.group_a, "group_b": cfg.group_b},
-            )
-        if "json" in fmts:
-            write_json(
-                os.path.join(outdir, stem + ".json"),
-                {"rank_sum_selection": selected, "separations": rows},
-                config,
-            )
-        if "svg" in fmts:
-            title = f"separation: {cfg.group_a} (A) vs {cfg.group_b} (B)"
-            write_text(os.path.join(outdir, stem + ".svg"), svg.chart_separation(rows, title))
-    _progress(f"wrote {stem}.* in {outdir}")
+    title = f"separation: {cfg.group_a} (A) vs {cfg.group_b} (B)"
+    return Report(
+        f"separation_{escape_stem(cfg.group_a)}_vs_{escape_stem(cfg.group_b)}",
+        SEPARATION_COLUMNS,
+        rows,
+        extra={"group_a": cfg.group_a, "group_b": cfg.group_b},
+        payload={"rank_sum_selection": selected, "separations": rows},
+        chart=lambda: svg.chart_separation(rows, title),
+    )
 
 
 RELEVANCE_COLUMNS = ["rank", "frame_id", "score", "method"]
 
 
-def cmd_relevance(cfg: RunConfig) -> None:
-    _require_paths(cfg, "embeddings", "pairs")
+def cmd_relevance(cfg: RunConfig) -> Report:
     topics = _inline_topics(cfg)
     if not topics and cfg.topic_words:
         with _stage("read topic words"):
@@ -553,71 +511,91 @@ def cmd_relevance(cfg: RunConfig) -> None:
         query = make_relevance_query(topics, registry, table)
     if query.unresolved:
         _progress(f"relevance: dropped topic words without vectors: {list(query.unresolved)}")
-    with _stage("score relevance"):
-        if cfg.method == "embedding":
+    if cfg.method == "embedding":
+        with _stage("score relevance"):
             scores = relevance_embedding(query, table)
-            convention = "higher_is_more_relevant"
-        else:
-            if not cfg.corpus:
-                raise UsageError(
-                    "--corpus is required for --method perplexity "
-                    "(the character n-gram provider trains on it)"
-                )
-            _require_paths(cfg, "corpus")
+        convention = "higher_is_more_relevant"
+    else:
+        with _stage("read corpus"):
             docs = read_jsonl(cfg.corpus, _normalizer(cfg))
+        templates = DEFAULT_TEMPLATES
+        if cfg.templates:
+            with _stage("read templates"):
+                templates = read_templates(cfg.templates)
+        with _stage("score relevance"):
             provider = CharGramPerplexity("\n".join(d.raw_text for d in docs))
-            templates = read_templates(cfg.templates) if cfg.templates else DEFAULT_TEMPLATES
             scores = relevance_perplexity(query, provider, templates)
-            convention = "lower_is_more_relevant"
+        convention = "lower_is_more_relevant"
     rows = [
         {"rank": i + 1, "frame_id": s.frame_id, "score": s.score, "method": s.method}
         for i, s in enumerate(scores)
     ]
-    fmts = _formats(cfg)
-    with _stage("write reports"):
-        outdir = ensure_outdir(cfg.out)
-        config = asdict(cfg)
-        stem = f"relevance_{cfg.method}"
-        if "tsv" in fmts:
-            write_tsv(
-                os.path.join(outdir, stem + ".tsv"),
-                RELEVANCE_COLUMNS,
-                rows,
-                config,
-                extra={"score_convention": convention, "topic_words": sorted(query.topic_words)},
-            )
-        if "json" in fmts:
-            write_json(
-                os.path.join(outdir, stem + ".json"),
-                {
-                    "score_convention": convention,
-                    "topic_words": sorted(query.topic_words),
-                    "unresolved_topic_words": sorted(query.unresolved),
-                    "scores": [
-                        {
-                            "rank": i + 1,
-                            "frame_id": s.frame_id,
-                            "score": s.score,
-                            "method": s.method,
-                            "details": s.details,
-                        }
-                        for i, s in enumerate(scores)
-                    ],
-                },
-                config,
-            )
-    _progress(f"wrote {stem}.* in {outdir}")
+    topic_words = sorted(query.topic_words)
+    return Report(
+        f"relevance_{cfg.method}",
+        RELEVANCE_COLUMNS,
+        rows,
+        extra={"score_convention": convention, "topic_words": topic_words},
+        payload={
+            "score_convention": convention,
+            "topic_words": topic_words,
+            "unresolved_topic_words": sorted(query.unresolved),
+            "scores": [{**row, "details": s.details} for row, s in zip(rows, scores)],
+        },
+    )
 
 
-def cmd_frames_build(cfg: RunConfig) -> None:
-    _require_paths(cfg, "embeddings", "pairs")
+def cmd_frames_build(cfg: RunConfig) -> Report:
     pairs = _load_pairs(cfg)
     table = _load_table(cfg, {w for p in pairs for w in p})
     registry = _build_registry(cfg, pairs, table)
+    return Report("registry", payload=registry_record(registry))
+
+
+@dataclass(frozen=True)
+class Command:
+    """One subcommand: its handler, the input files and the values it
+    requires, and the report formats it can write."""
+
+    handler: Callable[[RunConfig], Report]
+    files: tuple[str, ...]
+    values: tuple[str, ...]
+    formats: tuple[str, ...]
+
+
+_CORPUS_INPUTS = ("embeddings", "pairs", "corpus")
+_COMMANDS = {
+    "analyze": Command(cmd_analyze, _CORPUS_INPUTS, ("group",), ("tsv", "json")),
+    "shifts": Command(cmd_shifts, _CORPUS_INPUTS, ("group", "frame"), ("tsv", "svg")),
+    "spectrum": Command(cmd_spectrum, _CORPUS_INPUTS, ("frame",), ("tsv", "svg")),
+    "map": Command(cmd_map, _CORPUS_INPUTS, ("frame", "unit"), ("tsv", "svg")),
+    "separation": Command(
+        cmd_separation, _CORPUS_INPUTS, ("group_a", "group_b"), ("tsv", "json", "svg")
+    ),
+    "relevance": Command(cmd_relevance, ("embeddings", "pairs"), (), ("tsv", "json")),
+    "frames build": Command(cmd_frames_build, ("embeddings", "pairs"), (), ("json",)),
+}
+
+
+def _write_report(cfg: RunConfig, report: Report) -> None:
+    """Write the parts of `report` that --formats selects; name them on stderr."""
+    chosen = _formats(cfg)
+    written: list[str] = []
     with _stage("write reports"):
         outdir = ensure_outdir(cfg.out)
-        write_json(os.path.join(outdir, "registry.json"), registry_record(registry), asdict(cfg))
-    _progress(f"wrote registry.json in {cfg.out}")
+        config = asdict(cfg)
+
+        def target(ext: str) -> str:
+            written.append(report.stem + ext)
+            return os.path.join(outdir, written[-1])
+
+        if report.columns and "tsv" in chosen:
+            write_tsv(target(".tsv"), report.columns, report.rows, config, extra=report.extra)
+        if report.payload is not None and "json" in chosen:
+            write_json(target(".json"), report.payload, config)
+        if report.chart and "svg" in chosen:
+            write_text(target(".svg"), report.chart())
+    _progress(f"wrote {', '.join(written)} in {outdir}")
 
 
 # ---------------------------------------------------------------------------
@@ -704,17 +682,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-_HANDLERS = {
-    "analyze": cmd_analyze,
-    "shifts": cmd_shifts,
-    "spectrum": cmd_spectrum,
-    "map": cmd_map,
-    "separation": cmd_separation,
-    "relevance": cmd_relevance,
-    "frames build": cmd_frames_build,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -726,9 +693,8 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         cfg = _merge_config(args)
-        _validate(cfg)
-        handler = _HANDLERS[cfg.command]
-        handler(cfg)
+        command = _validate(cfg)
+        _write_report(cfg, command.handler(cfg))
         return EXIT_OK
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -127,10 +127,6 @@ class CorpusView:
         """Counted tokens in canonical (sorted) order."""
         return sorted(self.counts)
 
-    def groups(self) -> list[str]:
-        """Distinct non-null group labels, sorted."""
-        return sorted({d.group for d in self.documents if d.group is not None})
-
 
 def _classify(
     documents: list[Document],

@@ -645,7 +645,6 @@ def analyze_frames(
     seed: int = 0,
     workers: int = 1,
     bootstrap_unit: str = "token",
-    progress: "callable | None" = None,
 ) -> list[FramingResult]:
     """Run the full per-frame analysis of a target corpus against its parent.
 
@@ -658,9 +657,7 @@ def analyze_frames(
     same, up to rounding, whichever other frames the registry holds, and
     its null is the one `bootstrap_null` gives under the same seed.
     `workers` is accepted for compatibility and has no effect. Results
-    come back in registry order. `progress`, when given, is called with
-    (frames done, frames total) as results are assembled; it must not
-    influence the computation.
+    come back in registry order.
     """
     if n_bootstrap < 1:
         raise DataError(f"need at least one bootstrap sample, got {n_bootstrap}")
@@ -690,8 +687,6 @@ def analyze_frames(
         registry.frames, table.unit_rows(tokens_full), n_full, n_target, draws, n_bootstrap
     )
 
-    total = len(registry.frames)
-    step = max(1, total // 20)
     results: list[FramingResult] = []
     for i, frame in enumerate(registry.frames):
         null = NullDistribution(frame.id, null_bias[i], null_intensity[i], seed)
@@ -710,6 +705,4 @@ def analyze_frames(
                 n_bootstrap=n_bootstrap,
             )
         )
-        if progress and ((i + 1) % step == 0 or i + 1 == total):
-            progress(i + 1, total)
     return results

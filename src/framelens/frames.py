@@ -63,13 +63,6 @@ class FrameRegistry:
                 return f
         return None
 
-    def pole_tokens(self) -> set[str]:
-        out: set[str] = set()
-        for f in self.frames:
-            out.add(f.pole_minus)
-            out.add(f.pole_plus)
-        return out
-
 
 def frame_id(pole_minus: str, pole_plus: str) -> str:
     return f"{pole_minus}--{pole_plus}"

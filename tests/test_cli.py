@@ -1,11 +1,13 @@
+import importlib.util
 import json
 import os
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
 
-from framelens import reports
+from framelens import cli, reports, svg
 from framelens.cli import main
 
 EMBEDDINGS = """good 1.0 0.2 0.1
@@ -65,6 +67,17 @@ EVERY_COMMAND = [
     ("frames build", []),
     ("analyze", ["--group", "pos", "--n-bootstrap", "20"]),
 ]
+
+#: command -> (report stem of its EVERY_COMMAND case, formats it writes, in write order)
+WRITES = {
+    "shifts": ("shifts_bad--good_intensity", ("tsv", "svg")),
+    "spectrum": ("spectrum_bad--good", ("tsv", "svg")),
+    "map": ("map_bad--good", ("tsv", "svg")),
+    "separation": ("separation_pos_vs_neg", ("tsv", "json", "svg")),
+    "relevance": ("relevance_embedding", ("tsv", "json")),
+    "frames build": ("registry", ("json",)),
+    "analyze": ("results", ("tsv", "json")),
+}
 
 
 def base_args(s, command):
@@ -358,7 +371,22 @@ class TestRelevance:
             ]
         )
         assert code == 1
-        assert "--corpus" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "--corpus" in err
+        assert "embeddings:" not in err  # checked before any input is read
+
+    def test_perplexity_corpus_errors_name_the_read_stage(self, setup, capsys):
+        bad = setup["tmp"] / "scalar.jsonl"
+        bad.write_text(json.dumps(DOCS[0]) + "\n5\n", encoding="utf-8")
+        code = main(
+            [
+                "relevance", "--embeddings", setup["emb"], "--pairs", setup["pairs"],
+                "--corpus", str(bad), "--topics", "meal", "--method", "perplexity",
+                "--out", setup["out"],
+            ]
+        )
+        assert code == 2
+        assert "error [read corpus]" in capsys.readouterr().err
 
     def test_perplexity_method_end_to_end(self, setup):
         code = main(
@@ -496,6 +524,27 @@ class TestFormats:
         code = main(base_args(setup, "analyze") + ["--group", "pos", "--formats", ""])
         assert code == 1
 
+    @pytest.mark.parametrize("formats", ["tsv,json,svg", "tsv,json", "tsv", "json", "svg", ""])
+    @pytest.mark.parametrize("command, extra", EVERY_COMMAND)
+    def test_writes_exactly_the_selected_formats_it_produces(
+        self, setup, capsys, command, extra, formats
+    ):
+        stem, produced = WRITES[command]
+        chosen = set(formats.split(",")) | ({"tsv"} if "svg" in formats else set())
+        expected = [f"{stem}.{ext}" for ext in produced if ext in chosen]
+        args = command.split() + base_args(setup, command)[1:] + extra + ["--formats", formats]
+        code = main(args)
+        err = capsys.readouterr().err
+        if expected:
+            assert code == 0
+            assert sorted(os.listdir(setup["out"])) == sorted(expected)
+            assert err.splitlines()[-1] == f"wrote {', '.join(expected)} in {setup['out']}"
+        else:
+            assert code == 1
+            assert "none selected in --formats" in err
+            assert "embeddings:" not in err  # rejected before any input is read
+            assert not os.path.exists(setup["out"])
+
 
 class TestReportFileNames:
     @pytest.mark.parametrize(
@@ -539,3 +588,35 @@ class TestExitCodes:
         out = capsys.readouterr()
         assert out.out == ""
         assert "analyze" in out.err
+
+
+@pytest.fixture(scope="module")
+def perfbench_spans():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses resolve annotations through it
+    spec.loader.exec_module(module)
+    yield module
+    del sys.modules[spec.name]
+
+
+class TestTracedLayers:
+    """`perfbench/run.py --trace 1` times each layer by wrapping the names
+    `framelens.cli` calls (and `framelens.svg.chart_*`). A CLI that stopped
+    calling through them would move report and chart time into `cli.self_s`
+    without failing anything else."""
+
+    @pytest.mark.parametrize("command, extra", EVERY_COMMAND)
+    def test_report_writes_and_charts_are_traced(self, setup, perfbench_spans, command, extra):
+        spans = perfbench_spans
+        tracer = spans.Tracer()
+        with spans.instrument(tracer, cli, svg, embedding_lines=0):
+            assert main(command.split() + base_args(setup, command)[1:] + extra) == 0
+        names = {s.name for s in tracer.spans}
+        assert {"embeddings.load", "frames.registry", "reports.write"} <= names
+        wrote_svg = any(name.endswith(".svg") for name in os.listdir(setup["out"]))
+        assert wrote_svg == ("svg" in WRITES[command][1])
+        assert ("svg.render" in names) == wrote_svg
+        metrics = spans.layer_metrics(spans.pass_spans(tracer, 0))
+        assert metrics["reports.bytes"] > 0  # the writers got the report path first
