@@ -24,6 +24,7 @@ from .corpus import (
     read_jsonl,
     read_topic_words,
     split_by_group,
+    tokenize,
 )
 from .embeddings import load_embeddings
 from .engine import (
@@ -255,9 +256,10 @@ def _read_corpus(cfg: RunConfig) -> tuple[list[Document], set[str]]:
 
 
 def _inline_topics(cfg: RunConfig) -> set[str]:
+    """`--topics` words, normalized like corpus text and `--topic-words`."""
     if not cfg.topics:
         return set()
-    return {t for part in cfg.topics.split(",") for t in part.split() if t}
+    return {t for part in cfg.topics.split(",") for t in tokenize(part, _normalizer(cfg))}
 
 
 def _load_pairs(cfg: RunConfig) -> list[tuple[str, str]]:

@@ -15,7 +15,8 @@ import json
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
+from functools import cached_property
+from itertools import chain, repeat
 
 from .embeddings import EmbeddingTable
 from .errors import DataError
@@ -58,9 +59,15 @@ def tokenize(raw_text: str, config: NormalizerConfig | None = None) -> list[str]
     preserved verbatim so the reserved sentinel survives normalization.
     Idempotent on its own output. An ASCII chunk is already NFC and stays
     ASCII when lowercased, so it skips normalization and strips with
-    `str.strip` over the ASCII punctuation.
+    `str.strip` over the ASCII punctuation; an all-ASCII text without the
+    sentinel is lowercased and split whole.
     """
     cfg = config or NormalizerConfig()
+    if raw_text.isascii() and UNK not in raw_text:
+        chunks = (raw_text.lower() if cfg.lowercase else raw_text).split()
+        if cfg.strip_punctuation:
+            return list(filter(None, map(str.strip, chunks, repeat(_ASCII_PUNCT))))
+        return chunks
     out: list[str] = []
     for chunk in raw_text.split():
         if chunk == UNK:
@@ -110,8 +117,6 @@ class CorpusView:
 
     `counts` covers only tokens that are neither masked topic words nor
     out-of-vocabulary; `total_tokens` is the sum of those counts.
-    `doc_counts` holds the same classification per document, aligned
-    with `documents`.
     """
 
     documents: tuple[Document, ...]
@@ -119,7 +124,6 @@ class CorpusView:
     total_tokens: int
     masked: frozenset[str]
     oov: frozenset[str]
-    doc_counts: tuple[dict[str, int], ...]
     topic_words: frozenset[str]
     _table: EmbeddingTable = field(repr=False)
 
@@ -127,31 +131,37 @@ class CorpusView:
         """Counted tokens in canonical (sorted) order."""
         return sorted(self.counts)
 
+    @cached_property
+    def doc_counts(self) -> tuple[dict[str, int], ...]:
+        """`counts` per document, aligned with `documents`, each in
+        first-occurrence order. Counted on first use, once per view: only
+        document-level statistics need them."""
+        counts = self.counts
+        return tuple(
+            {tok: n for tok, n in Counter(doc.tokens).items() if tok in counts}
+            for doc in self.documents
+        )
+
 
 def _classify(
     documents: list[Document],
     table: EmbeddingTable,
     topics: frozenset[str],
 ) -> CorpusView:
-    # Each distinct type is classified once for the whole view. The counts,
-    # of the view and of each document, keep their types in first-occurrence
-    # order, as a loop over the occurrences would insert them.
+    # Each distinct type is classified once for the whole view. The counts
+    # keep their types in first-occurrence order, as a loop over the
+    # occurrences would insert them.
     totals = Counter(chain.from_iterable(doc.tokens for doc in documents))
     vocabulary = table.vocabulary
     masked = {tok for tok in totals if tok == UNK or tok in topics}
     oov = {tok for tok in totals if tok not in vocabulary and tok not in masked}
     counts = {tok: n for tok, n in totals.items() if tok in vocabulary and tok not in masked}
-    doc_counts = [
-        {tok: n for tok, n in Counter(doc.tokens).items() if tok in counts}
-        for doc in documents
-    ]
     return CorpusView(
         documents=tuple(documents),
         counts=counts,
         total_tokens=sum(counts.values()),
         masked=frozenset(masked),
         oov=frozenset(oov),
-        doc_counts=tuple(doc_counts),
         topic_words=topics,
         _table=table,
     )

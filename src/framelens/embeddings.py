@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
 from .errors import DataError
-from .textio import numbered_lines, open_text
+from .textio import check_utf8, open_text
 
 
 @dataclass(frozen=True)
@@ -101,29 +102,32 @@ def _looks_like_header(parts: list[str]) -> bool:
 #: a table many times.
 _CHUNK_COMPONENTS = 1 << 14
 
-#: Every byte but the ASCII whitespace that `str.split` splits on.
-_NOT_WHITESPACE = bytes(range(256)).translate(None, b" \t\n\v\f\r\x1c\x1d\x1e\x1f")
+#: Characters of dropped records per field count: each array of the count
+#: stays at 64 KiB, below the same threshold.
+_CHECK_BYTES = 1 << 16
 
 
-def _spaced_fields(text: str, count: int) -> bool:
-    """Whether ASCII `text`, which does not start with whitespace, is `count`
-    fields joined by single spaces, with no other whitespace except one final
-    newline. True implies ``len(text.split()) == count``, without building
-    the fields; False says nothing."""
-    raw = text.encode("ascii")
-    end = len(raw) - raw.endswith(b"\n")
-    whitespace = raw.translate(None, _NOT_WHITESPACE)
-    return (
-        len(whitespace) == count - 1 + len(raw) - end
-        and whitespace.count(b" ") == count - 1
-        and raw[end - 1] != 0x20
-        and raw.find(b"  ") < 0
+def _field_counts(texts: list[str]) -> np.ndarray:
+    """``len(text.split())`` for each ASCII text, counted in one pass over
+    the joined bytes instead of building the fields."""
+    # Each text is followed by a space, which ends its last field inside the
+    # text's own segment; one more space ends the bytes.
+    raw = np.frombuffer((" ".join(texts) + "  ").encode("ascii"), dtype=np.uint8)
+    # Not one of the ASCII characters str.split splits on: \t \n \v \f \r,
+    # \x1c-\x1f and the space.
+    solid = (raw > 32) | (raw < 9) | ((raw > 13) & (raw < 28))
+    last = (solid[:-1] > solid[1:]).view(np.uint8)  # the last character of each field
+    starts = np.fromiter(
+        accumulate((len(t) + 1 for t in texts), initial=0), dtype=np.intp, count=len(texts)
     )
+    # A field and its separator take two bytes, so no count in fewer than
+    # 2**17 bytes passes 65535.
+    return np.add.reduceat(last, starts, dtype=np.uint16 if raw.size < 1 << 17 else np.intp)
 
 
 class _Loader:
     """State of one load: the index, the kept rows as float32 blocks, the
-    line accounting, and the kept records queued for a bulk parse."""
+    line accounting, and the records queued for the bulk checks."""
 
     def __init__(self, path: str, vocab_filter: set[str] | None):
         self.path = path
@@ -132,21 +136,25 @@ class _Loader:
         self.blocks: list[np.ndarray] = []
         self.dim: int | None = None
         self.malformed = self.zero_vectors = self.duplicates = self.filtered = 0
-        self.pending: list[tuple[int, str, str]] = []
+        self.kept: list[tuple[int, str, str]] = []
+        self.dropped: list[tuple[int, str, str]] = []
+        self.dropped_bytes = 0
 
     def record(self, lineno: int, parts: list[str]) -> None:
-        """The reference path: one record, split into its fields. The queue
-        must be flushed first, so rows keep file order."""
+        """The reference path: one record, split into its fields."""
         if lineno == 1 and _looks_like_header(parts):
             return
         token = parts[0]
         vocab_filter = self.vocab_filter
         # Once the dimension is known, a record of the right length that
         # the filter drops is not parsed. Any other record is, so a wrong
-        # length still aborts the load, or counts as malformed.
+        # length still aborts the load, or counts as malformed. The queued
+        # records are settled first, so rows keep file order and an error in
+        # a queued record comes first.
         if vocab_filter is not None and len(parts) - 1 == self.dim and token not in vocab_filter:
             self.filtered += 1
             return
+        self.flush()
         try:
             # numpy reads each string with float() and rounds that double
             # to float32: the bytes of a Python float cast to float32.
@@ -169,30 +177,48 @@ class _Loader:
         self._keep([token], vec[None, :])
 
     def queue(self, lineno: int, token: str, fields: str) -> None:
-        """Queue a kept record whose `fields` are `dim` single-space-separated
-        ASCII fields; parse the queue once it holds a chunk."""
-        self.pending.append((lineno, token, fields))
-        if len(self.pending) * self.dim >= _CHUNK_COMPONENTS:
+        """Queue a record whose `fields` are ASCII, once the dimension is
+        known: for a bulk parse if the filter keeps it, for a bulk field
+        count if it drops it. Flush once either queue is full."""
+        if self.vocab_filter is None or token in self.vocab_filter:
+            self.kept.append((lineno, token, fields))
+            full = len(self.kept) * self.dim >= _CHUNK_COMPONENTS
+        else:
+            self.dropped.append((lineno, token, fields))
+            self.dropped_bytes += len(fields)
+            full = self.dropped_bytes >= _CHECK_BYTES
+        if full:
             self.flush()
 
     def flush(self) -> None:
-        """Parse the queued records in one call. `np.loadtxt` parses each
-        field to a double and casts it, as `record` does; a chunk it rejects
-        (it refuses `1_000`, which float() reads) goes through `record`."""
-        pending, self.pending = self.pending, []
-        if not pending:
-            return
-        try:
-            # max_rows lets loadtxt allocate the block once instead of growing it
-            block = np.loadtxt(
-                [fields for _, _, fields in pending],
-                dtype=np.float32, comments=None, ndmin=2, max_rows=len(pending),
-            )
-        except ValueError:
-            for lineno, token, fields in pending:
-                self.record(lineno, [token, *fields.split()])
-            return
-        self._keep([token for _, token, _ in pending], block)
+        """Settle the queued records. A dropped record of `dim` fields is
+        filtered. The kept records are parsed in one `np.loadtxt` call, which
+        splits fields as `str.split` does, reads each to a double and casts
+        it, as `record` does. Every other record, and a kept chunk that
+        loadtxt rejects (it refuses `1_000`, which float() reads) or that
+        does not come out `dim` wide, goes through `record` in file order."""
+        kept, dropped = self.kept, self.dropped
+        self.kept, self.dropped, self.dropped_bytes = [], [], 0
+        replay = []
+        if dropped:
+            proven = (_field_counts([fields for _, _, fields in dropped]) == self.dim).tolist()
+            self.filtered += sum(proven)
+            replay = [rec for rec, ok in zip(dropped, proven) if not ok]
+        if kept:
+            try:
+                # max_rows lets loadtxt allocate the block once instead of growing it
+                block = np.loadtxt(
+                    [fields for _, _, fields in kept],
+                    dtype=np.float32, comments=None, ndmin=2, max_rows=len(kept),
+                )
+            except ValueError:
+                block = None
+            if block is not None and block.shape == (len(kept), self.dim):
+                self._keep([token for _, token, _ in kept], block)
+            else:
+                replay += kept
+        for lineno, token, fields in sorted(replay):
+            self.record(lineno, [token, *fields.split()])
 
     def _keep(self, tokens: list[str], block: np.ndarray) -> None:
         """Store the rows of `block` that are finite, nonzero and first of their token."""
@@ -251,32 +277,24 @@ def load_embeddings(
 
     load = _Loader(path, vocab_filter)
     # Once the first record has fixed the dimension, a record whose vector
-    # part is `dim` single-space-separated ASCII fields is counted without
-    # splitting when the filter drops it, and queued for a bulk parse when
-    # it is kept. Every other record takes the reference path.
+    # part is ASCII is queued for the bulk checks. Every other record takes
+    # the reference path.
     #
     # A component beyond float32 range becomes inf on the cast; the finiteness
     # check skips the record, so the cast's overflow warning is noise.
     with fh, np.errstate(over="ignore"):
-        for lineno, line in numbered_lines(fh, path):
+        for lineno, line in enumerate(fh, start=1):
+            if not line.isascii():
+                try:
+                    check_utf8(line, lineno, path)
+                except DataError:
+                    load.flush()  # an error in a queued record comes first
+                    raise
             head = line.split(maxsplit=1)
-            if not head:
-                continue
-            dim = load.dim
-            if dim is not None and len(head) == 2:
-                token, fields = head
-                dropped = vocab_filter is not None and token not in vocab_filter
-                if fields.isascii() and _spaced_fields(fields, dim):
-                    if dropped:
-                        load.filtered += 1
-                    else:
-                        load.queue(lineno, token, fields)
-                    continue
-                if dropped and len(fields.split()) == dim:
-                    load.filtered += 1
-                    continue
-            load.flush()
-            load.record(lineno, line.split())
+            if len(head) == 2 and load.dim is not None and head[1].isascii():
+                load.queue(lineno, *head)
+            elif head:
+                load.record(lineno, line.split())
         load.flush()
 
     if not load.blocks:

@@ -402,6 +402,33 @@ class TestRelevance:
         scores = [float(r["score"]) for r in rows]
         assert scores == sorted(scores)
 
+    def test_inline_topics_are_normalized_like_a_topic_words_file(self, setup):
+        words = setup["tmp"] / "topics.txt"
+        words.write_text("Waiter\nMEAL!\n", encoding="utf-8")
+        resolved = []
+        for source in (["--topics", "Waiter, MEAL!"], ["--topic-words", str(words)]):
+            code = main(
+                [
+                    "relevance", "--embeddings", setup["emb"], "--pairs", setup["pairs"],
+                    *source, "--out", setup["out"], "--formats", "json",
+                ]
+            )
+            assert code == 0
+            with open(os.path.join(setup["out"], "relevance_embedding.json"),
+                      encoding="utf-8") as fh:
+                resolved.append(json.load(fh)["topic_words"])
+        assert resolved == [["meal", "waiter"]] * 2
+
+    def test_inline_topics_keep_their_case_under_keep_case(self, setup, capsys):
+        code = main(
+            [
+                "relevance", "--embeddings", setup["emb"], "--pairs", setup["pairs"],
+                "--topics", "WAITER", "--keep-case", "--out", setup["out"],
+            ]
+        )
+        assert code == 2
+        assert "['WAITER']" in capsys.readouterr().err
+
     def test_unresolvable_topics_fail(self, setup, capsys):
         code = main(
             [

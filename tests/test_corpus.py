@@ -94,12 +94,26 @@ MIXED_TEXT = st.lists(
     max_size=60,
 ).map("".join)
 
+# All-ASCII text, which takes the whole-text path unless it holds the
+# sentinel: every ASCII whitespace character, punctuation and symbols, and
+# the sentinel inside and at the edge of a chunk.
+ASCII_TEXT = st.lists(
+    st.one_of(
+        st.sampled_from(
+            "aZq09'!\"#%&()*,-./:;?@[\\]_{}$+<=>^|~`"
+            " \t\n\v\f\r\x1c\x1d\x1e\x1f"
+        ),
+        st.sampled_from([" <UNK> ", "x<UNK>y", "<UNK>,", "<unk>", "<UNK>"]),
+    ),
+    max_size=60,
+).map("".join)
+
 
 class TestAsciiFastPath:
     @pytest.mark.parametrize(
         "lowercase, nfc, strip", list(itertools.product([True, False], repeat=3))
     )
-    @given(text=MIXED_TEXT)
+    @given(text=MIXED_TEXT | ASCII_TEXT)
     @settings(max_examples=200, deadline=None)
     def test_matches_the_reference_tokenizer(self, lowercase, nfc, strip, text):
         cfg = NormalizerConfig(lowercase=lowercase, nfc=nfc, strip_punctuation=strip)
@@ -261,24 +275,34 @@ def test_views_match_the_occurrence_loop(docs, topics):
         for i, (toks, group) in enumerate(docs)
     ]
 
-    def check(view, subset):
-        counts, doc_counts, masked, oov = oracles.classify_occurrences(subset, table, topics)
+    def check(view, subset, topic_set):
+        counts, doc_counts, masked, oov = oracles.classify_occurrences(subset, table, topic_set)
         assert list(view.counts.items()) == list(counts.items())
         assert [list(d.items()) for d in view.doc_counts] == [list(d.items()) for d in doc_counts]
         assert (view.masked, view.oov) == (masked, oov)
         assert view.total_tokens == sum(counts.values())
 
-    if not oracles.classify_occurrences(documents, table, topics)[0]:
-        with pytest.raises(DataError, match="empty corpus view"):
-            build_view(documents, table, topics)
-        return
-    view = build_view(documents, table, topics)
-    check(view, documents)
-    target_docs = [d for d in documents if d.group == "x"]
-    if target_docs and oracles.classify_occurrences(target_docs, table, topics)[0]:
-        target, background = split_by_group(view, "x")
-        check(target, target_docs)
-        check(background, [d for d in documents if d.group != "x"])
+    def countable(subset, topic_set):
+        return subset and oracles.classify_occurrences(subset, table, topic_set)[0]
+
+    # The same documents build every view, with and without masking.
+    for topic_set in (topics, set()):
+        if not countable(documents, topic_set):
+            with pytest.raises(DataError, match="empty corpus view"):
+                build_view(documents, table, topic_set)
+            continue
+        view = build_view(documents, table, topic_set)
+        check(view, documents, topic_set)
+        target_docs = [d for d in documents if d.group == "x"]
+        if countable(target_docs, topic_set):
+            target, background = split_by_group(view, "x")
+            check(target, target_docs, topic_set)
+            check(background, [d for d in documents if d.group != "x"], topic_set)
+        # one view per unit, as `map` builds them
+        for unit in ("x", "y", None):
+            unit_docs = [d for d in documents if d.group == unit]
+            if countable(unit_docs, topic_set):
+                check(build_view(unit_docs, table, topic_set), unit_docs, topic_set)
 
 
 class TestIO:

@@ -191,7 +191,16 @@ _COMPONENTS = st.sampled_from(
      "１", "٣", "x", "1e-46", "3.4028235e38", "16777217"]
 ) | st.floats(allow_nan=False, allow_infinity=False, width=32).map(repr)
 _TOKENS = st.sampled_from(["a", "b", "c", "d", "é", "東京", "x.y", "1", "2", "<UNK>"])
-_SEPARATORS = st.sampled_from([" "] * 16 + ["\t", "  ", " \t", "　"])
+# Every ASCII character str.split splits on inside a line, and non-ASCII
+# whitespace, which np.loadtxt also splits on but which sends a record down
+# the reference path.
+_SEPARATORS = st.sampled_from(
+    [" "] * 24
+    + ["\t", "  ", " \t", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2003",
+       "\u3000"]
+)
+# Text-mode reads turn "\r\n" and a lone "\r" into line ends.
+_LINE_ENDS = st.sampled_from(["\n"] * 6 + ["\r\n", "\r"])
 
 
 @st.composite
@@ -211,11 +220,13 @@ def _tables(draw):
             fields = ["0"] * size
         seps = draw(st.lists(_SEPARATORS, min_size=size, max_size=size))
         line = draw(_TOKENS) + "".join(sep + field for sep, field in zip(seps, fields))
-        lines.append(line + draw(st.sampled_from(["", "", " ", "\t"])))
-    text = "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+        lines.append(line + draw(st.sampled_from(["", "", " ", "\t", "\x1f"])))
+    text = "".join(line + draw(_LINE_ENDS) for line in lines)
+    if lines and draw(st.booleans()):
+        text = text.rstrip("\r\n")
     vocab_filter = draw(st.none() | st.sets(_TOKENS))
     chunk_rows = draw(st.integers(1, 4))
-    return text, vocab_filter, chunk_rows * dim
+    return text, vocab_filter, chunk_rows * dim, draw(st.integers(1, 80))
 
 
 def _outcome(load, path, vocab_filter):
@@ -228,13 +239,14 @@ def _outcome(load, path, vocab_filter):
 @given(_tables())
 @settings(max_examples=400, deadline=None)
 def test_loader_matches_the_per_record_reference(table):
-    text, vocab_filter, chunk_components = table
+    text, vocab_filter, chunk_components, check_bytes = table
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "vecs.txt")
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         expected = _outcome(oracles.load_embeddings_reference, path, vocab_filter)
-        with mock.patch.object(embeddings, "_CHUNK_COMPONENTS", chunk_components):
+        with mock.patch.object(embeddings, "_CHUNK_COMPONENTS", chunk_components), \
+                mock.patch.object(embeddings, "_CHECK_BYTES", check_bytes):
             got = _outcome(
                 lambda p, f: load_embeddings(p, f, warn=False), path, vocab_filter
             )
@@ -285,15 +297,52 @@ def test_edge_strings_match_float(tmp_path):
     assert dataclasses.asdict(table.stats) == counts
 
 
-@given(
-    st.lists(st.text(st.sampled_from("ab1.-"), min_size=1), min_size=1, max_size=6),
-    st.lists(st.sampled_from([" "] * 6 + ["  ", "\t", "\n", "\v", "\f", "\r", "\x1c", "\x1f"])),
-    st.sampled_from(["", "", "\n", " ", " \n", "\n\n", "\t"]),
+# Field characters, every ASCII character str.split splits on, and ASCII
+# control characters it does not split on.
+_FIELD_TEXT = st.text(
+    st.sampled_from(list("ab1.-~") + [" "] * 4 + list("\t\n\v\f\r\x1c\x1d\x1e\x1f")
+                    + ["\x00", "\x08", "\x0e", "\x1b", "\x7f"]),
+    max_size=40,
 )
-@settings(max_examples=300, deadline=None)
-def test_spaced_fields_implies_the_split_count(fields, separators, end):
-    seps = separators + [" "] * len(fields)
-    text = fields[0] + "".join(sep + field for sep, field in zip(seps, fields[1:])) + end
-    for count in range(1, 9):
-        if embeddings._spaced_fields(text, count):
-            assert len(text.split()) == count
+
+
+@given(st.lists(_FIELD_TEXT, max_size=8))
+@settings(max_examples=500, deadline=None)
+def test_field_counts_equal_the_split_counts(texts):
+    assert embeddings._field_counts(texts).tolist() == [len(t.split()) for t in texts]
+
+
+def test_field_counts_do_not_wrap():
+    assert embeddings._field_counts(["1 " * 70_000, "a b"]).tolist() == [70_000, 2]
+
+
+def test_well_formed_filtered_table_takes_the_bulk_paths(tmp_path):
+    rng = np.random.default_rng(1)
+    lines = [f"w{i} " + " ".join(f"{v:.4f}" for v in rng.standard_normal(50)) for i in range(600)]
+    path = write(tmp_path, "vecs.txt", "\n".join(lines) + "\n")
+    wanted = {f"w{i}" for i in range(0, 600, 3)}
+    counted = []
+    count_fields = embeddings._field_counts
+
+    def field_counts(texts):
+        counted.extend(texts)
+        return count_fields(texts)
+
+    with mock.patch.object(embeddings._Loader, "record", autospec=True,
+                           side_effect=embeddings._Loader.record) as reference, \
+            mock.patch.object(embeddings, "_field_counts", side_effect=field_counts):
+        table = load_embeddings(path, vocab_filter=wanted)
+    assert reference.call_count == 1  # the first record fixes the dimension
+    assert (len(table), table.stats.filtered) == (200, 400)
+    # every dropped record, and no kept one, went through the field count
+    assert sorted(counted) == sorted(line.split(maxsplit=1)[1] + "\n" for line in lines
+                                     if line.split()[0] not in wanted)
+
+
+@pytest.mark.parametrize("second", ["b 1 2 3", "x 1 2 3"])
+def test_queued_record_error_comes_before_a_later_invalid_line(tmp_path, second):
+    # the record on line 2 waits in a queue when line 3 is read
+    path = tmp_path / "vecs.txt"
+    path.write_bytes(b"a 1 2\n" + second.encode() + b"\n\xff 1 2\n")
+    with pytest.raises(DataError, match="vecs.txt:2: vector has 3 components, expected 2"):
+        load_embeddings(str(path), vocab_filter={"a", "b"})
