@@ -13,7 +13,7 @@ import argparse
 import os
 import sys
 from collections.abc import Callable
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, field, fields
 
 from . import __version__, svg
@@ -127,8 +127,9 @@ def _progress(message: str) -> None:
 
 
 def parse_config_file(path: str) -> dict:
-    """Parse ``key = value`` lines; quotes optional, # starts a comment line."""
-    known = {f.name for f in fields(RunConfig)} - {"command"}
+    """Parse ``key = value`` lines, each value read as the type of its
+    RunConfig field; # starts a comment line."""
+    kinds = {f.name: f.type.split(" | ")[0] for f in fields(RunConfig) if f.name != "command"}
     out: dict = {}
     try:
         fh = open_text(path)
@@ -143,30 +144,34 @@ def parse_config_file(path: str) -> dict:
                 raise UsageError(f"{path}:{lineno}: expected key = value")
             key, _, raw = line.partition("=")
             key = key.strip().replace("-", "_")
-            raw = raw.strip()
-            if key not in known:
+            if key not in kinds:
                 raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-            out[key] = _parse_value(raw)
+            try:
+                out[key] = _parse_value(raw.strip(), kinds[key])
+            except ValueError as exc:
+                raise UsageError(f"{path}:{lineno}: {key}: {exc}") from None
     return out
 
 
-def _parse_value(raw: str):
-    if len(raw) >= 2 and raw[0] == raw[-1] and raw[0] in "\"'":
-        return raw[1:-1]
-    low = raw.lower()
-    if low in ("true", "yes"):
-        return True
-    if low in ("false", "no"):
-        return False
-    try:
-        return int(raw)
-    except ValueError:
-        pass
-    try:
-        return float(raw)
-    except ValueError:
-        pass
-    return raw
+_BOOLEANS = {"true": True, "yes": True, "false": False, "no": False}
+#: RunConfig field type -> what a config value of that type must be, and its reader
+_VALUE_READERS = {
+    "int": ("an integer", int),
+    "float": ("a number", float),
+    "bool": ("true, yes, false or no", _BOOLEANS.__getitem__),
+}
+
+
+def _parse_value(raw: str, kind: str):
+    """`raw` read as a value of type `kind`; a quoted value is a string."""
+    quoted = len(raw) >= 2 and raw[0] == raw[-1] and raw[0] in "\"'"
+    if kind == "str":
+        return raw[1:-1] if quoted else raw
+    expected, read = _VALUE_READERS[kind]
+    with suppress(KeyError, ValueError):
+        if not quoted:
+            return read(raw.lower())
+    raise ValueError(f"expected {expected}, got {raw!r}")
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
@@ -189,6 +194,8 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
 
 def _validate(cfg: RunConfig) -> Command:
     """Check every value and every input the command needs before any is read."""
+    if cfg.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {cfg.seed}")
     if cfg.n_bootstrap < 1:
         raise UsageError(f"--n-bootstrap must be >= 1, got {cfg.n_bootstrap}")
     if not (0.0 < cfg.alpha < 1.0):
@@ -341,7 +348,6 @@ def cmd_analyze(cfg: RunConfig) -> Report:
             table,
             n_bootstrap=cfg.n_bootstrap,
             seed=cfg.seed,
-            workers=cfg.workers,
             bootstrap_unit=cfg.bootstrap_unit,
         )
     alpha_eff = cfg.alpha / len(results) if cfg.bonferroni else cfg.alpha

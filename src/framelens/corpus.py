@@ -15,7 +15,6 @@ import json
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import chain, repeat
 
 from .embeddings import EmbeddingTable
@@ -130,17 +129,6 @@ class CorpusView:
     def vocabulary(self) -> list[str]:
         """Counted tokens in canonical (sorted) order."""
         return sorted(self.counts)
-
-    @cached_property
-    def doc_counts(self) -> tuple[dict[str, int], ...]:
-        """`counts` per document, aligned with `documents`, each in
-        first-occurrence order. Counted on first use, once per view: only
-        document-level statistics need them."""
-        counts = self.counts
-        return tuple(
-            {tok: n for tok, n in Counter(doc.tokens).items() if tok in counts}
-            for doc in self.documents
-        )
 
 
 def _classify(

@@ -27,6 +27,7 @@ seed gives byte-identical reports on every run.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -240,23 +241,20 @@ def _doc_coo(view: CorpusView, tokens: list[str]):
     """Sparse (document, token) count triplets over the given token order,
     plus per-document countable totals.
 
-    Triplets run in document order and, within a document, in sorted-token
-    order, so documents with the same counts accumulate identically.
+    Each counted occurrence is coded as ``document * V + token index``;
+    `np.unique` sorts and counts the codes, so triplets run in document
+    order and, within a document, in sorted-token order, and documents
+    with the same counts accumulate identically.
     """
     index = {t: i for i, t in enumerate(tokens)}
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    for d, dc in enumerate(view.doc_counts):
-        for tok, cnt in sorted(dc.items()):
-            rows.append(d)
-            cols.append(index[tok])
-            vals.append(float(cnt))
-    row_arr = np.array(rows, dtype=np.intp)
-    col_arr = np.array(cols, dtype=np.intp)
-    val_arr = np.array(vals, dtype=np.float64)
-    doc_total = np.bincount(row_arr, weights=val_arr, minlength=len(view.doc_counts))
-    return row_arr, col_arr, val_arr, doc_total
+    docs = view.documents
+    cols = np.fromiter(map(index.get, chain.from_iterable(d.tokens for d in docs), repeat(-1)),
+                       np.intp)
+    rows = np.repeat(np.arange(len(docs)), [len(d.tokens) for d in docs])
+    codes, counts = np.unique((rows * len(tokens) + cols)[cols >= 0], return_counts=True)
+    rows, cols = np.divmod(codes, len(tokens))
+    vals = counts.astype(np.float64)
+    return rows, cols, vals, np.bincount(rows, weights=vals, minlength=len(docs))
 
 
 def _resampled_counts(
@@ -382,13 +380,20 @@ def bootstrap_null(
     )
 
 
-def _two_tailed_p(observed: float, samples: np.ndarray) -> float:
-    n = samples.shape[0]
-    ge = int(np.count_nonzero(samples >= observed - _TIE_TOLERANCE))
-    le = int(np.count_nonzero(samples <= observed + _TIE_TOLERANCE))
-    greater = (ge + 1) / (n + 1)
-    lesser = (le + 1) / (n + 1)
-    return min(1.0, 2.0 * min(greater, lesser))
+def _two_tailed_p(observed, samples: np.ndarray) -> np.ndarray:
+    """Two-tailed p-value of each `observed` value against its row of `samples`."""
+    n = samples.shape[-1]
+    observed = np.asarray(observed)[..., None]
+    ge = np.count_nonzero(samples >= observed - _TIE_TOLERANCE, axis=-1)
+    le = np.count_nonzero(samples <= observed + _TIE_TOLERANCE, axis=-1)
+    return np.minimum(1.0, 2.0 * np.minimum((ge + 1) / (n + 1), (le + 1) / (n + 1)))
+
+
+def _significance(bias, intensity, null_bias: np.ndarray, null_intensity: np.ndarray):
+    """(p_bias, p_intensity, effect_bias, effect_intensity) of each observed
+    value against its row of null samples, which run along the last axis."""
+    return (_two_tailed_p(bias, null_bias), _two_tailed_p(intensity, null_intensity),
+            bias - null_bias.mean(axis=-1), intensity - null_intensity.mean(axis=-1))
 
 
 def significance(
@@ -402,15 +407,12 @@ def significance(
     p-value uses the add-one rule (r + 1) / (N + 1) per tail so it is
     never exactly zero, doubled and clamped to 1 for the two-tailed test.
     A sample within _TIE_TOLERANCE of the observed value is a tie and
-    counts in both tails.
+    counts in both tails. `analyze_frames` scores every frame the same way.
     """
     if null.bias_samples.size == 0:
         raise DataError("empty null distribution")
-    effect_bias = observed_bias - float(null.bias_samples.mean())
-    effect_intensity = observed_intensity - float(null.intensity_samples.mean())
-    p_bias = _two_tailed_p(observed_bias, null.bias_samples)
-    p_intensity = _two_tailed_p(observed_intensity, null.intensity_samples)
-    return p_bias, p_intensity, effect_bias, effect_intensity
+    nulls = null.bias_samples, null.intensity_samples
+    return tuple(map(float, _significance(observed_bias, observed_intensity, *nulls)))
 
 
 def top_significant_frames(
@@ -643,7 +645,6 @@ def analyze_frames(
     *,
     n_bootstrap: int = 1000,
     seed: int = 0,
-    workers: int = 1,
     bootstrap_unit: str = "token",
 ) -> list[FramingResult]:
     """Run the full per-frame analysis of a target corpus against its parent.
@@ -656,8 +657,8 @@ def analyze_frames(
     ``default_rng(seed)``, is shared by every frame: a frame's row is the
     same, up to rounding, whichever other frames the registry holds, and
     its null is the one `bootstrap_null` gives under the same seed.
-    `workers` is accepted for compatibility and has no effect. Results
-    come back in registry order.
+    p-values and effects come from the F×n null arrays in one step.
+    Results come back in registry order.
     """
     if n_bootstrap < 1:
         raise DataError(f"need at least one bootstrap sample, got {n_bootstrap}")
@@ -686,23 +687,10 @@ def analyze_frames(
     baseline, bias, intensity, null_bias, null_intensity = _score_frames(
         registry.frames, table.unit_rows(tokens_full), n_full, n_target, draws, n_bootstrap
     )
-
-    results: list[FramingResult] = []
-    for i, frame in enumerate(registry.frames):
-        null = NullDistribution(frame.id, null_bias[i], null_intensity[i], seed)
-        bias_t, int_t = float(bias[i]), float(intensity[i])
-        p_b, p_i, eff_b, eff_i = significance(bias_t, int_t, null)
-        results.append(
-            FramingResult(
-                frame_id=frame.id,
-                bias=bias_t,
-                intensity=int_t,
-                baseline_bias=float(baseline[i]),
-                effect_bias=eff_b,
-                effect_intensity=eff_i,
-                p_bias=p_b,
-                p_intensity=p_i,
-                n_bootstrap=n_bootstrap,
-            )
-        )
-    return results
+    p_b, p_i, eff_b, eff_i = _significance(bias, intensity, null_bias, null_intensity)
+    # FramingResult's fields between frame_id and n_bootstrap, in order
+    columns = (bias, intensity, baseline, eff_b, eff_i, p_b, p_i)
+    return [
+        FramingResult(frame.id, *row, n_bootstrap)
+        for frame, row in zip(registry.frames, zip(*(c.tolist() for c in columns)))
+    ]

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from string import Formatter
 from typing import Protocol
 
 from .embeddings import EmbeddingTable
@@ -105,18 +106,24 @@ def build_templates(
 
 
 def read_templates(path: str) -> tuple[str, ...]:
-    """Read template sentences (one per line, {topic}/{pole} placeholders)."""
+    """Read template sentences, one per line, with {topic} and {pole} as
+    their only replacement fields."""
     lines: list[str] = []
     try:
         fh = open_text(path)
     except OSError as exc:
         raise DataError(f"cannot read template file {path!r}: {exc}") from exc
     with fh:
-        for _, line in numbered_lines(fh, path):
+        for lineno, line in numbered_lines(fh, path):
             line = line.strip()
             if line and not line.startswith("#"):
-                if "{topic}" not in line or "{pole}" not in line:
-                    raise DataError(f"template must contain {{topic}} and {{pole}}: {line!r}")
+                try:  # (name, format spec, conversion) of each replacement field
+                    found = {part[1:] for part in Formatter().parse(line) if part[1] is not None}
+                except ValueError as exc:  # a lone brace
+                    raise DataError(f"{path}:{lineno}: {exc}: {line!r}") from None
+                if found != {("topic", "", None), ("pole", "", None)}:
+                    raise DataError(f"{path}:{lineno}: template must contain {{topic}} and "
+                                    f"{{pole}} and no other field: {line!r}")
                 lines.append(line)
     if not lines:
         raise DataError(f"no templates in {path!r}")

@@ -118,9 +118,9 @@ def load_embeddings_reference(path, vocab_filter=None):
 
 def classify_occurrences(docs, table, topic_words):
     """Every token occurrence of every document, one at a time, into counted,
-    masked and OOV. Returns ``(counts, doc_counts, masked, oov)``; the dicts
+    masked and OOV. Returns ``(counts, per_doc, masked, oov)``; the dicts
     hold tokens in first-occurrence order."""
-    counts, doc_counts, masked, oov = {}, [], set(), set()
+    counts, per_doc, masked, oov = {}, [], set(), set()
     for doc in docs:
         dc = {}
         for tok in doc.tokens:
@@ -131,5 +131,5 @@ def classify_occurrences(docs, table, topic_words):
             else:
                 dc[tok] = dc.get(tok, 0) + 1
                 counts[tok] = counts.get(tok, 0) + 1
-        doc_counts.append(dc)
-    return counts, doc_counts, masked, oov
+        per_doc.append(dc)
+    return counts, per_doc, masked, oov

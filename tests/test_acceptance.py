@@ -358,23 +358,21 @@ def test_criterion_9_desk_scale_throughput():
     target_docs = list(view.documents[:5])
     target = build_view(target_docs, table, set())
 
-    workers = min(2, os.cpu_count() or 1)
+    cores = min(2, os.cpu_count() or 1)
     started = time.perf_counter()
-    results = analyze_frames(
-        view, target, registry, table, n_bootstrap=1000, seed=1, workers=workers
-    )
+    results = analyze_frames(view, target, registry, table, n_bootstrap=1000, seed=1)
     this_box = time.perf_counter() - started
     assert len(results) == total_frames
 
     per_frame = this_box / total_frames
-    # scale measured throughput from `workers` cores to the 8-core baseline
+    # scale measured throughput from `cores` cores to the 8-core baseline
     # with a conservative 0.75 parallel efficiency on the extra cores
-    speedup = (8 / workers) * 0.75
+    speedup = (8 / cores) * 0.75
     eight_core = this_box / speedup
     ok = eight_core < 600.0
     _report(
         9, "desk-scale throughput", ok,
-        f"{per_frame * 1000:.1f} ms/frame at {workers} workers, vocab {len(vocab)}, "
+        f"{per_frame * 1000:.1f} ms/frame on {cores} cores, vocab {len(vocab)}, "
         f"100k tokens, N=1000; {total_frames} frames timed: {this_box:.1f}s here, "
         f"~{eight_core:.1f}s extrapolated to 8 cores (< 600s required)",
     )

@@ -1,8 +1,10 @@
+import argparse
 import importlib.util
 import json
 import os
 import sys
 import xml.etree.ElementTree as ET
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -521,6 +523,94 @@ class TestConfigPrecedence:
             ]
         )
         assert code == 0
+
+
+#: command and its flags -> a config line whose value is not of its key's type,
+#: and the message that names it
+BAD_CONFIG_VALUES = [
+    (("analyze", "--group", "pos"), "seed = 1.5", "seed: expected an integer, got '1.5'"),
+    (("analyze", "--group", "pos"), 'alpha = "0.1"', "alpha: expected a number, got '\"0.1\"'"),
+    (("map", "--frame", "bad--good", "--unit", "outlet"), 'min_docs = "3"',
+     "min_docs: expected an integer"),
+    (("shifts", "--group", "pos", "--frame", "bad--good"), "k = 2.5",
+     "k: expected an integer, got '2.5'"),
+    (("spectrum", "--frame", "bad--good"), "keep_case = maybe",
+     "keep_case: expected true, yes, false or no, got 'maybe'"),
+]
+
+
+class TestConfigValues:
+    """A config value is read as the type of its key's RunConfig field."""
+
+    @pytest.mark.parametrize("command, line, message", BAD_CONFIG_VALUES)
+    def test_wrong_type_is_usage_error_naming_the_line(
+        self, setup, capsys, command, line, message
+    ):
+        cfg = setup["tmp"] / "run.cfg"
+        cfg.write_text(f"# typed values\nout = {setup['out']}\n{line}\n", encoding="utf-8")
+        args = base_args(setup, command[0]) + list(command[1:]) + ["--config", str(cfg)]
+        assert main(args) == 1
+        assert f"{cfg}:3: {message}" in capsys.readouterr().err
+
+    def test_a_number_for_a_string_key_is_that_string(self, setup, capsys):
+        cfg = setup["tmp"] / "run.cfg"
+        cfg.write_text("formats = 5\n", encoding="utf-8")
+        assert main(base_args(setup, "spectrum") + ["--frame", "bad--good",
+                                                     "--config", str(cfg)]) == 1
+        assert "--formats: unknown format(s) ['5']" in capsys.readouterr().err
+
+    def test_group_label_that_looks_like_a_number(self, setup):
+        corpus = setup["tmp"] / "numbered.jsonl"
+        docs = [{**d, "group": 1 if d["group"] == "pos" else 2} for d in DOCS]
+        corpus.write_text("\n".join(json.dumps(d) for d in docs) + "\n", encoding="utf-8")
+        cfg = setup["tmp"] / "run.cfg"
+        cfg.write_text("group = 1\nkeep_case = no\n", encoding="utf-8")
+        args = base_args({**setup, "corpus": str(corpus)}, "shifts") + [
+            "--frame", "bad--good", "--config", str(cfg), "--formats", "tsv"]
+        assert main(args) == 0
+        prov, _, rows = read_tsv(os.path.join(setup["out"], "shifts_bad--good_bias.tsv"))
+        assert prov["config"]["group"] == "1" and prov["config"]["keep_case"] is False
+        assert rows
+
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_negative_seed_is_usage_error(self, setup, capsys, where):
+        args = base_args(setup, "analyze") + ["--group", "pos", "--n-bootstrap", "5"]
+        if where == "flag":
+            args += ["--seed", "-1"]
+        else:
+            cfg = setup["tmp"] / "run.cfg"
+            cfg.write_text("seed = -1\n", encoding="utf-8")
+            args = [a for a in args if a not in ("--seed", "7")] + ["--config", str(cfg)]
+        assert main(args) == 1
+        assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+
+    def test_config_keys_are_the_flags(self):
+        """Every RunConfig field but the command is a flag of some subcommand,
+        and every flag but --config (and argparse's own) is a config key."""
+
+        def dests(parser):
+            out = set()
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    for sub in action.choices.values():
+                        out |= dests(sub)
+                elif action.option_strings:
+                    out.add(action.dest)
+            return out
+
+        flags = dests(cli.build_parser()) - {"config", "help", "version"}
+        assert flags == {f.name for f in fields(cli.RunConfig)} - {"command"}
+
+
+@pytest.mark.parametrize("template", ["{topic} is {pole} {x}", "{0} is {topic} {pole}",
+                                      "{topic} is } {pole}"])
+def test_template_fields_are_topic_and_pole_only(setup, capsys, template):
+    path = setup["tmp"] / "templates.txt"
+    path.write_text(f"{{topic}} is {{pole}}.\n{template}\n", encoding="utf-8")
+    args = base_args(setup, "relevance") + [
+        "--topics", "meal", "--method", "perplexity", "--templates", str(path)]
+    assert main(args) == 2
+    assert f"{path}:2: " in capsys.readouterr().err
 
 
 class TestFormats:

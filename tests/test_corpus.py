@@ -19,6 +19,7 @@ from framelens.corpus import (
     split_by_group,
     tokenize,
 )
+from framelens.engine import _doc_coo
 from framelens.errors import DataError
 
 
@@ -276,11 +277,16 @@ def test_views_match_the_occurrence_loop(docs, topics):
     ]
 
     def check(view, subset, topic_set):
-        counts, doc_counts, masked, oov = oracles.classify_occurrences(subset, table, topic_set)
+        counts, per_doc, masked, oov = oracles.classify_occurrences(subset, table, topic_set)
         assert list(view.counts.items()) == list(counts.items())
-        assert [list(d.items()) for d in view.doc_counts] == [list(d.items()) for d in doc_counts]
         assert (view.masked, view.oov) == (masked, oov)
         assert view.total_tokens == sum(counts.values())
+        # document triplets in document order, then sorted-token order
+        tokens = view.vocabulary()
+        rows, cols, vals, doc_total = _doc_coo(view, tokens)
+        expected = [(d, t, float(doc[t])) for d, doc in enumerate(per_doc) for t in sorted(doc)]
+        assert list(zip(rows.tolist(), [tokens[c] for c in cols], vals.tolist())) == expected
+        assert doc_total.tolist() == [float(sum(doc.values())) for doc in per_doc]
 
     def countable(subset, topic_set):
         return subset and oracles.classify_occurrences(subset, table, topic_set)[0]

@@ -115,13 +115,16 @@ class TestTemplates:
 
     def test_read_templates(self, tmp_path):
         p = tmp_path / "t.txt"
-        p.write_text("# my templates\n{topic} seems {pole}.\n", encoding="utf-8")
-        assert read_templates(str(p)) == ("{topic} seems {pole}.",)
+        p.write_text("# my templates\n{topic} seems {pole}.\n{{{topic}}} is {pole}}}\n",
+                     encoding="utf-8")
+        templates = read_templates(str(p))
+        assert templates == ("{topic} seems {pole}.", "{{{topic}}} is {pole}}}")
+        assert build_templates("tax", "fair", templates)[1] == "{tax} is fair}"
 
     def test_read_templates_requires_placeholders(self, tmp_path):
         p = tmp_path / "t.txt"
-        p.write_text("{topic} only\n", encoding="utf-8")
-        with pytest.raises(DataError, match="must contain"):
+        p.write_text("{topic} is {pole}\n{topic} only\n", encoding="utf-8")
+        with pytest.raises(DataError, match=f"^{p}:2: template must contain"):
             read_templates(str(p))
 
 
