@@ -39,6 +39,7 @@ from .engine import (
     shift_table,
     significance,
     top_significant_frames,
+    unit_statistics,
     view_statistics,
     word_contribution,
     word_shifts,
@@ -116,6 +117,7 @@ __all__ = [
     "split_by_group",
     "tokenize",
     "top_significant_frames",
+    "unit_statistics",
     "view_statistics",
     "word_contribution",
     "word_shifts",

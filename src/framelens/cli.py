@@ -34,14 +34,14 @@ from .engine import (
     SeparationResult,
     SpectrumEntry,
     analyze_frames,
-    baseline_biases,
-    corpus_bias,
+    baseline_biases,  # unused here; perfbench/spans.py traces it by this name
+    corpus_bias,  # unused here; perfbench/spans.py traces it by this name
     corpus_intensity,  # unused here; perfbench/spans.py traces it by this name
     document_spectrum,
     rank_sum_select,
     separation,
     top_significant_frames,
-    view_statistics,
+    unit_statistics,
     word_shifts,
 )
 from .errors import DataError, UsageError
@@ -128,7 +128,8 @@ def _progress(message: str) -> None:
 
 def parse_config_file(path: str) -> dict:
     """Parse ``key = value`` lines, each value read as the type of its
-    RunConfig field; # starts a comment line."""
+    RunConfig field; # starts a comment line. Returns each key's value and
+    the number of the line that set it."""
     kinds = {f.name: f.type.split(" | ")[0] for f in fields(RunConfig) if f.name != "command"}
     out: dict = {}
     try:
@@ -147,7 +148,7 @@ def parse_config_file(path: str) -> dict:
             if key not in kinds:
                 raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
             try:
-                out[key] = _parse_value(raw.strip(), kinds[key])
+                out[key] = _parse_value(raw.strip(), kinds[key]), lineno
             except ValueError as exc:
                 raise UsageError(f"{path}:{lineno}: {key}: {exc}") from None
     return out
@@ -174,47 +175,61 @@ def _parse_value(raw: str, kind: str):
     raise ValueError(f"expected {expected}, got {raw!r}")
 
 
-def _merge_config(args: argparse.Namespace) -> RunConfig:
-    file_cfg = parse_config_file(args.config) if getattr(args, "config", None) else {}
+def _merge_config(args: argparse.Namespace) -> tuple[RunConfig, dict[str, str]]:
+    """The resolved configuration, and ``path:line`` of each value a config
+    file set."""
+    path = getattr(args, "config", None)
+    file_cfg = parse_config_file(path) if path else {}
     cfg = RunConfig(command=args.command)
+    origins: dict[str, str] = {}
     if getattr(args, "subcommand", None):
         cfg.command = f"{args.command} {args.subcommand}"
     for f in fields(RunConfig):
         if f.name == "command":
             continue
         value = getattr(args, f.name, None)
-        if value is None:
-            value = file_cfg.get(f.name)
+        if value is None and f.name in file_cfg:
+            value, lineno = file_cfg[f.name]
+            origins[f.name] = f"{path}:{lineno}"
         if value is None and f.name == "embeddings":
             value = os.environ.get(ENV_EMBEDDINGS)
         if value is not None:
             setattr(cfg, f.name, value)
-    return cfg
+    return cfg, origins
 
 
-def _validate(cfg: RunConfig) -> Command:
-    """Check every value and every input the command needs before any is read."""
+def _validate(cfg: RunConfig, origins: dict[str, str]) -> Command:
+    """Check every value and every input the command needs before any is read.
+
+    A bad value that a config file set is reported with the file and line
+    it came from, then its key."""
+
+    def bad(name: str, message: str) -> UsageError:
+        where = origins.get(name)
+        return UsageError(f"{where}: {name}: {message}" if where else message)
+
     if cfg.seed < 0:
-        raise UsageError(f"--seed must be >= 0, got {cfg.seed}")
+        raise bad("seed", f"--seed must be >= 0, got {cfg.seed}")
     if cfg.n_bootstrap < 1:
-        raise UsageError(f"--n-bootstrap must be >= 1, got {cfg.n_bootstrap}")
+        raise bad("n_bootstrap", f"--n-bootstrap must be >= 1, got {cfg.n_bootstrap}")
     if not (0.0 < cfg.alpha < 1.0):
-        raise UsageError(f"--alpha must be in (0, 1), got {cfg.alpha}")
+        raise bad("alpha", f"--alpha must be in (0, 1), got {cfg.alpha}")
     if cfg.kind not in SHIFT_KINDS:
-        raise UsageError(f"--kind must be one of {SHIFT_KINDS}, got {cfg.kind!r}")
+        raise bad("kind", f"--kind must be one of {SHIFT_KINDS}, got {cfg.kind!r}")
     if cfg.method not in RELEVANCE_METHODS:
-        raise UsageError(f"--method must be one of {RELEVANCE_METHODS}, got {cfg.method!r}")
+        raise bad("method", f"--method must be one of {RELEVANCE_METHODS}, got {cfg.method!r}")
     if cfg.bootstrap_unit not in BOOTSTRAP_UNITS:
-        raise UsageError(
-            f"--bootstrap-unit must be one of {BOOTSTRAP_UNITS}, got {cfg.bootstrap_unit!r}"
+        raise bad(
+            "bootstrap_unit",
+            f"--bootstrap-unit must be one of {BOOTSTRAP_UNITS}, got {cfg.bootstrap_unit!r}",
         )
     for name in ("top_m", "k", "min_docs", "workers"):
         if getattr(cfg, name) < 1:
-            raise UsageError(f"--{name.replace('_', '-')} must be >= 1")
+            raise bad(name, f"--{name.replace('_', '-')} must be >= 1")
     chosen = _formats(cfg)
     unknown = chosen - {"tsv", "json", "svg"}
     if unknown:
-        raise UsageError(f"--formats: unknown format(s) {sorted(unknown)}")
+        raise bad("formats", f"--formats: unknown format(s) {sorted(unknown)}")
     command = _COMMANDS[cfg.command]
     files, needed_by = command.files, f"'{cfg.command}'"
     if cfg.command == "relevance" and cfg.method == "perplexity":
@@ -226,11 +241,12 @@ def _validate(cfg: RunConfig) -> Command:
     for name in files + ("templates", "topic_words"):
         path = getattr(cfg, name)
         if path and not os.path.isfile(path):
-            raise UsageError(f"--{name.replace('_', '-')}: no such file: {path}")
+            raise bad(name, f"--{name.replace('_', '-')}: no such file: {path}")
     if not chosen & set(command.formats):
-        raise UsageError(
+        raise bad(
+            "formats",
             f"{cfg.command} writes {'/'.join(command.formats)} reports; "
-            "none selected in --formats"
+            "none selected in --formats",
         )
     return command
 
@@ -380,9 +396,8 @@ def cmd_shifts(cfg: RunConfig) -> Report:
         if background_view.total_tokens == 0:
             raise DataError("background corpus is empty; every document has the target label")
     with _stage("analyze"):
-        baseline = corpus_bias(full_view, frame, table)
         entries = word_shifts(
-            target_view, background_view, frame, table, cfg.kind, baseline, cfg.k
+            full_view, target_view, background_view, frame, table, cfg.kind, cfg.k
         )
     rows = [{"frame_id": frame.id, **vars(e)} for e in entries]
     title = f"{frame.id}: {cfg.kind} shifts, {cfg.group} vs background"
@@ -401,8 +416,7 @@ def cmd_spectrum(cfg: RunConfig) -> Report:
     _, _, table, registry, full_view = _assemble(cfg)
     frame = _resolve_frame(cfg, registry)
     with _stage("analyze"):
-        baseline = corpus_bias(full_view, frame, table)
-        entries = document_spectrum(full_view, frame, table, baseline)
+        entries = document_spectrum(full_view, frame, table)
     rows = [vars(e) for e in entries]
     title = f"{frame.id}: document bias spectrum"
     return Report(
@@ -417,43 +431,36 @@ MAP_COLUMNS = ["unit", "group", "n_docs", "bias", "intensity"]
 
 
 def cmd_map(cfg: RunConfig) -> Report:
-    docs, topics, table, registry, full_view = _assemble(cfg)
+    docs, _, table, registry, full_view = _assemble(cfg)
     frame = _resolve_frame(cfg, registry)
     with _stage("build unit views"):
+        units = [doc.group if cfg.unit == "group" else doc.meta.get(cfg.unit) for doc in docs]
+        units = [None if u is None else str(u) for u in units]
         by_unit: dict[str, list[Document]] = {}
-        for doc in docs:
-            value = doc.group if cfg.unit == "group" else doc.meta.get(cfg.unit)
-            if value is None:
-                continue
-            by_unit.setdefault(str(value), []).append(doc)
+        for doc, unit_value in zip(docs, units):
+            if unit_value is not None:
+                by_unit.setdefault(unit_value, []).append(doc)
         if not by_unit:
             raise DataError(f"unit field {cfg.unit!r} missing from corpus metadata")
     with _stage("analyze"):
-        baseline, _ = view_statistics(full_view, [frame], table)
+        stats = unit_statistics(full_view, frame, table, units)
         rows = []
         skipped = 0
         for unit_value in sorted(by_unit):
             unit_docs = by_unit[unit_value]
-            if len(unit_docs) < cfg.min_docs:
+            if len(unit_docs) < cfg.min_docs or unit_value not in stats:
                 skipped += 1
                 continue
-            try:
-                unit_view = build_view(unit_docs, table, topics)
-            except DataError:
-                skipped += 1
-                continue
-            groups = sorted(
-                (d.group or "" for d in unit_docs),
-            )
+            groups = sorted(d.group or "" for d in unit_docs)
             majority = max(set(groups), key=lambda g: (groups.count(g), g))
-            (bias,), (intensity,) = view_statistics(unit_view, [frame], table, baseline)
+            bias, intensity = stats[unit_value]
             rows.append(
                 {
                     "unit": unit_value,
                     "group": majority,
                     "n_docs": len(unit_docs),
-                    "bias": float(bias),
-                    "intensity": float(intensity),
+                    "bias": bias,
+                    "intensity": intensity,
                 }
             )
         if skipped:
@@ -486,8 +493,7 @@ def cmd_separation(cfg: RunConfig) -> Report:
         view_a = build_view(docs_a, table, topics)
         view_b = build_view(docs_b, table, topics)
     with _stage("analyze"):
-        baselines = baseline_biases(full_view, registry, table)
-        seps = separation(view_a, view_b, registry, table, baselines)
+        seps = separation(full_view, view_a, view_b, registry, table)
         selected = rank_sum_select(seps, cfg.top_m)
     rows = [vars(s) for s in seps]
     title = f"separation: {cfg.group_a} (A) vs {cfg.group_b} (B)"
@@ -700,8 +706,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # --help / --version
         return int(exc.code or 0)
     try:
-        cfg = _merge_config(args)
-        command = _validate(cfg)
+        cfg, origins = _merge_config(args)
+        command = _validate(cfg, origins)
         _write_report(cfg, command.handler(cfg))
         return EXIT_OK
     except UsageError as exc:

@@ -14,9 +14,16 @@ unit-length embedding rows (sorted-token order, float64 regardless of the
 table's storage dtype) times the unit axes of up to _FRAME_BLOCK frames,
 as one frames-major fb×V block. Every statistic is a count-weighted
 product on such a block: bias, intensity and their bootstrap nulls for
-many frames (`_score_frames`, `view_statistics`), and the per-token
-shifts and per-document sums of one frame (`shift_table`,
-`document_spectrum`).
+many frames (`_score_frames`, `_frame_statistics`), and the per-token
+shifts and per-document or per-unit sums of one frame (`word_shifts`,
+`document_spectrum`, `unit_statistics`).
+
+Each frame's contributions are computed once per command, over the full
+view's vocabulary. Every narrower document set (a target and its
+background, two groups, a unit, a document) is a count vector over that
+vocabulary, and the full-corpus baseline comes from the same
+contributions inside each statistic that needs it, so a word's
+contribution to a frame is one number in every view of a run.
 
 Reproducibility: one bootstrap stream, ``default_rng(seed)``, is drawn
 once per run and shared by every frame, so a frame's null depends on the
@@ -177,12 +184,61 @@ def _cosine_blocks(frames, unit_rows: np.ndarray):
 
 
 def _frame_contributions(view: CorpusView, frame: Microframe, table: EmbeddingTable):
-    """The view's sorted vocabulary and its contributions (V values) to `frame`."""
+    """The view's sorted vocabulary, its counts, its contributions (V values)
+    to `frame`, and its bias on `frame`.
+
+    The bias is the 1×V product that `view_statistics` forms for one frame,
+    so it is the bit-for-bit `corpus_bias` of the view.
+    """
     tokens = view.vocabulary()
     if not tokens:
         raise DataError("empty corpus view")
-    _, (c,) = next(_cosine_blocks([frame], table.unit_rows(tokens)))
-    return tokens, c
+    n = _count_vector(view, tokens)
+    _, c = next(_cosine_blocks([frame], table.unit_rows(tokens)))
+    return tokens, n, c[0], float((c @ n / n.sum())[0])
+
+
+def _counts_over(tokens: list[str], views) -> list[np.ndarray]:
+    """The counts of each of `views` over `tokens`, the sorted vocabulary of
+    a full view that contains them all."""
+    positions = {t: i for i, t in enumerate(tokens)}
+    out = []
+    for view in views:
+        if not view.counts:
+            raise DataError("empty corpus view")
+        if not view.counts.keys() <= positions.keys():
+            raise DataError("view vocabulary is not contained in the full corpus")
+        n = np.zeros(len(tokens))
+        n[[positions[t] for t in view.counts]] = list(view.counts.values())
+        out.append(n)
+    return out
+
+
+def _frame_statistics(frames, unit_rows: np.ndarray, weights, baseline=None):
+    """Per-frame bias and intensity of each count vector.
+
+    `weights` are count vectors over the rows of `unit_rows`. Intensity is
+    measured about `baseline`, one value per frame, or, when it is None,
+    about the bias of the first count vector: a full view's counts put
+    first give every narrower count vector its baseline from the same
+    contributions. Each count vector is one 1-D product on a frame block,
+    never a column of a multi-column GEMM, which rounds differently.
+    Returns (bias, intensity), each with one row of F values per count
+    vector.
+    """
+    totals = [n.sum() for n in weights]
+    bias, intensity = np.empty((2, len(weights), len(frames)))
+    if baseline is None:
+        baseline = bias[0]  # each block writes its slice before reading it
+    for block, c in _cosine_blocks(frames, unit_rows):
+        for row, n, total in zip(bias, weights, totals):
+            row[block] = c @ n / total
+        # C becomes S in place, so a block holds one fb×V buffer
+        c -= baseline[block, None]
+        np.square(c, out=c)
+        for row, n, total in zip(intensity, weights, totals):
+            row[block] = c @ n / total
+    return bias, intensity
 
 
 def view_statistics(
@@ -190,25 +246,21 @@ def view_statistics(
     frames,
     table: EmbeddingTable,
     baseline: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Per-frame bias of `view`, and its intensity when `baseline` is given.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-frame bias and intensity of `view`.
 
     `baseline` holds one full-corpus bias per frame, in the order of
-    `frames`; intensity is measured about it. The view's embedding rows
-    are gathered once for all frames. Returns (bias, intensity) arrays of
-    one value per frame; intensity is None without a baseline.
+    `frames`; intensity is measured about it, or about the view's own bias
+    when it is None. The view's embedding rows are gathered once for all
+    frames. Returns (bias, intensity) arrays of one value per frame.
     """
     tokens = view.vocabulary()
     if not tokens:
         raise DataError("empty corpus view")
-    counts = _count_vector(view, tokens)
-    total = counts.sum()
-    bias = np.empty(len(frames))
-    intensity = None if baseline is None else np.empty(len(frames))
-    for block, c in _cosine_blocks(frames, table.unit_rows(tokens)):
-        bias[block] = c @ counts / total
-        if intensity is not None:
-            intensity[block] = (c - baseline[block, None]) ** 2 @ counts / total
+    weights = [_count_vector(view, tokens)]
+    (bias,), (intensity,) = _frame_statistics(
+        frames, table.unit_rows(tokens), weights, baseline
+    )
     return bias, intensity
 
 
@@ -438,7 +490,16 @@ def top_significant_frames(
 
 
 # ---------------------------------------------------------------------------
-# Word shifts, document spectrum
+# Word shifts, document spectrum, unit statistics
+
+
+def _shift_values(n: np.ndarray, c: np.ndarray, kind: str, baseline_bias: float) -> np.ndarray:
+    """Each token's additive shift in a view with counts `n`: n·c (bias) or
+    n·(c − baseline)² (intensity) over the view's total, and exactly 0.0
+    where the view lacks the token (n·c would give -0.0 for c < 0, which a
+    report prints as such)."""
+    w = c if kind == "bias" else (c - baseline_bias) ** 2
+    return np.where(n > 0, n * w, 0.0) / n.sum()
 
 
 def shift_table(
@@ -455,68 +516,81 @@ def shift_table(
     """
     if kind not in SHIFT_KINDS:
         raise DataError(f"unknown shift kind {kind!r}")
-    tokens, c = _frame_contributions(view, frame, table)
-    n = _count_vector(view, tokens)
-    if kind == "bias":
-        values = n * c / n.sum()
-    else:
-        values = n * (c - baseline_bias) ** 2 / n.sum()
-    return dict(zip(tokens, values.tolist()))
+    tokens, n, c, _ = _frame_contributions(view, frame, table)
+    return dict(zip(tokens, _shift_values(n, c, kind, baseline_bias).tolist()))
 
 
 def word_shifts(
+    full_view: CorpusView,
     target: CorpusView,
     background: CorpusView,
     frame: Microframe,
     table: EmbeddingTable,
     kind: str,
-    baseline_bias: float,
     k: int = 10,
 ) -> list[ShiftEntry]:
     """Top-k tokens by |target shift - background shift|.
 
-    A token absent from one view contributes zero shift there, so a word
-    that only the background uses pulls the delta negative. Ties break by
-    token, ascending. k larger than the union vocabulary returns the full
-    table.
+    `target` and `background` are document sets of `full_view`. One
+    contribution vector over the full vocabulary gives the full-corpus
+    baseline (about which intensity shifts are measured) and both views'
+    shift tables, each normalized by its own token total. A token absent
+    from one view contributes zero shift there, so a word that only the
+    background uses pulls the delta negative. Ties break by token,
+    ascending. k larger than the union vocabulary returns the full table.
     """
-    shifts_t = shift_table(target, frame, table, kind, baseline_bias)
-    shifts_b = shift_table(background, frame, table, kind, baseline_bias)
-    union = sorted(set(shifts_t) | set(shifts_b))
-    entries = [
-        ShiftEntry(
-            token=tok,
-            shift_target=shifts_t.get(tok, 0.0),
-            shift_background=shifts_b.get(tok, 0.0),
-            shift_delta=shifts_t.get(tok, 0.0) - shifts_b.get(tok, 0.0),
-            kind=kind,
-        )
-        for tok in union
+    if kind not in SHIFT_KINDS:
+        raise DataError(f"unknown shift kind {kind!r}")
+    tokens, _, c, baseline = _frame_contributions(full_view, frame, table)
+    n_t, n_b = _counts_over(tokens, [target, background])
+    shift_t = _shift_values(n_t, c, kind, baseline)
+    shift_b = _shift_values(n_b, c, kind, baseline)
+    union = np.flatnonzero(n_t + n_b)
+    delta = shift_t[union] - shift_b[union]
+    # sorted by -|delta|, ties by token index, which is token order
+    order = np.lexsort((union, -np.abs(delta)))
+    top = union[order[:k] if k > 0 else order]
+    return [
+        ShiftEntry(tokens[i], st, sb, st - sb, kind)
+        for i, st, sb in zip(top.tolist(), shift_t[top].tolist(), shift_b[top].tolist())
     ]
-    entries.sort(key=lambda e: (-abs(e.shift_delta), e.token))
-    return entries[:k] if k > 0 else entries
+
+
+def _group_sums(view: CorpusView, frame: Microframe, table: EmbeddingTable,
+                group_of_doc: np.ndarray, n_groups: int):
+    """Countable token total, contribution sum and squared-deviation sum of
+    each group of the view's documents on `frame`.
+
+    `group_of_doc` holds each document's group in [0, n_groups), or -1
+    for a document in none. Deviations are from the view's own bias,
+    taken from the same contributions. One `_doc_coo` pass; each group
+    adds its (document, token) triplets in document order.
+    """
+    tokens, _, c, baseline = _frame_contributions(view, frame, table)
+    rows, cols, vals, _ = _doc_coo(view, tokens)
+    groups = group_of_doc[rows]
+    kept = groups >= 0
+    groups, vals, c = groups[kept], vals[kept], c[cols[kept]]
+    weights = (vals, vals * c, vals * (c - baseline) ** 2)
+    return [np.bincount(groups, weights=w, minlength=n_groups) for w in weights]
 
 
 def document_spectrum(
     view: CorpusView,
     frame: Microframe,
     table: EmbeddingTable,
-    baseline_bias: float,
 ) -> list[SpectrumEntry]:
     """Per-document bias and intensity, sorted by bias ascending.
 
-    Documents empty after masking are emitted with absent (None) values
-    and sorted to the end by document id.
+    Intensity is measured about the view's own bias on `frame`. Documents
+    empty after masking are emitted with absent (None) values and sorted
+    to the end by document id.
     """
-    tokens, c = _frame_contributions(view, frame, table)
-    rows, cols, vals, doc_total = _doc_coo(view, tokens)
-    n_docs = doc_total.shape[0]
-    bias_sum = np.bincount(rows, weights=vals * c[cols], minlength=n_docs)
-    int_sum = np.bincount(rows, weights=vals * (c[cols] - baseline_bias) ** 2, minlength=n_docs)
+    n_docs = len(view.documents)
+    sums = _group_sums(view, frame, table, np.arange(n_docs), n_docs)
     present: list[SpectrumEntry] = []
     absent: list[SpectrumEntry] = []
-    sums = zip(doc_total.tolist(), bias_sum.tolist(), int_sum.tolist())
-    for doc, (total, b, i) in zip(view.documents, sums):
+    for doc, (total, b, i) in zip(view.documents, zip(*(s.tolist() for s in sums))):
         if total == 0.0:
             absent.append(SpectrumEntry(doc.doc_id, doc.group, None, None))
         else:
@@ -524,6 +598,33 @@ def document_spectrum(
     present.sort(key=lambda e: (e.doc_bias, e.doc_id))
     absent.sort(key=lambda e: e.doc_id)
     return present + absent
+
+
+def unit_statistics(
+    view: CorpusView,
+    frame: Microframe,
+    table: EmbeddingTable,
+    units,
+) -> dict[str, tuple[float, float]]:
+    """Bias and intensity on `frame` of each unit of the view's documents.
+
+    `units` holds each document's unit label, in the order of
+    `view.documents`, or None for a document in no unit. Intensity is
+    measured about the view's own bias on `frame`. A unit with no
+    countable token is left out. Returns {unit: (bias, intensity)} in
+    sorted unit order.
+    """
+    if len(units) != len(view.documents):
+        raise DataError(f"{len(units)} unit labels for {len(view.documents)} documents")
+    labels = sorted({u for u in units if u is not None})
+    code = {u: i for i, u in enumerate(labels)}
+    group_of_doc = np.array([code.get(u, -1) for u in units], dtype=np.intp)
+    sums = _group_sums(view, frame, table, group_of_doc, len(labels))
+    return {
+        unit: (b / total, i / total)
+        for unit, total, b, i in zip(labels, *(s.tolist() for s in sums))
+        if total > 0.0
+    }
 
 
 def baseline_biases(
@@ -545,28 +646,30 @@ def _ordinal_ranks(keyed: list[tuple[float, str]]) -> dict[str, int]:
 
 
 def separation(
+    full_view: CorpusView,
     view_a: CorpusView,
     view_b: CorpusView,
     frames: FrameRegistry,
     table: EmbeddingTable,
-    baseline: dict[str, float],
 ) -> list[SeparationResult]:
     """Per-frame bias and intensity differences between two corpora.
 
-    Both intensities are measured against the shared full-corpus baseline
-    passed in `baseline`. The intensity rank orders frames by the mean
-    intensity across the union of both corpora (token-weighted, which
-    equals the intensity of the pooled counts); the bias rank orders by
-    |delta bias|. Ranks are 1-based, descending, ties by frame id.
+    `view_a` and `view_b` are document sets of `full_view`. The full
+    vocabulary's embedding rows are gathered once; each frame block gives
+    the full-corpus baseline and both corpora's bias and intensity about
+    it from the same contributions. The intensity rank orders frames by
+    the mean intensity across the union of both corpora (token-weighted,
+    which equals the intensity of the pooled counts); the bias rank
+    orders by |delta bias|. Ranks are 1-based, descending, ties by frame
+    id.
     """
-    if not view_a.counts or not view_b.counts:
+    tokens = full_view.vocabulary()
+    if not tokens:
         raise DataError("empty corpus view")
-    for frame in frames:
-        if frame.id not in baseline:
-            raise DataError(f"no baseline bias for frame {frame.id!r}")
-    base = np.array([baseline[frame.id] for frame in frames], dtype=np.float64)
-    bias_a, int_a = view_statistics(view_a, frames, table, base)
-    bias_b, int_b = view_statistics(view_b, frames, table, base)
+    weights = [_count_vector(full_view, tokens), *_counts_over(tokens, [view_a, view_b])]
+    (_, bias_a, bias_b), (_, int_a, int_b) = _frame_statistics(
+        frames, table.unit_rows(tokens), weights
+    )
     total_a = float(view_a.total_tokens)
     total_b = float(view_b.total_tokens)
     mean_int = (total_a * int_a + total_b * int_b) / (total_a + total_b)

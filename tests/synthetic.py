@@ -3,7 +3,7 @@
 import numpy as np
 
 from framelens.corpus import build_view, make_document
-from framelens.engine import SeparationResult, baseline_biases, separation
+from framelens.engine import SeparationResult, separation
 from framelens.frames import build_registry
 
 from conftest import table_from_dict
@@ -45,8 +45,7 @@ def planted_separation(rng, n_decoys: int = 30) -> list[SeparationResult]:
     view_a = build_view(docs_a, table)
     view_b = build_view(docs_b, table)
     full = build_view(docs_a + docs_b, table)
-    base = baseline_biases(full, registry, table)
-    return separation(view_a, view_b, registry, table, base)
+    return separation(full, view_a, view_b, registry, table)
 
 
 def zipf_corpus(rng, vocab_size: int, total_tokens: int, dim: int):

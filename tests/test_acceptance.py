@@ -23,7 +23,6 @@ from framelens.corpus import build_view, make_document, split_by_group
 from framelens.embeddings import load_embeddings
 from framelens.engine import (
     analyze_frames,
-    baseline_biases,
     bootstrap_null,
     corpus_bias,
     corpus_intensity,
@@ -272,8 +271,7 @@ def test_criterion_7b_semeval_separation():
         full = build_view(docs, table, {aspect})
         pos, _ = split_by_group(full, "positive")
         neg, _ = split_by_group(full, "negative")
-        base = baseline_biases(full, registry, table)
-        seps = separation(pos, neg, registry, table, base)
+        seps = separation(full, pos, neg, registry, table)
         magnitudes = np.array([abs(s.delta_bias) for s in seps])
         target = next(s for s in seps if s.frame_id == "bad--good")
         threshold = float(np.quantile(magnitudes, 0.99))

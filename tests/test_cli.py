@@ -9,8 +9,13 @@ from pathlib import Path
 
 import pytest
 
-from framelens import cli, reports, svg
+from framelens import cli, engine, reports, svg
 from framelens.cli import main
+from framelens.corpus import read_jsonl
+from framelens.embeddings import EmbeddingTable, load_embeddings
+from framelens.frames import make_frame
+
+import oracles
 
 EMBEDDINGS = """good 1.0 0.2 0.1
 bad -1.0 -0.2 -0.1
@@ -36,6 +41,20 @@ DOCS = [
     {"id": "n1", "text": "The meal was bad and stale", "group": "neg", "meta": {"outlet": "moon"}},
     {"id": "n2", "text": "awful slow service", "group": "neg", "meta": {"outlet": "moon"}},
     {"id": "n3", "text": "bad stale meal", "group": "neg", "meta": {"outlet": "sun"}},
+]
+
+#: Four outlets for `map`: two with countable tokens, one whose tokens are all
+#: out of vocabulary, one with a single document; and one document in none.
+UNIT_DOCS = [
+    {"id": "s1", "text": "good fresh meal xyzzy", "group": "pos", "meta": {"outlet": "sun"}},
+    {"id": "s2", "text": "great meal was fast", "group": "pos", "meta": {"outlet": "sun"}},
+    {"id": "s3", "text": "the meal was stale", "group": "neg", "meta": {"outlet": "sun"}},
+    {"id": "m1", "text": "bad bad service", "group": "neg", "meta": {"outlet": "moon"}},
+    {"id": "m2", "text": "awful slow waiter qux", "group": "neg", "meta": {"outlet": "moon"}},
+    {"id": "v1", "text": "xyzzy qux", "group": "pos", "meta": {"outlet": "void"}},
+    {"id": "v2", "text": "plugh", "group": "pos", "meta": {"outlet": "void"}},
+    {"id": "t1", "text": "good service", "group": "pos", "meta": {"outlet": "tiny"}},
+    {"id": "x1", "text": "fresh fast meal", "group": "pos"},
 ]
 
 
@@ -80,6 +99,12 @@ WRITES = {
     "frames build": ("registry", ("json",)),
     "analyze": ("results", ("tsv", "json")),
 }
+
+
+def write_unit_corpus(tmp):
+    corpus = tmp / "units.jsonl"
+    corpus.write_text("\n".join(json.dumps(d) for d in UNIT_DOCS) + "\n", encoding="utf-8")
+    return corpus
 
 
 def base_args(s, command):
@@ -296,6 +321,37 @@ class TestMap:
         assert code == 2
         assert "missing from corpus metadata" in capsys.readouterr().err
 
+    def test_units_match_token_stream_oracle(self, setup, capsys):
+        """Each unit's bias and intensity, about the bias of the whole corpus,
+        with a topic word masked and OOV tokens left out of every total; a
+        unit whose tokens are all OOV and a unit below --min-docs are skipped."""
+        corpus = write_unit_corpus(setup["tmp"])
+        topic_words = setup["tmp"] / "topics.txt"
+        topic_words.write_text("meal\n", encoding="utf-8")
+        args = base_args({**setup, "corpus": str(corpus)}, "map") + [
+            "--frame", "bad--good", "--unit", "outlet", "--min-docs", "2",
+            "--topic-words", str(topic_words), "--formats", "tsv"]
+        assert main(args) == 0
+        assert "map: skipped 2 units below --min-docs 2 or empty" in capsys.readouterr().err
+        _, _, rows = read_tsv(os.path.join(setup["out"], "map_bad--good.tsv"))
+
+        table = load_embeddings(setup["emb"])
+        frame = make_frame("bad", "good", table)
+        docs = read_jsonl(str(corpus))
+        full_stream = oracles.counted_stream(docs, table, {"meal"})
+        contrib = oracles.contributions_by_token(full_stream, table, frame)
+        baseline = oracles.stream_bias(full_stream, contrib)
+        assert [r["unit"] for r in rows] == ["moon", "sun"]
+        for row in rows:
+            unit_docs = [d for d in docs if d.meta.get("outlet") == row["unit"]]
+            stream = oracles.counted_stream(unit_docs, table, {"meal"})
+            assert int(row["n_docs"]) == len(unit_docs)
+            assert float(row["bias"]) == pytest.approx(
+                oracles.stream_bias(stream, contrib), abs=1e-12)
+            assert float(row["intensity"]) == pytest.approx(
+                oracles.stream_intensity(stream, contrib, baseline), abs=1e-12)
+        assert [r["group"] for r in rows] == ["neg", "pos"]
+
 
 class TestSeparation:
     def test_full_table_and_selection(self, setup):
@@ -335,6 +391,48 @@ class TestSeparation:
             base_args(setup, "separation") + ["--group-a", "pos", "--group-b", "zzz"]
         )
         assert code == 2
+
+
+class TestContributionsOncePerCommand:
+    """A command gathers the full view's embedding rows once and computes
+    each frame block once; every narrower document set is a count vector."""
+
+    @pytest.mark.parametrize("command, extra, n_frames", [
+        ("shifts", ["--group", "pos", "--frame", "good--bad", "--kind", "intensity"], 1),
+        ("spectrum", ["--frame", "good--bad"], 1),
+        ("map", ["--frame", "good--bad", "--unit", "outlet", "--min-docs", "1"], 1),
+        ("separation", ["--group-a", "pos", "--group-b", "neg"], 78),
+    ])
+    def test_one_gather_and_one_pass_over_the_frame_blocks(
+        self, setup, monkeypatch, command, extra, n_frames
+    ):
+        corpus = write_unit_corpus(setup["tmp"])
+        # every pair of the 13 words: 78 frames, two blocks
+        words = [line.split()[0] for line in EMBEDDINGS.splitlines()]
+        pairs = setup["tmp"] / "all_pairs.tsv"
+        pairs.write_text("".join(f"{a}\t{b}\n" for i, a in enumerate(words)
+                                 for b in words[i + 1:]), encoding="utf-8")
+        gathers, blocks = [], []
+        unit_rows, cosine_blocks = EmbeddingTable.unit_rows, engine._cosine_blocks
+
+        def counted_unit_rows(table, tokens):
+            gathers.append(len(tokens))
+            return unit_rows(table, tokens)
+
+        def counted_cosine_blocks(frames, rows):
+            for block, c in cosine_blocks(frames, rows):
+                blocks.append(c.shape[0])
+                yield block, c
+
+        monkeypatch.setattr(EmbeddingTable, "unit_rows", counted_unit_rows)
+        monkeypatch.setattr(engine, "_cosine_blocks", counted_cosine_blocks)
+        args = base_args({**setup, "corpus": str(corpus), "pairs": str(pairs)}, command)
+        assert main(args + extra + ["--formats", "tsv"]) == 0
+        if command == "map":
+            _, _, rows = read_tsv(os.path.join(setup["out"], "map_good--bad.tsv"))
+            assert len(rows) >= 3
+        assert len(gathers) == 1
+        assert len(blocks) == -(-n_frames // 64) and sum(blocks) == n_frames
 
 
 class TestRelevance:
@@ -552,6 +650,26 @@ class TestConfigValues:
         assert main(args) == 1
         assert f"{cfg}:3: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line, message", [
+        ("seed = -1", "seed: --seed must be >= 0, got -1"),
+        ("n_bootstrap = 0", "n_bootstrap: --n-bootstrap must be >= 1, got 0"),
+        ("alpha = 1.5", "alpha: --alpha must be in (0, 1), got 1.5"),
+        ("kind = sideways", "kind: --kind must be one of ('bias', 'intensity'), got 'sideways'"),
+        ("method = guess", "method: --method must be one of ('embedding', 'perplexity')"),
+        ("bootstrap_unit = word", "bootstrap_unit: --bootstrap-unit must be one of"),
+        ("top_m = 0", "top_m: --top-m must be >= 1"),
+        ("k = 0", "k: --k must be >= 1"),
+        ("min_docs = 0", "min_docs: --min-docs must be >= 1"),
+        ("workers = 0", "workers: --workers must be >= 1"),
+        ("formats = 5", "formats: --formats: unknown format(s) ['5']"),
+    ])
+    def test_out_of_range_value_names_its_line(self, setup, capsys, line, message):
+        cfg = setup["tmp"] / "run.cfg"
+        cfg.write_text(f"# checked values\nout = {setup['out']}\n{line}\n", encoding="utf-8")
+        args = [a for a in base_args(setup, "analyze") if a not in ("--seed", "7")]
+        assert main(args + ["--group", "pos", "--config", str(cfg)]) == 1
+        assert f"usage error: {cfg}:3: {message}" in capsys.readouterr().err
+
     def test_a_number_for_a_string_key_is_that_string(self, setup, capsys):
         cfg = setup["tmp"] / "run.cfg"
         cfg.write_text("formats = 5\n", encoding="utf-8")
@@ -723,6 +841,13 @@ class TestTracedLayers:
     `framelens.cli` calls (and `framelens.svg.chart_*`). A CLI that stopped
     calling through them would move report and chart time into `cli.self_s`
     without failing anything else."""
+
+    def test_every_traced_name_resolves(self, perfbench_spans):
+        for names in perfbench_spans.CLI_CALLS.values():
+            for name in names:
+                assert callable(getattr(cli, name, None)), name
+        for name in perfbench_spans.SVG_CHARTS:
+            assert callable(getattr(svg, name, None)), name
 
     @pytest.mark.parametrize("command, extra", EVERY_COMMAND)
     def test_report_writes_and_charts_are_traced(self, setup, perfbench_spans, command, extra):

@@ -21,6 +21,7 @@ from framelens.engine import (
     shift_table,
     significance,
     top_significant_frames,
+    view_statistics,
     word_contribution,
     word_shifts,
 )
@@ -162,6 +163,10 @@ class TestCorpusStatistics:
         want_int = oracles.stream_intensity(stream, contrib, want_bias)
         got_int = corpus_intensity(view, frame, table, got_bias)
         assert got_int == pytest.approx(want_int, abs=1e-12)
+        # without a baseline, intensity is about the view's own bias
+        (bias,), (own_int,) = view_statistics(view, [frame], table)
+        assert bias == got_bias
+        assert own_int == pytest.approx(want_int, abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_corpus_bias_is_the_one_frame_baseline(self, seed):
@@ -434,17 +439,19 @@ class TestWordShifts:
         docs = [make_document("d", "good bad great")]
         view = build_view(docs, toy_table)
         frame = make_frame("bad", "good", toy_table)
-        entries = word_shifts(view, view, frame, toy_table, "bias", 0.0, k=10)
+        entries = word_shifts(view, view, view, frame, toy_table, "bias", k=10)
         assert all(e.shift_delta == 0.0 for e in entries)
 
     def test_token_only_in_background_pulls_negative(self, toy_table):
-        target = build_view([make_document("t", "good")], toy_table)
-        background = build_view([make_document("b", "good great")], toy_table)
+        docs = [make_document("t", "good", group="t"), make_document("b", "good great awful")]
+        full = build_view(docs, toy_table)
+        target, background = split_by_group(full, "t")
         frame = make_frame("bad", "good", toy_table)
-        entries = word_shifts(target, background, frame, toy_table, "bias", 0.0, k=10)
+        entries = word_shifts(full, target, background, frame, toy_table, "bias", k=10)
         by_token = {e.token: e for e in entries}
-        assert by_token["great"].shift_target == 0.0
-        assert by_token["great"].shift_delta == -by_token["great"].shift_background
+        for token in ("great", "awful"):  # contributions > 0 and < 0
+            assert repr(by_token[token].shift_target) == "0.0"  # never -0.0
+            assert by_token[token].shift_delta == -by_token[token].shift_background
 
     def test_normalized_weight_is_count_over_total(self, toy_table):
         # a token appearing 2 times in a 4-token view carries weight 2/4
@@ -456,15 +463,65 @@ class TestWordShifts:
         assert shifts["good"] == pytest.approx(2 / 4 * c, abs=1e-15)
 
     def test_top_k_and_tie_order(self, toy_table):
-        target = build_view([make_document("t", "good bad")], toy_table)
-        background = build_view([make_document("b", "great awful")], toy_table)
+        docs = [make_document("t", "good bad", group="t"), make_document("b", "great awful")]
+        view = build_view(docs, toy_table)
+        target, background = split_by_group(view, "t")
         frame = make_frame("bad", "good", toy_table)
-        entries = word_shifts(target, background, frame, toy_table, "bias", 0.0, k=2)
+        entries = word_shifts(view, target, background, frame, toy_table, "bias", k=2)
         assert len(entries) == 2
-        full = word_shifts(target, background, frame, toy_table, "bias", 0.0, k=100)
+        full = word_shifts(view, target, background, frame, toy_table, "bias", k=100)
         assert len(full) == 4  # k beyond vocabulary returns everything, no padding
         deltas = [abs(e.shift_delta) for e in full]
         assert deltas == sorted(deltas, reverse=True)
+        assert full[:2] == entries
+
+    def test_ties_break_by_token(self):
+        # "x" and "y" share one vector, so their deltas are equal
+        table = table_from_dict(
+            {"y": [1.0, 0.0], "x": [1.0, 0.0], "z": [0.0, 1.0], "m": [-1.0, 0.0], "p": [1.0, 0.0]}
+        )
+        docs = [make_document("t", "y x z", group="t"), make_document("b", "z z")]
+        view = build_view(docs, table)
+        target, background = split_by_group(view, "t")
+        frame = make_frame("m", "p", table)
+        entries = word_shifts(view, target, background, frame, table, "bias", k=0)
+        assert [e.token for e in entries] == ["x", "y", "z"]
+        assert entries[0].shift_delta == entries[1].shift_delta
+
+    @pytest.mark.parametrize("kind", ["bias", "intensity"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_token_stream_oracle(self, seed, kind):
+        """Both shift tables, against a baseline of the full stream, with topic
+        words masked and OOV tokens left out of every total."""
+        table, docs, topics, view, frame = random_instance(np.random.default_rng(100 + seed))
+        target, background = split_by_group(view, "a")
+        if background.total_tokens == 0:
+            background = target  # one document: compare the view with itself
+        entries = word_shifts(view, target, background, frame, table, kind, k=0)
+        full_stream = oracles.counted_stream(docs, table, topics)
+        contrib = oracles.contributions_by_token(full_stream, table, frame)
+        baseline = oracles.stream_bias(full_stream, contrib)
+
+        def shifts(docs_of_view):
+            stream = oracles.counted_stream(docs_of_view, table, topics)
+            weight = contrib if kind == "bias" else {
+                t: (c - baseline) ** 2 for t, c in contrib.items()}
+            return {t: stream.count(t) * weight[t] / len(stream) for t in set(stream)}
+
+        want_t, want_b = shifts(target.documents), shifts(background.documents)
+        assert sorted(e.token for e in entries) == sorted(set(want_t) | set(want_b))
+        for e in entries:
+            assert e.shift_target == pytest.approx(want_t.get(e.token, 0.0), abs=1e-12)
+            assert e.shift_background == pytest.approx(want_b.get(e.token, 0.0), abs=1e-12)
+            assert e.shift_delta == e.shift_target - e.shift_background
+        assert topics.isdisjoint(e.token for e in entries)
+
+    def test_views_outside_the_full_view_are_rejected(self, toy_table):
+        full = build_view([make_document("a", "good bad")], toy_table)
+        other = build_view([make_document("b", "great")], toy_table)
+        frame = make_frame("bad", "good", toy_table)
+        with pytest.raises(DataError, match="not contained"):
+            word_shifts(full, full, other, frame, toy_table, "bias")
 
 
 class TestDocumentSpectrum:
@@ -473,9 +530,11 @@ class TestDocumentSpectrum:
         view = build_view(docs, toy_table)
         frame = make_frame("bad", "good", toy_table)
         b = corpus_bias(view, frame, toy_table)
-        entries = document_spectrum(view, frame, toy_table, b)
+        entries = document_spectrum(view, frame, toy_table)
         assert len(entries) == 1
         assert entries[0].doc_bias == pytest.approx(b, abs=1e-12)
+        assert entries[0].doc_intensity == pytest.approx(
+            corpus_intensity(view, frame, toy_table, b), abs=1e-12)
 
     def test_ordering_matches_per_document_oracle(self, toy_table):
         docs = [
@@ -485,16 +544,19 @@ class TestDocumentSpectrum:
         ]
         view = build_view(docs, toy_table)
         frame = make_frame("bad", "good", toy_table)
-        b = corpus_bias(view, frame, toy_table)
-        entries = document_spectrum(view, frame, toy_table, b)
+        entries = document_spectrum(view, frame, toy_table)
+        full_stream = oracles.counted_stream(docs, toy_table, set())
+        contrib = oracles.contributions_by_token(full_stream, toy_table, frame)
+        baseline = oracles.stream_bias(full_stream, contrib)
         expected = {}
         for doc in docs:
             stream = oracles.counted_stream([doc], toy_table, set())
-            contrib = oracles.contributions_by_token(stream, toy_table, frame)
-            expected[doc.doc_id] = oracles.stream_bias(stream, contrib)
+            expected[doc.doc_id] = (oracles.stream_bias(stream, contrib),
+                                    oracles.stream_intensity(stream, contrib, baseline))
         assert [e.doc_id for e in entries] == sorted(expected, key=expected.get)
         for e in entries:
-            assert e.doc_bias == pytest.approx(expected[e.doc_id], abs=1e-12)
+            assert e.doc_bias == pytest.approx(expected[e.doc_id][0], abs=1e-12)
+            assert e.doc_intensity == pytest.approx(expected[e.doc_id][1], abs=1e-12)
 
     def test_same_bag_in_any_token_order_gives_equal_values(self):
         rng = np.random.default_rng(11)
@@ -506,7 +568,7 @@ class TestDocumentSpectrum:
         shuffled = [bag[i] for i in rng.permutation(len(bag))]
         docs = [make_document("a", " ".join(bag)), make_document("b", " ".join(shuffled))]
         view = build_view(docs, table)
-        first, second = document_spectrum(view, frame, table, 0.1)
+        first, second = document_spectrum(view, frame, table)
         assert first.doc_bias == second.doc_bias
         assert first.doc_intensity == second.doc_intensity
 
@@ -514,7 +576,7 @@ class TestDocumentSpectrum:
         docs = [make_document("full", "good"), make_document("hollow", "xyzzy")]
         view = build_view(docs, toy_table)
         frame = make_frame("bad", "good", toy_table)
-        entries = document_spectrum(view, frame, toy_table, 0.0)
+        entries = document_spectrum(view, frame, toy_table)
         assert entries[-1].doc_id == "hollow"
         assert entries[-1].doc_bias is None
         assert entries[-1].doc_intensity is None
@@ -528,16 +590,45 @@ class TestSeparation:
         docs = [make_document("d", "good bad great awful")]
         view = build_view(docs, toy_table)
         registry = self._registry(toy_table, [("bad", "good"), ("awful", "great")])
-        base = baseline_biases(view, registry, toy_table)
-        out = separation(view, view, registry, toy_table, base)
+        out = separation(view, view, view, registry, toy_table)
         assert all(s.delta_bias == 0.0 and s.delta_intensity == 0.0 for s in out)
 
-    def test_missing_baseline_is_error(self, toy_table):
-        docs = [make_document("d", "good bad")]
-        view = build_view(docs, toy_table)
+    def test_group_outside_the_full_view_is_error(self, toy_table):
+        full = build_view([make_document("d", "good bad")], toy_table)
+        other = build_view([make_document("e", "good great")], toy_table)
         registry = self._registry(toy_table, [("bad", "good")])
-        with pytest.raises(DataError, match="no baseline"):
-            separation(view, view, registry, toy_table, {})
+        with pytest.raises(DataError, match="not contained"):
+            separation(full, full, other, registry, toy_table)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_token_stream_oracle(self, seed):
+        """Both groups' bias and intensity about the full stream's bias, with
+        topic words masked, on more frames than one frame block holds."""
+        rng = np.random.default_rng(200 + seed)
+        table, docs, topics, view, frame = random_instance(rng)
+        view_a, view_b = split_by_group(view, "a")
+        if view_b.total_tokens == 0:
+            view_b = view_a
+        dim = table.dimension
+        frames = [frame] + [
+            Microframe(f"m{i}--p{i}", f"m{i}", f"p{i}", rng.normal(size=dim)) for i in range(70)
+        ]
+        out = separation(view, view_a, view_b, FrameRegistry(tuple(frames), ()), table)
+        full_stream = oracles.counted_stream(docs, table, topics)
+        stream_a = oracles.counted_stream(view_a.documents, table, topics)
+        stream_b = oracles.counted_stream(view_b.documents, table, topics)
+        for s, f in zip(out, frames):
+            contrib = oracles.contributions_by_token(full_stream, table, f)
+            baseline = oracles.stream_bias(full_stream, contrib)
+            assert s.frame_id == f.id
+            assert s.bias_a == pytest.approx(oracles.stream_bias(stream_a, contrib), abs=1e-12)
+            assert s.bias_b == pytest.approx(oracles.stream_bias(stream_b, contrib), abs=1e-12)
+            assert s.intensity_a == pytest.approx(
+                oracles.stream_intensity(stream_a, contrib, baseline), abs=1e-12)
+            assert s.intensity_b == pytest.approx(
+                oracles.stream_intensity(stream_b, contrib, baseline), abs=1e-12)
+            assert s.mean_intensity == pytest.approx(
+                oracles.stream_intensity(stream_a + stream_b, contrib, baseline), abs=1e-12)
 
     def test_planted_axis_attains_largest_bias_separation(self):
         from synthetic import planted_separation
@@ -554,8 +645,7 @@ class TestSeparation:
         vb = build_view(docs_b, toy_table)
         registry = self._registry(toy_table, [("bad", "good"), ("awful", "great"), ("slow", "meal")])
         full = build_view(docs_a + docs_b, toy_table)
-        base = baseline_biases(full, registry, toy_table)
-        out = separation(va, vb, registry, toy_table, base)
+        out = separation(full, va, vb, registry, toy_table)
         assert sorted(s.rank_bias for s in out) == [1, 2, 3]
         assert sorted(s.rank_intensity for s in out) == [1, 2, 3]
         for s in out:
