@@ -226,6 +226,9 @@ def _validate(cfg: RunConfig, origins: dict[str, str]) -> Command:
     for name in ("top_m", "k", "min_docs", "workers"):
         if getattr(cfg, name) < 1:
             raise bad(name, f"--{name.replace('_', '-')} must be >= 1")
+    if cfg.group_a is not None and cfg.group_a == cfg.group_b:
+        name = "group_b" if "group_b" in origins else "group_a"
+        raise bad(name, f"--group-a and --group-b must differ, both are {cfg.group_a!r}")
     chosen = _formats(cfg)
     unknown = chosen - {"tsv", "json", "svg"}
     if unknown:
@@ -305,7 +308,7 @@ def _build_registry(cfg: RunConfig, pairs, table):
 
 
 def _assemble(cfg: RunConfig):
-    """Corpus + pairs + filtered embedding table + registry + full view."""
+    """Filtered embedding table + registry + full view of the corpus."""
     docs, topics = _read_corpus(cfg)
     pairs = _load_pairs(cfg)
     wanted = {tok for d in docs for tok in d.tokens}
@@ -315,7 +318,7 @@ def _assemble(cfg: RunConfig):
     registry = _build_registry(cfg, pairs, table)
     with _stage("build corpus views"):
         full_view = build_view(docs, table, topics)
-    return docs, topics, table, registry, full_view
+    return table, registry, full_view
 
 
 def _resolve_frame(cfg: RunConfig, registry):
@@ -349,7 +352,7 @@ RESULT_COLUMNS = [f.name for f in fields(FramingResult)]
 
 
 def cmd_analyze(cfg: RunConfig) -> Report:
-    _, _, table, registry, full_view = _assemble(cfg)
+    table, registry, full_view = _assemble(cfg)
     with _stage("build corpus views"):
         target_view, _ = split_by_group(full_view, cfg.group)
     _progress(
@@ -389,12 +392,14 @@ SHIFT_COLUMNS = ["frame_id", "kind", "token", "shift_target", "shift_background"
 
 
 def cmd_shifts(cfg: RunConfig) -> Report:
-    _, _, table, registry, full_view = _assemble(cfg)
+    table, registry, full_view = _assemble(cfg)
     frame = _resolve_frame(cfg, registry)
     with _stage("build corpus views"):
         target_view, background_view = split_by_group(full_view, cfg.group)
         if background_view.total_tokens == 0:
-            raise DataError("background corpus is empty; every document has the target label")
+            why = (f"no document without label {cfg.group!r} has a countable token"
+                   if background_view.documents else "every document has the target label")
+            raise DataError(f"background corpus is empty; {why}")
     with _stage("analyze"):
         entries = word_shifts(
             full_view, target_view, background_view, frame, table, cfg.kind, cfg.k
@@ -413,7 +418,7 @@ SPECTRUM_COLUMNS = [f.name for f in fields(SpectrumEntry)]
 
 
 def cmd_spectrum(cfg: RunConfig) -> Report:
-    _, _, table, registry, full_view = _assemble(cfg)
+    table, registry, full_view = _assemble(cfg)
     frame = _resolve_frame(cfg, registry)
     with _stage("analyze"):
         entries = document_spectrum(full_view, frame, table)
@@ -431,38 +436,28 @@ MAP_COLUMNS = ["unit", "group", "n_docs", "bias", "intensity"]
 
 
 def cmd_map(cfg: RunConfig) -> Report:
-    docs, _, table, registry, full_view = _assemble(cfg)
+    table, registry, full_view = _assemble(cfg)
     frame = _resolve_frame(cfg, registry)
     with _stage("build unit views"):
+        docs = full_view.documents
         units = [doc.group if cfg.unit == "group" else doc.meta.get(cfg.unit) for doc in docs]
         units = [None if u is None else str(u) for u in units]
-        by_unit: dict[str, list[Document]] = {}
+        groups_of: dict[str, list[str]] = {}  # each unit's documents' group labels
         for doc, unit_value in zip(docs, units):
             if unit_value is not None:
-                by_unit.setdefault(unit_value, []).append(doc)
-        if not by_unit:
-            raise DataError(f"unit field {cfg.unit!r} missing from corpus metadata")
+                groups_of.setdefault(unit_value, []).append(doc.group or "")
+        if not groups_of:
+            raise DataError("no document has a group label" if cfg.unit == "group"
+                            else f"unit field {cfg.unit!r} missing from corpus metadata")
     with _stage("analyze"):
         stats = unit_statistics(full_view, frame, table, units)
         rows = []
-        skipped = 0
-        for unit_value in sorted(by_unit):
-            unit_docs = by_unit[unit_value]
-            if len(unit_docs) < cfg.min_docs or unit_value not in stats:
-                skipped += 1
-                continue
-            groups = sorted(d.group or "" for d in unit_docs)
-            majority = max(set(groups), key=lambda g: (groups.count(g), g))
-            bias, intensity = stats[unit_value]
-            rows.append(
-                {
-                    "unit": unit_value,
-                    "group": majority,
-                    "n_docs": len(unit_docs),
-                    "bias": bias,
-                    "intensity": intensity,
-                }
-            )
+        for unit_value, groups in sorted(groups_of.items()):
+            if len(groups) >= cfg.min_docs and unit_value in stats:
+                majority = max(set(groups), key=lambda g: (groups.count(g), g))
+                row = (unit_value, majority, len(groups), *stats[unit_value])
+                rows.append(dict(zip(MAP_COLUMNS, row)))
+        skipped = len(groups_of) - len(rows)
         if skipped:
             _progress(f"map: skipped {skipped} units below --min-docs {cfg.min_docs} or empty")
         if not rows:
@@ -482,16 +477,10 @@ SEPARATION_COLUMNS = [f.name for f in fields(SeparationResult)]
 
 
 def cmd_separation(cfg: RunConfig) -> Report:
-    docs, topics, table, registry, full_view = _assemble(cfg)
+    table, registry, full_view = _assemble(cfg)
     with _stage("build corpus views"):
-        docs_a = [d for d in docs if d.group == cfg.group_a]
-        docs_b = [d for d in docs if d.group == cfg.group_b]
-        if not docs_a:
-            raise DataError(f"no documents labeled {cfg.group_a!r}")
-        if not docs_b:
-            raise DataError(f"no documents labeled {cfg.group_b!r}")
-        view_a = build_view(docs_a, table, topics)
-        view_b = build_view(docs_b, table, topics)
+        view_a, _ = split_by_group(full_view, cfg.group_a)
+        view_b, _ = split_by_group(full_view, cfg.group_b)
     with _stage("analyze"):
         seps = separation(full_view, view_a, view_b, registry, table)
         selected = rank_sum_select(seps, cfg.top_m)

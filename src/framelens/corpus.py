@@ -13,9 +13,12 @@ from __future__ import annotations
 
 import json
 import unicodedata
-from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from functools import cached_property
+from itertools import chain, compress, repeat
+from types import MappingProxyType
+
+import numpy as np
 
 from .embeddings import EmbeddingTable
 from .errors import DataError
@@ -114,45 +117,39 @@ def make_document(
 class CorpusView:
     """Bag-of-words counts for a document set under one masking policy.
 
-    `counts` covers only tokens that are neither masked topic words nor
-    out-of-vocabulary; `total_tokens` is the sum of those counts.
+    Each token occurrence of `documents`, in document order, is coded once
+    in the int32 `codes`: its index in `tokens` when it is counted, or
+    -1 - j when it is `excluded[j]`, a masked or out-of-vocabulary type.
+    `tokens` are the counted types in sorted order and `token_counts` their
+    occurrence counts; `total_tokens` is the sum of those counts. Every
+    other form of the counts (`counts`, the halves of `split_by_group`, the
+    document triplets of `engine._doc_coo`) is derived from these arrays.
     """
 
     documents: tuple[Document, ...]
-    counts: dict[str, int]
-    total_tokens: int
+    tokens: tuple[str, ...]
+    token_counts: np.ndarray
+    codes: np.ndarray
+    excluded: tuple[str, ...]
     masked: frozenset[str]
     oov: frozenset[str]
-    topic_words: frozenset[str]
-    _table: EmbeddingTable = field(repr=False)
+
+    @property
+    def total_tokens(self) -> int:
+        return int(self.token_counts.sum())
+
+    @property
+    def counts(self) -> MappingProxyType:
+        """Read-only {token: count} of the counted tokens, in sorted order."""
+        return MappingProxyType(self._counts)
+
+    @cached_property
+    def _counts(self) -> dict[str, int]:
+        return dict(zip(self.tokens, self.token_counts.tolist()))
 
     def vocabulary(self) -> list[str]:
         """Counted tokens in canonical (sorted) order."""
-        return sorted(self.counts)
-
-
-def _classify(
-    documents: list[Document],
-    table: EmbeddingTable,
-    topics: frozenset[str],
-) -> CorpusView:
-    # Each distinct type is classified once for the whole view. The counts
-    # keep their types in first-occurrence order, as a loop over the
-    # occurrences would insert them.
-    totals = Counter(chain.from_iterable(doc.tokens for doc in documents))
-    vocabulary = table.vocabulary
-    masked = {tok for tok in totals if tok == UNK or tok in topics}
-    oov = {tok for tok in totals if tok not in vocabulary and tok not in masked}
-    counts = {tok: n for tok, n in totals.items() if tok in vocabulary and tok not in masked}
-    return CorpusView(
-        documents=tuple(documents),
-        counts=counts,
-        total_tokens=sum(counts.values()),
-        masked=frozenset(masked),
-        oov=frozenset(oov),
-        topic_words=topics,
-        _table=table,
-    )
+        return list(self.tokens)
 
 
 def build_view(
@@ -162,31 +159,75 @@ def build_view(
 ) -> CorpusView:
     """Classify every token occurrence into counted, masked, or OOV.
 
-    Raises DataError when nothing countable remains: the bias and
-    intensity denominators would be zero.
+    One pass collects the distinct types, each classified once; a second
+    codes every occurrence. Raises DataError when nothing countable
+    remains: the bias and intensity denominators would be zero.
     """
-    view = _classify(documents, table, frozenset(topic_words or ()))
-    if view.total_tokens == 0:
+    documents = tuple(documents)
+    topics = topic_words or ()
+    code = dict.fromkeys(chain.from_iterable(d.tokens for d in documents))
+    vocabulary = table.vocabulary
+    masked = {tok for tok in code if tok == UNK or tok in topics}
+    counted = sorted(tok for tok in code if tok in vocabulary and tok not in masked)
+    if not counted:
         raise DataError("empty corpus view")
-    return view
+    excluded = sorted(code.keys() - counted)
+    code.update(zip(counted, range(len(counted))))
+    code.update(zip(excluded, range(-1, -1 - len(excluded), -1)))
+    codes = np.fromiter(
+        map(code.__getitem__, chain.from_iterable(d.tokens for d in documents)),
+        np.int32,
+        count=sum(len(d.tokens) for d in documents),
+    )
+    return CorpusView(
+        documents=documents,
+        tokens=tuple(counted),
+        token_counts=np.bincount(codes[codes >= 0], minlength=len(counted)),
+        codes=codes,
+        excluded=tuple(excluded),
+        masked=frozenset(masked),
+        oov=frozenset(excluded).difference(masked),
+    )
+
+
+def _subview(view: CorpusView, in_docs: np.ndarray) -> CorpusView:
+    """The view of the documents that `in_docs` marks, counted from their
+    codes in `view`: the view that `build_view` gives for those documents."""
+    codes = view.codes[np.repeat(in_docs, [len(d.tokens) for d in view.documents])]
+    counts = np.bincount(codes[codes >= 0], minlength=len(view.tokens))
+    kept = np.flatnonzero(counts)
+    seen = np.unique(-1 - codes[codes < 0])
+    # parent code -> child code; a negative code -1 - j indexes from the end
+    lookup = np.zeros(len(view.tokens) + len(view.excluded), np.int32)
+    lookup[kept] = np.arange(len(kept))
+    lookup[len(lookup) - 1 - seen] = -1 - np.arange(len(seen))
+    excluded = [view.excluded[j] for j in seen.tolist()]
+    return CorpusView(
+        documents=tuple(compress(view.documents, in_docs)),
+        tokens=tuple(view.tokens[i] for i in kept.tolist()),
+        token_counts=counts[kept],
+        codes=lookup[codes],
+        excluded=tuple(excluded),
+        masked=view.masked.intersection(excluded),
+        oov=view.oov.intersection(excluded),
+    )
 
 
 def split_by_group(view: CorpusView, group: str) -> tuple[CorpusView, CorpusView]:
     """Partition a view into documents labeled `group` and the rest.
 
-    Both halves inherit the parent's masking policy and recompute their
-    counts. The target must end up with countable tokens; the background
-    may come out empty, whether because every document carries the label
-    or because the rest have nothing countable (callers that need a
-    background must check).
+    Both halves are counted from the parent's codes. The target must have
+    a countable token; the background may come out empty, whether because
+    every document carries the label or because the rest have nothing
+    countable (callers that need a background must check).
     """
-    target_docs = [d for d in view.documents if d.group == group]
-    if not target_docs:
+    labeled = np.array([d.group == group for d in view.documents], dtype=bool)
+    if not labeled.any():
         raise DataError(f"no documents labeled {group!r}")
-    rest_docs = [d for d in view.documents if d.group != group]
-    target = build_view(target_docs, view._table, set(view.topic_words))
-    background = _classify(rest_docs, view._table, view.topic_words)
-    return target, background
+    target = _subview(view, labeled)
+    if target.total_tokens == 0:
+        raise DataError(f"empty corpus view: no countable token in documents labeled {group!r}")
+    return target, _subview(view, ~labeled)
 
 
 def read_jsonl(path: str, config: NormalizerConfig | None = None) -> list[Document]:

@@ -34,7 +34,6 @@ seed gives byte-identical reports on every run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, repeat
 
 import numpy as np
 
@@ -160,10 +159,6 @@ def _power_of_two_scaled(x: np.ndarray) -> np.ndarray:
     return np.ldexp(x, -exponent)
 
 
-def _count_vector(view: CorpusView, tokens: list[str]) -> np.ndarray:
-    return np.array([view.counts[t] for t in tokens], dtype=np.float64)
-
-
 def _cosine_blocks(frames, unit_rows: np.ndarray):
     """Yield (frame slice, contributions) for at most _FRAME_BLOCK frames at a time.
 
@@ -190,28 +185,27 @@ def _frame_contributions(view: CorpusView, frame: Microframe, table: EmbeddingTa
     The bias is the 1×V product that `view_statistics` forms for one frame,
     so it is the bit-for-bit `corpus_bias` of the view.
     """
-    tokens = view.vocabulary()
-    if not tokens:
-        raise DataError("empty corpus view")
-    n = _count_vector(view, tokens)
+    tokens, (n,) = _counts_over(view, [view])
     _, c = next(_cosine_blocks([frame], table.unit_rows(tokens)))
     return tokens, n, c[0], float((c @ n / n.sum())[0])
 
 
-def _counts_over(tokens: list[str], views) -> list[np.ndarray]:
-    """The counts of each of `views` over `tokens`, the sorted vocabulary of
-    a full view that contains them all."""
+def _counts_over(full_view: CorpusView, views) -> tuple[list[str], list[np.ndarray]]:
+    """The sorted vocabulary of `full_view`, and the counts over it of each
+    of `views`: `full_view` itself or its document sets, none empty."""
+    tokens = full_view.vocabulary()
     positions = {t: i for i, t in enumerate(tokens)}
     out = []
     for view in views:
-        if not view.counts:
+        if not view.tokens:
             raise DataError("empty corpus view")
-        if not view.counts.keys() <= positions.keys():
+        index = [positions.get(t, -1) for t in view.tokens]
+        if -1 in index:
             raise DataError("view vocabulary is not contained in the full corpus")
         n = np.zeros(len(tokens))
-        n[[positions[t] for t in view.counts]] = list(view.counts.values())
+        n[index] = view.token_counts
         out.append(n)
-    return out
+    return tokens, out
 
 
 def _frame_statistics(frames, unit_rows: np.ndarray, weights, baseline=None):
@@ -254,10 +248,7 @@ def view_statistics(
     when it is None. The view's embedding rows are gathered once for all
     frames. Returns (bias, intensity) arrays of one value per frame.
     """
-    tokens = view.vocabulary()
-    if not tokens:
-        raise DataError("empty corpus view")
-    weights = [_count_vector(view, tokens)]
+    tokens, weights = _counts_over(view, [view])
     (bias,), (intensity,) = _frame_statistics(
         frames, table.unit_rows(tokens), weights, baseline
     )
@@ -289,49 +280,39 @@ def corpus_intensity(
 # Bootstrap null model and significance
 
 
-def _doc_coo(view: CorpusView, tokens: list[str]):
-    """Sparse (document, token) count triplets over the given token order,
-    plus per-document countable totals.
+def _doc_coo(view: CorpusView):
+    """Sparse (document, token) count triplets over the view's sorted
+    tokens, plus per-document countable totals.
 
-    Each counted occurrence is coded as ``document * V + token index``;
-    `np.unique` sorts and counts the codes, so triplets run in document
-    order and, within a document, in sorted-token order, and documents
-    with the same counts accumulate identically.
+    Each counted occurrence's code in `view.codes` becomes ``document * V +
+    token index``; `np.unique` sorts and counts these, so triplets run in
+    document order and, within a document, in sorted-token order, and
+    documents with the same counts accumulate identically.
     """
-    index = {t: i for i, t in enumerate(tokens)}
     docs = view.documents
-    cols = np.fromiter(map(index.get, chain.from_iterable(d.tokens for d in docs), repeat(-1)),
-                       np.intp)
     rows = np.repeat(np.arange(len(docs)), [len(d.tokens) for d in docs])
-    codes, counts = np.unique((rows * len(tokens) + cols)[cols >= 0], return_counts=True)
-    rows, cols = np.divmod(codes, len(tokens))
+    n_tokens = len(view.tokens)
+    codes, counts = np.unique((rows * n_tokens + view.codes)[view.codes >= 0], return_counts=True)
+    rows, cols = np.divmod(codes, n_tokens)
     vals = counts.astype(np.float64)
     return rows, cols, vals, np.bincount(rows, weights=vals, minlength=len(docs))
 
 
-def _resampled_counts(
-    view: CorpusView,
-    tokens: list[str],
-    counts: np.ndarray,
-    unit: str,
-    sample_size: int,
-    n: int,
-    seed: int,
-):
+def _resampled_counts(view: CorpusView, unit: str, sample_size: int, n: int, seed: int):
     """Yield `n` bootstrap resamples of `view` in batches of at most _BOOTSTRAP_BATCH.
 
-    Each batch is (B×V resampled token counts over `tokens`, the B sample
+    Each batch is (B×V resampled counts over the view's tokens, the B sample
     token totals), all drawn from one ``default_rng(seed)`` stream. The
     token unit draws `sample_size` tokens per sample (a multinomial over
-    `counts`). The document unit draws `sample_size` documents with
+    the view's counts). The document unit draws `sample_size` documents with
     replacement, redraws any all-empty sample, and sums the picked
     documents' counts.
     """
     rng = np.random.default_rng(seed)
     if unit == "document":
-        rows, cols, vals, doc_total = _doc_coo(view, tokens)
+        rows, cols, vals, doc_total = _doc_coo(view)
         n_docs = doc_total.shape[0]
-    probs = counts / counts.sum()
+    probs = view.token_counts / view.total_tokens
     for done in range(0, n, _BOOTSTRAP_BATCH):
         b = min(_BOOTSTRAP_BATCH, n - done)
         if unit == "token":
@@ -345,10 +326,11 @@ def _resampled_counts(
             bad = np.flatnonzero(totals == 0.0)
             picks[bad] = rng.integers(0, n_docs, size=(bad.size, sample_size))
             totals = doc_total[picks].sum(axis=1)
-        resampled = np.empty((b, len(tokens)))
+        resampled = np.empty((b, len(view.tokens)))
         for i, row_picks in enumerate(picks):
             times_picked = np.bincount(row_picks, minlength=n_docs)[rows]
-            resampled[i] = np.bincount(cols, weights=times_picked * vals, minlength=len(tokens))
+            resampled[i] = np.bincount(cols, weights=times_picked * vals,
+                                       minlength=len(view.tokens))
         yield resampled, totals
 
 
@@ -419,11 +401,8 @@ def bootstrap_null(
         raise DataError(f"sample size must be positive, got {sample_size}")
     if unit not in BOOTSTRAP_UNITS:
         raise DataError(f"unknown bootstrap unit {unit!r}")
-    tokens = full_view.vocabulary()
-    if not tokens:
-        raise DataError("empty corpus view")
-    counts = _count_vector(full_view, tokens)
-    draws = _resampled_counts(full_view, tokens, counts, unit, sample_size, n, seed)
+    tokens, (counts,) = _counts_over(full_view, [full_view])
+    draws = _resampled_counts(full_view, unit, sample_size, n, seed)
     *_, bias, intensity = _score_frames(
         [frame], table.unit_rows(tokens), counts, counts, draws, n
     )
@@ -542,7 +521,7 @@ def word_shifts(
     if kind not in SHIFT_KINDS:
         raise DataError(f"unknown shift kind {kind!r}")
     tokens, _, c, baseline = _frame_contributions(full_view, frame, table)
-    n_t, n_b = _counts_over(tokens, [target, background])
+    _, (n_t, n_b) = _counts_over(full_view, [target, background])
     shift_t = _shift_values(n_t, c, kind, baseline)
     shift_b = _shift_values(n_b, c, kind, baseline)
     union = np.flatnonzero(n_t + n_b)
@@ -566,8 +545,8 @@ def _group_sums(view: CorpusView, frame: Microframe, table: EmbeddingTable,
     taken from the same contributions. One `_doc_coo` pass; each group
     adds its (document, token) triplets in document order.
     """
-    tokens, _, c, baseline = _frame_contributions(view, frame, table)
-    rows, cols, vals, _ = _doc_coo(view, tokens)
+    _, _, c, baseline = _frame_contributions(view, frame, table)
+    rows, cols, vals, _ = _doc_coo(view)
     groups = group_of_doc[rows]
     kept = groups >= 0
     groups, vals, c = groups[kept], vals[kept], c[cols[kept]]
@@ -663,10 +642,7 @@ def separation(
     orders by |delta bias|. Ranks are 1-based, descending, ties by frame
     id.
     """
-    tokens = full_view.vocabulary()
-    if not tokens:
-        raise DataError("empty corpus view")
-    weights = [_count_vector(full_view, tokens), *_counts_over(tokens, [view_a, view_b])]
+    tokens, weights = _counts_over(full_view, [full_view, view_a, view_b])
     (_, bias_a, bias_b), (_, int_a, int_b) = _frame_statistics(
         frames, table.unit_rows(tokens), weights
     )
@@ -769,24 +745,10 @@ def analyze_frames(
         raise DataError(f"unknown bootstrap unit {bootstrap_unit!r}")
     if not registry.frames:
         raise DataError("no frames to analyze")
-    tokens_full = full_view.vocabulary()
-    tokens_target = target_view.vocabulary()
-    if not tokens_full or not tokens_target:
-        raise DataError("empty corpus view")
-    if not set(tokens_target) <= set(tokens_full):
-        raise DataError("target vocabulary is not contained in the full corpus")
-
-    n_full = _count_vector(full_view, tokens_full)
-    positions = {t: i for i, t in enumerate(tokens_full)}
-    n_target = np.zeros_like(n_full)
-    n_target[[positions[t] for t in tokens_target]] = _count_vector(target_view, tokens_target)
-    if bootstrap_unit == "token":
-        sample_size = target_view.total_tokens
-    else:
-        sample_size = max(len(target_view.documents), 1)
-    draws = _resampled_counts(
-        full_view, tokens_full, n_full, bootstrap_unit, sample_size, n_bootstrap, seed
-    )
+    tokens_full, (n_full, n_target) = _counts_over(full_view, [full_view, target_view])
+    sample_size = (target_view.total_tokens if bootstrap_unit == "token"
+                   else len(target_view.documents))
+    draws = _resampled_counts(full_view, bootstrap_unit, sample_size, n_bootstrap, seed)
     baseline, bias, intensity, null_bias, null_intensity = _score_frames(
         registry.frames, table.unit_rows(tokens_full), n_full, n_target, draws, n_bootstrap
     )

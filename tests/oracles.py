@@ -119,7 +119,8 @@ def load_embeddings_reference(path, vocab_filter=None):
 def classify_occurrences(docs, table, topic_words):
     """Every token occurrence of every document, one at a time, into counted,
     masked and OOV. Returns ``(counts, per_doc, masked, oov)``; the dicts
-    hold tokens in first-occurrence order."""
+    hold tokens in first-occurrence order, as the loop meets them, while a
+    view keeps its counts in sorted order."""
     counts, per_doc, masked, oov = {}, [], set(), set()
     for doc in docs:
         dc = {}

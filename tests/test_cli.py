@@ -107,6 +107,17 @@ def write_unit_corpus(tmp):
     return corpus
 
 
+def with_corpus(setup, docs):
+    """`setup` with its corpus replaced by `docs`."""
+    corpus = setup["tmp"] / "other.jsonl"
+    corpus.write_text("\n".join(json.dumps(d) for d in docs) + "\n", encoding="utf-8")
+    return {**setup, "corpus": str(corpus)}
+
+
+#: A group whose every token is out of vocabulary.
+OOV_DOC = {"id": "o1", "text": "xyzzy plugh", "group": "o"}
+
+
 def base_args(s, command):
     return [
         command,
@@ -278,6 +289,17 @@ class TestShifts:
             os.path.join(setup["out"], "shifts_bad--good_intensity.tsv")
         )
 
+    @pytest.mark.parametrize("docs, message", [
+        ([d for d in DOCS if d["group"] == "pos"], "every document has the target label"),
+        ([d for d in DOCS if d["group"] == "pos"] + [OOV_DOC],
+         "no document without label 'pos' has a countable token"),
+    ])
+    def test_empty_background_says_why(self, setup, capsys, docs, message):
+        args = base_args(with_corpus(setup, docs), "shifts")
+        assert main(args + ["--group", "pos", "--frame", "bad--good"]) == 2
+        err = capsys.readouterr().err
+        assert f"background corpus is empty; {message}" in err
+
 
 class TestSpectrum:
     def test_per_document_rows(self, setup):
@@ -320,6 +342,12 @@ class TestMap:
         )
         assert code == 2
         assert "missing from corpus metadata" in capsys.readouterr().err
+
+    def test_no_group_labels(self, setup, capsys):
+        docs = [{k: v for k, v in d.items() if k != "group"} for d in DOCS]
+        args = base_args(with_corpus(setup, docs), "map")
+        assert main(args + ["--frame", "bad--good", "--unit", "group", "--min-docs", "1"]) == 2
+        assert "no document has a group label" in capsys.readouterr().err
 
     def test_units_match_token_stream_oracle(self, setup, capsys):
         """Each unit's bias and intensity, about the bias of the whole corpus,
@@ -376,21 +404,49 @@ class TestSeparation:
             for column in header[1:]:
                 float(row[column])
 
-    def test_identical_groups_zero_deltas(self, setup):
+    def test_identical_groups_are_a_usage_error(self, setup, capsys, monkeypatch):
+        def unread(*args, **kwargs):
+            raise AssertionError("input read before the groups were checked")
+
+        monkeypatch.setattr(cli, "read_jsonl", unread)
         code = main(
             base_args(setup, "separation") + ["--group-a", "pos", "--group-b", "pos"]
         )
-        assert code == 0
-        _, _, rows = read_tsv(
-            os.path.join(setup["out"], "separation_pos_vs_pos.tsv")
-        )
-        assert all(float(r["delta_bias"]) == 0.0 for r in rows)
+        assert code == 1
+        assert "--group-a and --group-b must differ, both are 'pos'" in capsys.readouterr().err
+        assert not os.path.exists(setup["out"])
 
     def test_empty_group_fails(self, setup, capsys):
         code = main(
             base_args(setup, "separation") + ["--group-a", "pos", "--group-b", "zzz"]
         )
         assert code == 2
+
+
+class TestEmptyGroupViews:
+    """A group with no countable token names itself in the error."""
+
+    @pytest.mark.parametrize("command, extra", [
+        ("analyze", ["--group", "o", "--n-bootstrap", "5"]),
+        ("shifts", ["--group", "o", "--frame", "bad--good"]),
+        ("separation", ["--group-a", "o", "--group-b", "neg"]),
+        ("separation", ["--group-a", "pos", "--group-b", "o"]),
+    ])
+    def test_out_of_vocabulary_group(self, setup, capsys, command, extra):
+        args = base_args(with_corpus(setup, DOCS + [OOV_DOC]), command) + extra
+        assert main(args) == 2
+        assert ("empty corpus view: no countable token in documents labeled 'o'"
+                in capsys.readouterr().err)
+
+    def test_masked_group(self, setup, capsys):
+        topics = setup["tmp"] / "topics.txt"
+        topics.write_text("\n".join(d["text"] for d in DOCS if d["group"] == "pos"),
+                          encoding="utf-8")
+        args = base_args(setup, "analyze") + [
+            "--group", "pos", "--n-bootstrap", "5", "--topic-words", str(topics)]
+        assert main(args) == 2
+        assert ("empty corpus view: no countable token in documents labeled 'pos'"
+                in capsys.readouterr().err)
 
 
 class TestContributionsOncePerCommand:
@@ -670,6 +726,15 @@ class TestConfigValues:
         assert main(args + ["--group", "pos", "--config", str(cfg)]) == 1
         assert f"usage error: {cfg}:3: {message}" in capsys.readouterr().err
 
+    def test_equal_groups_name_the_line_that_set_them(self, setup, capsys):
+        cfg = setup["tmp"] / "run.cfg"
+        cfg.write_text("# groups\ngroup_a = pos\ngroup_b = pos\n", encoding="utf-8")
+        assert main(base_args(setup, "separation") + ["--config", str(cfg)]) == 1
+        assert (
+            f"usage error: {cfg}:3: group_b: --group-a and --group-b must differ, both are 'pos'"
+            in capsys.readouterr().err
+        )
+
     def test_a_number_for_a_string_key_is_that_string(self, setup, capsys):
         cfg = setup["tmp"] / "run.cfg"
         cfg.write_text("formats = 5\n", encoding="utf-8")
@@ -862,3 +927,20 @@ class TestTracedLayers:
         assert ("svg.render" in names) == wrote_svg
         metrics = spans.layer_metrics(spans.pass_spans(tracer, 0))
         assert metrics["reports.bytes"] > 0  # the writers got the report path first
+
+    def test_separation_group_views_are_traced(self, setup, perfbench_spans):
+        """Separation's group views come from `split_by_group`, so each of its
+        `corpus.view` spans counts every token of the corpus once."""
+        spans = perfbench_spans
+        tracer = spans.Tracer()
+        with spans.instrument(tracer, cli, svg, embedding_lines=0):
+            args = base_args(setup, "separation") + ["--group-a", "pos", "--group-b", "neg"]
+            assert main(args) == 0
+        views = [s.counts for s in tracer.spans if s.name == "corpus.view"]
+        docs = read_jsonl(setup["corpus"])
+        table = load_embeddings(setup["emb"])
+        counted = len(oracles.counted_stream(docs, table, set()))
+        raw = sum(len(d.tokens) for d in docs)
+        assert views == [{"counted": counted, "raw": raw}] * 3
+        metrics = spans.layer_metrics(spans.pass_spans(tracer, 0))
+        assert metrics["corpus.counted_ratio"] == counted / raw

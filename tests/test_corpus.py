@@ -1,7 +1,9 @@
+import copy
 import itertools
 import json
 import unicodedata
 
+import numpy as np
 import oracles
 import pytest
 from hypothesis import given, settings
@@ -132,6 +134,13 @@ class TestBuildView:
         view = build_view(docs, toy_table)
         assert view.counts == {"good": 2, "bad": 1}
         assert view.total_tokens == 3
+
+    def test_counts_are_sorted_read_only_and_copy_with_the_view(self, toy_table):
+        view = build_view([make_document("d", "good bad good")], toy_table)
+        assert list(view.counts.items()) == [("bad", 1), ("good", 2)]
+        with pytest.raises(TypeError):
+            view.counts["good"] = 5
+        assert copy.deepcopy(view).counts == view.counts
 
     def test_topic_word_masked(self, toy_table):
         docs = [make_document("d", "food was good food")]
@@ -278,12 +287,21 @@ def test_views_match_the_occurrence_loop(docs, topics):
 
     def check(view, subset, topic_set):
         counts, per_doc, masked, oov = oracles.classify_occurrences(subset, table, topic_set)
-        assert list(view.counts.items()) == list(counts.items())
+        assert list(view.counts.items()) == sorted(counts.items())
         assert (view.masked, view.oov) == (masked, oov)
         assert view.total_tokens == sum(counts.values())
+        # each document's codes decode to its occurrences, counted ones first
+        ends = np.cumsum([len(d.tokens) for d in subset])[:-1]
+        for doc, codes in zip(subset, np.split(view.codes, ends)):
+            codes = codes.tolist()
+            assert [view.tokens[c] for c in codes if c >= 0] == oracles.counted_stream(
+                [doc], table, topic_set
+            )
+            decoded = [view.tokens[c] if c >= 0 else view.excluded[-1 - c] for c in codes]
+            assert decoded == list(doc.tokens)
         # document triplets in document order, then sorted-token order
         tokens = view.vocabulary()
-        rows, cols, vals, doc_total = _doc_coo(view, tokens)
+        rows, cols, vals, doc_total = _doc_coo(view)
         expected = [(d, t, float(doc[t])) for d, doc in enumerate(per_doc) for t in sorted(doc)]
         assert list(zip(rows.tolist(), [tokens[c] for c in cols], vals.tolist())) == expected
         assert doc_total.tolist() == [float(sum(doc.values())) for doc in per_doc]
@@ -304,6 +322,11 @@ def test_views_match_the_occurrence_loop(docs, topics):
             target, background = split_by_group(view, "x")
             check(target, target_docs, topic_set)
             check(background, [d for d in documents if d.group != "x"], topic_set)
+            # a half is the view that its documents build on their own
+            own = build_view(target_docs, table, topic_set)
+            assert (target.tokens, target.excluded) == (own.tokens, own.excluded)
+            assert np.array_equal(target.token_counts, own.token_counts)
+            assert np.array_equal(target.codes, own.codes)
         # one view per unit, as `map` builds them
         for unit in ("x", "y", None):
             unit_docs = [d for d in documents if d.group == unit]

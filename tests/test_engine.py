@@ -728,6 +728,43 @@ class TestLogOdds:
         assert out[0][0] == "service"
 
 
+def _two_group_instance(rng):
+    """A random instance whose groups 'a' and 'b' both have countable tokens,
+    and the views that `build_view` makes of each group's documents."""
+    while True:
+        table, docs, topics, view, frame = random_instance(rng)
+        try:
+            own = [build_view([d for d in docs if d.group == g], table, topics) for g in "ab"]
+        except DataError:
+            continue
+        return table, view, frame, own
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_split_halves_give_the_numbers_of_views_built_on_their_own(seed):
+    """A `split_by_group` half, counted from its parent's codes, gives the
+    same statistics as a view built independently from the same documents."""
+    rng = np.random.default_rng(300 + seed)
+    table, view, frame, own = _two_group_instance(rng)
+    halves = split_by_group(view, "a")
+    frames = [frame] + [
+        Microframe(f"m{i}--p{i}", f"m{i}", f"p{i}", rng.normal(size=table.dimension))
+        for i in range(5)
+    ]
+    registry = FrameRegistry(tuple(frames), ())
+    for unit in ("token", "document"):
+        assert analyze_frames(
+            view, halves[0], registry, table, n_bootstrap=16, seed=seed, bootstrap_unit=unit
+        ) == analyze_frames(
+            view, own[0], registry, table, n_bootstrap=16, seed=seed, bootstrap_unit=unit
+        )
+    assert separation(view, *halves, registry, table) == separation(view, *own, registry, table)
+    for kind in ("bias", "intensity"):
+        assert word_shifts(view, *halves, frame, table, kind, k=0) == word_shifts(
+            view, *own, frame, table, kind, k=0
+        )
+
+
 class TestAnalyzePipeline:
     def _setup(self, toy_table):
         docs = [
