@@ -8,6 +8,9 @@ out (spectrum), and how two corpora differ (separation). A command-line
 tool wraps the pipeline and renders SVG reports.
 """
 
+# before the submodules: reports reads it when frames imports reports
+__version__ = "0.1.0"
+
 from .corpus import (
     CorpusView,
     Document,
@@ -65,8 +68,6 @@ from .relevance import (
     relevance_embedding,
     relevance_perplexity,
 )
-
-__version__ = "0.1.0"
 
 __all__ = [
     "CharGramPerplexity",

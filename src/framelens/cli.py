@@ -15,6 +15,7 @@ import sys
 from collections.abc import Callable
 from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, field, fields
+from itertools import chain
 
 from . import __version__, svg
 from .corpus import (
@@ -54,7 +55,15 @@ from .relevance import (
     relevance_embedding,
     relevance_perplexity,
 )
-from .reports import ensure_outdir, escape_stem, write_json, write_text, write_tsv
+from .reports import (
+    TSV_UNSAFE,
+    ensure_outdir,
+    escape_stem,
+    tsv_unsafe,
+    write_json,
+    write_text,
+    write_tsv,
+)
 from .textio import numbered_lines, open_text
 
 EXIT_OK = 0
@@ -311,13 +320,18 @@ def _assemble(cfg: RunConfig):
     """Filtered embedding table + registry + full view of the corpus."""
     docs, topics = _read_corpus(cfg)
     pairs = _load_pairs(cfg)
-    wanted = {tok for d in docs for tok in d.tokens}
-    wanted.update(w for p in pairs for w in p)
-    wanted.update(_inline_topics(cfg))
-    table = _load_table(cfg, wanted)
+    # One set serves as the embedding filter (corpus, pole and topic words)
+    # and then, without the words the corpus lacks, as build_view's corpus
+    # types, so no second set of every corpus type is held during the load.
+    types = set(chain.from_iterable(d.tokens for d in docs))
+    words = chain(chain.from_iterable(pairs), _inline_topics(cfg))
+    extra = {w for w in words if w not in types}
+    types |= extra
+    table = _load_table(cfg, types)
+    types -= extra
     registry = _build_registry(cfg, pairs, table)
     with _stage("build corpus views"):
-        full_view = build_view(docs, table, topics)
+        full_view = build_view(docs, table, topics, types=types)
     return table, registry, full_view
 
 
@@ -443,18 +457,28 @@ def cmd_map(cfg: RunConfig) -> Report:
         units = [doc.group if cfg.unit == "group" else doc.meta.get(cfg.unit) for doc in docs]
         units = [None if u is None else str(u) for u in units]
         groups_of: dict[str, list[str]] = {}  # each unit's documents' group labels
+        first_doc: dict[tuple[str, str], str] = {}  # (unit, group label) -> first document id
         for doc, unit_value in zip(docs, units):
             if unit_value is not None:
-                groups_of.setdefault(unit_value, []).append(doc.group or "")
+                group = doc.group or ""
+                groups_of.setdefault(unit_value, []).append(group)
+                first_doc.setdefault((unit_value, group), doc.doc_id)
         if not groups_of:
             raise DataError("no document has a group label" if cfg.unit == "group"
                             else f"unit field {cfg.unit!r} missing from corpus metadata")
+        unit_field = "group" if cfg.unit == "group" else f"meta field {cfg.unit!r}"
+        for (unit_value, _), doc_id in first_doc.items():
+            if tsv_unsafe(unit_value):
+                raise DataError(f"document {doc_id!r}: {unit_field} {unit_value!r} {TSV_UNSAFE}")
     with _stage("analyze"):
         stats = unit_statistics(full_view, frame, table, units)
         rows = []
         for unit_value, groups in sorted(groups_of.items()):
             if len(groups) >= cfg.min_docs and unit_value in stats:
                 majority = max(set(groups), key=lambda g: (groups.count(g), g))
+                if tsv_unsafe(majority):
+                    doc_id = first_doc[unit_value, majority]
+                    raise DataError(f"document {doc_id!r}: group {majority!r} {TSV_UNSAFE}")
                 row = (unit_value, majority, len(groups), *stats[unit_value])
                 rows.append(dict(zip(MAP_COLUMNS, row)))
         skipped = len(groups_of) - len(rows)
@@ -529,8 +553,10 @@ def cmd_relevance(cfg: RunConfig) -> Report:
             provider = CharGramPerplexity("\n".join(d.raw_text for d in docs))
             scores = relevance_perplexity(query, provider, templates)
         convention = "lower_is_more_relevant"
+    # the TSV leaves `details` out: it writes RELEVANCE_COLUMNS only
     rows = [
-        {"rank": i + 1, "frame_id": s.frame_id, "score": s.score, "method": s.method}
+        {"rank": i + 1, "frame_id": s.frame_id, "score": s.score, "method": s.method,
+         "details": s.details}
         for i, s in enumerate(scores)
     ]
     topic_words = sorted(query.topic_words)
@@ -543,7 +569,7 @@ def cmd_relevance(cfg: RunConfig) -> Report:
             "score_convention": convention,
             "topic_words": topic_words,
             "unresolved_topic_words": sorted(query.unresolved),
-            "scores": [{**row, "details": s.details} for row, s in zip(rows, scores)],
+            "scores": rows,
         },
     )
 
@@ -592,10 +618,15 @@ def _write_report(cfg: RunConfig, report: Report) -> None:
             written.append(report.stem + ext)
             return os.path.join(outdir, written[-1])
 
+        floats = {}
         if report.columns and "tsv" in chosen:
-            write_tsv(target(".tsv"), report.columns, report.rows, config, extra=report.extra)
+            floats = write_tsv(
+                target(".tsv"), report.columns, report.rows, config, extra=report.extra
+            )
         if report.payload is not None and "json" in chosen:
-            write_json(target(".json"), report.payload, config)
+            # the payload entry that is the TSV's rows reuses its float texts
+            reuse = {k: floats for k, v in report.payload.items() if v is report.rows}
+            write_json(target(".json"), report.payload, config, reuse)
         if report.chart and "svg" in chosen:
             write_text(target(".svg"), report.chart())
     _progress(f"wrote {', '.join(written)} in {outdir}")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import unicodedata
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, compress, repeat
@@ -156,16 +157,21 @@ def build_view(
     documents: list[Document],
     table: EmbeddingTable,
     topic_words: set[str] | None = None,
+    types: Iterable[str] | None = None,
 ) -> CorpusView:
     """Classify every token occurrence into counted, masked, or OOV.
 
-    One pass collects the distinct types, each classified once; a second
-    codes every occurrence. Raises DataError when nothing countable
-    remains: the bias and intensity denominators would be zero.
+    One pass collects the distinct types, each classified once, unless the
+    caller passes them as `types` (every distinct token of `documents`, in
+    any order); a second pass codes every occurrence. Raises DataError when
+    nothing countable remains: the bias and intensity denominators would be
+    zero.
     """
     documents = tuple(documents)
     topics = topic_words or ()
-    code = dict.fromkeys(chain.from_iterable(d.tokens for d in documents))
+    if types is None:
+        types = chain.from_iterable(d.tokens for d in documents)
+    code = dict.fromkeys(types)
     vocabulary = table.vocabulary
     masked = {tok for tok in code if tok == UNK or tok in topics}
     counted = sorted(tok for tok in code if tok in vocabulary and tok not in masked)

@@ -9,13 +9,13 @@ unnormalized (cosine similarity downstream handles scale).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .embeddings import EmbeddingTable
 from .errors import DataError
+from .reports import dumps
 from .textio import numbered_lines, open_text
 
 # Axes shorter than this are degenerate: contributions divide by the axis norm.
@@ -149,4 +149,4 @@ def registry_record(registry: FrameRegistry) -> dict:
 
 def registry_to_json(registry: FrameRegistry) -> str:
     """The audit record as JSON text, without provenance."""
-    return json.dumps(registry_record(registry), indent=2, sort_keys=False) + "\n"
+    return dumps(registry_record(registry)) + "\n"

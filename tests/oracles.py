@@ -2,6 +2,7 @@
 library's code paths: pure-Python arithmetic, token streams instead of
 count tables, sorting instead of rank bookkeeping."""
 
+import json
 import math
 
 import numpy as np
@@ -134,3 +135,21 @@ def classify_occurrences(docs, table, topic_words):
                 counts[tok] = counts.get(tok, 0) + 1
         per_doc.append(dc)
     return counts, per_doc, masked, oov
+
+
+def tsv_report(head: dict, columns, rows) -> str:
+    """A report TSV written one cell at a time: the provenance line, the
+    header, then per row each column's cell, empty for a missing key or
+    None, a float as the repr of the plain float, anything else as str."""
+
+    def cell(value) -> str:
+        if value is None:
+            return ""
+        if isinstance(value, float):
+            return repr(float(value))
+        return str(value)
+
+    lines = ["# " + json.dumps(head, sort_keys=True), "\t".join(columns)]
+    for row in rows:
+        lines.append("\t".join(cell(row.get(c)) for c in columns))
+    return "\n".join(lines) + "\n"

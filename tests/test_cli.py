@@ -315,6 +315,15 @@ class TestSpectrum:
         assert "toward bad" in content and "toward good" in content
 
 
+    def test_a_tab_in_a_document_id_is_a_data_error(self, setup, capsys):
+        """The TSV writer refuses a text cell that would split its row."""
+        docs = [{**d, "id": "p\t1"} if d["id"] == "p1" else d for d in DOCS]
+        args = base_args(with_corpus(setup, docs), "spectrum") + ["--frame", "bad--good"]
+        assert main(args) == 2
+        assert "report column 'doc_id': cell 'p\\t1' holds a TAB" in capsys.readouterr().err
+        assert os.listdir(setup["out"]) == []
+
+
 class TestMap:
     def test_units_and_filter(self, setup):
         code = main(
@@ -348,6 +357,28 @@ class TestMap:
         args = base_args(with_corpus(setup, docs), "map")
         assert main(args + ["--frame", "bad--good", "--unit", "group", "--min-docs", "1"]) == 2
         assert "no document has a group label" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "unit, change, message",
+        [
+            ("outlet", {"id": "n3", "meta": {"outlet": "Fox\tNews\nX"}},
+             "document 'n3': meta field 'outlet' 'Fox\\tNews\\nX'"),
+            ("outlet", {"id": "n3", "group": "neg\r", "meta": {"outlet": "solo"}},
+             "document 'n3': group 'neg\\r'"),
+            ("group", {"id": "n3", "group": "n\teg"}, "document 'n3': group 'n\\teg'"),
+        ],
+        ids=["unit", "majority-group", "group-unit"],
+    )
+    def test_a_tab_lf_or_cr_in_a_written_label_is_a_data_error(
+        self, setup, capsys, unit, change, message
+    ):
+        """A unit or majority group label would split its TSV cell."""
+        docs = [{**d, **change} if d["id"] == change["id"] else d for d in DOCS]
+        args = base_args(with_corpus(setup, docs), "map")
+        assert main(args + ["--frame", "bad--good", "--unit", unit, "--min-docs", "1"]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "TAB, LF or CR" in err
+        assert not os.path.exists(setup["out"])
 
     def test_units_match_token_stream_oracle(self, setup, capsys):
         """Each unit's bias and intensity, about the bias of the whole corpus,
@@ -604,11 +635,13 @@ class TestFramesBuild:
             ]
         )
         assert code == 0
-        doc = json.loads(open(os.path.join(setup["out"], "registry.json")).read())
+        text = open(os.path.join(setup["out"], "registry.json"), encoding="utf-8").read()
+        doc = json.loads(text)
         assert [f["id"] for f in doc["frames"]] == [
             "bad--good", "awful--great", "stale--fresh", "slow--fast"
         ]
         assert doc["dropped"] == []
+        assert text == json.dumps(doc, indent=2) + "\n"
 
 
 #: reader -> (file bytes, the line with a byte that is not UTF-8, exit code)

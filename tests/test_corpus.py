@@ -317,6 +317,14 @@ def test_views_match_the_occurrence_loop(docs, topics):
             continue
         view = build_view(documents, table, topic_set)
         check(view, documents, topic_set)
+        # given the distinct tokens, in any order, it builds the same view
+        types = sorted({tok for d in documents for tok in d.tokens}, reverse=True)
+        same = build_view(documents, table, topic_set, types=types)
+        assert (same.tokens, same.excluded, same.masked, same.oov) == (
+            view.tokens, view.excluded, view.masked, view.oov
+        )
+        assert np.array_equal(same.token_counts, view.token_counts)
+        assert np.array_equal(same.codes, view.codes)
         target_docs = [d for d in documents if d.group == "x"]
         if countable(target_docs, topic_set):
             target, background = split_by_group(view, "x")

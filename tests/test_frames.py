@@ -8,6 +8,7 @@ from framelens.frames import (
     build_registry,
     make_frame,
     read_pairs_tsv,
+    registry_record,
     registry_to_json,
 )
 
@@ -102,7 +103,9 @@ def test_read_pairs_tsv_malformed(tmp_path):
 
 def test_registry_json_export(toy_table):
     reg = build_registry([("bad", "good"), ("bad", "zzz")], toy_table)
-    doc = json.loads(registry_to_json(reg))
+    text = registry_to_json(reg)
+    assert text == json.dumps(registry_record(reg), indent=2) + "\n"
+    doc = json.loads(text)
     assert doc["frames"] == [
         {"id": "bad--good", "pole_minus": "bad", "pole_plus": "good"}
     ]
