@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -60,6 +60,16 @@ class EmbeddingTable:
 
     def __contains__(self, token: str) -> bool:
         return token in self._index
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The read-only float32 matrix, one row per token."""
+        return self._matrix
+
+    def rows_of(self, tokens: list[str]) -> np.ndarray:
+        """The row of each token in `matrix`, or -1 where the token is absent."""
+        rows = map(self._index.get, tokens, repeat(-1))
+        return np.fromiter(rows, dtype=np.intp, count=len(tokens))
 
     def vector_of(self, token: str) -> np.ndarray | None:
         """Return the stored float32 vector, or None when the token is absent.

@@ -12,7 +12,8 @@ as multinomial count resampling so no token strings are ever touched.
 Contributions are formed in one place, `_cosine_blocks`: the view's
 unit-length embedding rows (sorted-token order, float64 regardless of the
 table's storage dtype) times the unit axes of up to _FRAME_BLOCK frames,
-as one frames-major fb×V block. Every statistic is a count-weighted
+as one frames-major fb×V block. A block's axes are formed from the
+registry's pole rows only there. Every statistic is a count-weighted
 product on such a block: bias, intensity and their bootstrap nulls for
 many frames (`_score_frames`, `_frame_statistics`), and the per-token
 shifts and per-document or per-unit sums of one frame (`word_shifts`,
@@ -162,15 +163,17 @@ def _power_of_two_scaled(x: np.ndarray) -> np.ndarray:
 def _cosine_blocks(frames, unit_rows: np.ndarray):
     """Yield (frame slice, contributions) for at most _FRAME_BLOCK frames at a time.
 
-    Contributions are a frames-major fb×V block of cosines between each
-    frame's axis and each unit row. The block bounds memory at any
-    vocabulary size, and fb×V keeps BLAS packing frame-wide, not
-    vocabulary-wide, panels. Axes are stacked per block for the same reason.
+    `frames` is a `FrameRegistry`, or microframes, which become a registry
+    built by hand. Contributions are a frames-major fb×V block of cosines
+    between each frame's axis and each unit row. The block bounds memory at
+    any vocabulary size, and fb×V keeps BLAS packing frame-wide, not
+    vocabulary-wide, panels. Axes are formed per block for the same reason.
     """
-    frames = list(frames)
+    if not isinstance(frames, FrameRegistry):
+        frames = FrameRegistry(frames)
     for start in range(0, len(frames), _FRAME_BLOCK):
         block = slice(start, start + _FRAME_BLOCK)
-        axes = np.array([f.axis for f in frames[block]], dtype=np.float64)
+        axes = frames.axes(block)
         norms = np.linalg.norm(axes, axis=1)
         if np.any(norms == 0.0):
             raise DataError("zero-norm axis")
@@ -611,17 +614,19 @@ def baseline_biases(
 ) -> dict[str, float]:
     """Full-corpus bias per frame, with the embedding rows gathered once."""
     biases, _ = view_statistics(view, frames, table)
-    return {frame.id: b for frame, b in zip(frames, biases.tolist())}
+    return dict(zip(frames.ids, biases.tolist()))
 
 
 # ---------------------------------------------------------------------------
 # Separation and frame selection
 
 
-def _ordinal_ranks(keyed: list[tuple[float, str]]) -> dict[str, int]:
-    """1-based ranks, descending by value, deterministic ties by id."""
-    order = sorted(keyed, key=lambda kv: (-kv[0], kv[1]))
-    return {fid: i + 1 for i, (_, fid) in enumerate(order)}
+def _ordinal_ranks(values: np.ndarray, id_order: np.ndarray) -> np.ndarray:
+    """1-based ranks, descending by value, ties by `id_order`, each frame's
+    position in sorted id order."""
+    ranks = np.empty(len(values), dtype=np.intp)
+    ranks[np.lexsort((id_order, -values))] = np.arange(1, len(values) + 1)
+    return ranks
 
 
 def separation(
@@ -649,26 +654,27 @@ def separation(
     total_a = float(view_a.total_tokens)
     total_b = float(view_b.total_tokens)
     mean_int = (total_a * int_a + total_b * int_b) / (total_a + total_b)
-    ids = [frame.id for frame in frames]
-    rank_b = _ordinal_ranks(list(zip(np.abs(bias_a - bias_b).tolist(), ids)))
-    rank_i = _ordinal_ranks(list(zip(mean_int.tolist(), ids)))
-    columns = zip(ids, bias_a.tolist(), bias_b.tolist(), int_a.tolist(), int_b.tolist(),
-                  mean_int.tolist())
+    ids = frames.ids
+    id_order = np.empty(len(ids), dtype=np.intp)
+    id_order[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    rank_b = _ordinal_ranks(np.abs(bias_a - bias_b), id_order)
+    rank_i = _ordinal_ranks(mean_int, id_order)
+    columns = (bias_a, bias_b, int_a, int_b, mean_int, rank_b, rank_i, rank_b + rank_i)
     return [
         SeparationResult(
             frame_id=fid,
             delta_bias=ba - bb,
             delta_intensity=ia - ib,
-            rank_bias=rank_b[fid],
-            rank_intensity=rank_i[fid],
-            rank_sum=rank_b[fid] + rank_i[fid],
+            rank_bias=rb,
+            rank_intensity=ri,
+            rank_sum=rs,
             bias_a=ba,
             bias_b=bb,
             intensity_a=ia,
             intensity_b=ib,
             mean_intensity=mi,
         )
-        for fid, ba, bb, ia, ib, mi in columns
+        for fid, (ba, bb, ia, ib, mi, rb, ri, rs) in zip(ids, zip(*(c.tolist() for c in columns)))
     ]
 
 
@@ -743,19 +749,19 @@ def analyze_frames(
         raise DataError(f"need at least one bootstrap sample, got {n_bootstrap}")
     if bootstrap_unit not in BOOTSTRAP_UNITS:
         raise DataError(f"unknown bootstrap unit {bootstrap_unit!r}")
-    if not registry.frames:
+    if not len(registry):
         raise DataError("no frames to analyze")
     tokens_full, (n_full, n_target) = _counts_over(full_view, [full_view, target_view])
     sample_size = (target_view.total_tokens if bootstrap_unit == "token"
                    else len(target_view.documents))
     draws = _resampled_counts(full_view, bootstrap_unit, sample_size, n_bootstrap, seed)
     baseline, bias, intensity, null_bias, null_intensity = _score_frames(
-        registry.frames, table.unit_rows(tokens_full), n_full, n_target, draws, n_bootstrap
+        registry, table.unit_rows(tokens_full), n_full, n_target, draws, n_bootstrap
     )
     p_b, p_i, eff_b, eff_i = _significance(bias, intensity, null_bias, null_intensity)
     # FramingResult's fields between frame_id and n_bootstrap, in order
     columns = (bias, intensity, baseline, eff_b, eff_i, p_b, p_i)
     return [
-        FramingResult(frame.id, *row, n_bootstrap)
-        for frame, row in zip(registry.frames, zip(*(c.tolist() for c in columns)))
+        FramingResult(fid, *row, n_bootstrap)
+        for fid, row in zip(registry.ids, zip(*(c.tolist() for c in columns)))
     ]

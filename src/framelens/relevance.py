@@ -73,20 +73,23 @@ def relevance_embedding(
     ties by frame id. Topic and pole rows are normalised once and every
     cosine comes from one topic×pole product.
     """
-    frames = query.frames.frames
-    for frame in frames:
-        if frame.pole_plus not in table or frame.pole_minus not in table:
-            raise DataError(f"frame {frame.id!r} has a pole missing from the table")
-    poles = [f.pole_plus for f in frames] + [f.pole_minus for f in frames]
+    frames = query.frames
+    poles = [*frames.poles_plus, *frames.poles_minus]
+    missing = set(poles).difference(table.vocabulary)
+    if missing:
+        fid = next(fid for fid, plus, minus in zip(frames.ids, frames.poles_plus,
+                                                   frames.poles_minus)
+                   if plus in missing or minus in missing)
+        raise DataError(f"frame {fid!r} has a pole missing from the table")
     cosines = table.unit_rows(list(query.topic_words)) @ table.unit_rows(poles).T
     pole_means = ((cosines[:, : len(frames)] + cosines[:, len(frames) :]) / 2.0).T
     scores: list[RelevanceScore] = []
-    for frame, means in zip(frames, pole_means.tolist()):
+    for fid, means in zip(frames.ids, pole_means.tolist()):
         per_word = dict(zip(query.topic_words, means))
         score = sum(per_word.values()) / len(per_word)
         scores.append(
             RelevanceScore(
-                frame_id=frame.id,
+                frame_id=fid,
                 score=score,
                 method="embedding",
                 details={"per_topic_word": per_word},
@@ -207,19 +210,20 @@ def relevance_perplexity(
     (lower perplexity means more relevant), ties by frame id. Provider
     failures propagate with the offending sentence attached.
     """
+    frames = query.frames
     scores: list[RelevanceScore] = []
-    for frame in query.frames:
+    for fid, pole_plus, pole_minus in zip(frames.ids, frames.poles_plus, frames.poles_minus):
         per_word: dict[str, float] = {}
         for word in query.topic_words:
             pole_scores = []
-            for pole in (frame.pole_plus, frame.pole_minus):
+            for pole in (pole_plus, pole_minus):
                 sentences = build_templates(word, pole, templates)
                 pole_scores.append(min(provider.perplexity(s) for s in sentences))
             per_word[word] = pole_scores[0] + pole_scores[1]
         score = sum(per_word.values()) / len(per_word)
         scores.append(
             RelevanceScore(
-                frame_id=frame.id,
+                frame_id=fid,
                 score=score,
                 method="perplexity",
                 details={"per_topic_word": per_word},

@@ -153,3 +153,44 @@ def tsv_report(head: dict, columns, rows) -> str:
     for row in rows:
         lines.append("\t".join(cell(row.get(c)) for c in columns))
     return "\n".join(lines) + "\n"
+
+
+def frame_reference(pole_minus, pole_plus, table):
+    """One microframe built on its own, as the per-pair registry built each:
+    identical poles, then a missing minus pole, then a missing plus pole, then
+    an axis whose 1-D norm is below MIN_AXIS_NORM are DataErrors. Returns
+    ``(id, pole_minus, pole_plus, float64 axis)``."""
+    from framelens.errors import DataError
+    from framelens.frames import MIN_AXIS_NORM
+
+    if pole_minus == pole_plus:
+        raise DataError(f"identical poles: {pole_minus!r}")
+    vm = table.vector_of(pole_minus)
+    if vm is None:
+        raise DataError(f"missing pole: {pole_minus!r}")
+    vp = table.vector_of(pole_plus)
+    if vp is None:
+        raise DataError(f"missing pole: {pole_plus!r}")
+    axis = vp.astype(np.float64) - vm.astype(np.float64)
+    if float(np.linalg.norm(axis)) < MIN_AXIS_NORM:
+        raise DataError(f"zero axis: {pole_minus!r} and {pole_plus!r} coincide")
+    return f"{pole_minus}--{pole_plus}", pole_minus, pole_plus, axis
+
+
+def registry_reference(pairs, table):
+    """The registry one pair at a time: ``(kept, dropped)``, both in input
+    order, with `kept` holding `frame_reference` tuples and `dropped`
+    ``((pole_minus, pole_plus), reason)``. A repeated frame id raises."""
+    from framelens.errors import DataError
+
+    kept, dropped, seen = [], [], set()
+    for pole_minus, pole_plus in pairs:
+        fid = f"{pole_minus}--{pole_plus}"
+        if fid in seen:
+            raise DataError(f"duplicate frame id: {fid!r}")
+        seen.add(fid)
+        try:
+            kept.append(frame_reference(pole_minus, pole_plus, table))
+        except DataError as exc:
+            dropped.append(((pole_minus, pole_plus), str(exc)))
+    return kept, dropped

@@ -13,7 +13,7 @@ from framelens import cli, engine, reports, svg
 from framelens.cli import main
 from framelens.corpus import read_jsonl
 from framelens.embeddings import EmbeddingTable, load_embeddings
-from framelens.frames import make_frame
+from framelens.frames import build_registry, make_frame, read_pairs_tsv
 
 import oracles
 
@@ -644,6 +644,17 @@ class TestFramesBuild:
         assert text == json.dumps(doc, indent=2) + "\n"
 
 
+    def test_duplicate_frame_id_names_its_lines_before_the_load(self, setup, capsys):
+        pairs = setup["tmp"] / "dup_pairs.tsv"
+        pairs.write_text("# lexicon\nbad\tgood\nslow\tfast\nbad\tgood\n", encoding="utf-8")
+        code = main(["frames", "build", "--embeddings", setup["emb"],
+                     "--pairs", str(pairs), "--out", setup["out"]])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{pairs}:4: duplicate frame id 'bad--good' (first on line 2)" in err
+        assert "embeddings:" not in err  # the table was never loaded
+
+
 #: reader -> (file bytes, the line with a byte that is not UTF-8, exit code)
 BAD_UTF8 = {
     "emb": (EMBEDDINGS.encode() + "caf\u00e9 1 2 3\n".encode() + b"x\xff 1 2 3\n", 15, 2),
@@ -674,6 +685,48 @@ class TestInvalidUtf8:
                 "--topics", "meal", "--method", "perplexity", "--templates", str(path)]
         assert main(args) == code
         assert f"{path}:{line}: not valid UTF-8" in capsys.readouterr().err
+
+
+#: reader -> its content in the fixture, or a file that changes the reports
+#: when its first record is read
+BOM_READERS = {
+    "emb": EMBEDDINGS,
+    "corpus": "\n".join(json.dumps(d) for d in DOCS) + "\n",
+    "pairs": PAIRS,
+    "topic-words": "meal\nthe\n",
+    "templates": "{topic} are {pole}.\n{topic} is {pole}.\n",
+    "config": "seed = 3\nn_bootstrap = 12\n",
+}
+
+
+class TestByteOrderMark:
+    """One UTF-8 byte order mark at the start of any input is skipped: the
+    reports equal those of the same file without it."""
+
+    @staticmethod
+    def _reports(setup, reader, path):
+        inputs = {**setup, reader: str(path), "out": str(setup["tmp"] / f"out_{path.name}")}
+        args = base_args(inputs, "analyze") + ["--group", "pos", "--n-bootstrap", "5"]
+        if reader in ("topic-words", "config"):
+            args += [f"--{reader}", str(path)]
+        elif reader == "templates":
+            args = base_args(inputs, "relevance") + [
+                "--topics", "meal", "--method", "perplexity", "--templates", str(path)]
+        if reader == "config":
+            args.remove("--seed")
+            args.remove("7")
+        assert main(args + ["--formats", "tsv"]) == 0
+        (name,) = os.listdir(inputs["out"])
+        text = open(os.path.join(inputs["out"], name), encoding="utf-8").read()
+        return text.split("\n", 1)[1]  # without the provenance line, which names the inputs
+
+    @pytest.mark.parametrize("reader", list(BOM_READERS))
+    def test_reader_skips_a_leading_mark(self, setup, reader):
+        plain = setup["tmp"] / f"plain_{reader}"
+        plain.write_text(BOM_READERS[reader], encoding="utf-8")
+        marked = setup["tmp"] / f"marked_{reader}"
+        marked.write_bytes(b"\xef\xbb\xbf" + BOM_READERS[reader].encode("utf-8"))
+        assert self._reports(setup, reader, marked) == self._reports(setup, reader, plain)
 
 
 class TestConfigPrecedence:
@@ -960,6 +1013,10 @@ class TestTracedLayers:
         assert ("svg.render" in names) == wrote_svg
         metrics = spans.layer_metrics(spans.pass_spans(tracer, 0))
         assert metrics["reports.bytes"] > 0  # the writers got the report path first
+        registry = build_registry(read_pairs_tsv(setup["pairs"]), load_embeddings(setup["emb"]))
+        (built,) = [s.counts for s in tracer.spans if s.name == "frames.registry" and s.counts]
+        assert built == {"kept_frames": len(registry), "dropped_frames": len(registry.dropped)}
+        assert (metrics["frames.kept"], metrics["frames.dropped"]) == (4, 0)
 
     def test_separation_group_views_are_traced(self, setup, perfbench_spans):
         """Separation's group views come from `split_by_group`, so each of its

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from framelens import engine
 from framelens.corpus import build_view, make_document, split_by_group
 from framelens.engine import (
     FramingResult,
@@ -650,6 +651,66 @@ class TestSeparation:
         assert sorted(s.rank_intensity for s in out) == [1, 2, 3]
         for s in out:
             assert s.rank_sum == s.rank_bias + s.rank_intensity
+
+
+    def test_ranks_match_a_sort_with_ties_by_id(self, toy_table):
+        """Frames with equal axes tie on both statistics; each tie goes to the
+        smaller id, whatever the registry order."""
+        rng = np.random.default_rng(4)
+        axes = [rng.normal(size=3) for _ in range(3)]
+        frames = [Microframe(f"f{i}--x", f"f{i}", "x", axes[i % 3].copy()) for i in range(9)]
+        registry = FrameRegistry(reversed(frames), ())
+        docs_a = [make_document("a", "good great service", group="x")]
+        docs_b = [make_document("b", "bad awful meal", group="y")]
+        full = build_view(docs_a + docs_b, toy_table)
+        va, vb = build_view(docs_a, toy_table), build_view(docs_b, toy_table)
+        out = separation(full, va, vb, registry, toy_table)
+
+        def ranks(key):
+            order = sorted(out, key=lambda s: (-key(s), s.frame_id))
+            return {s.frame_id: i + 1 for i, s in enumerate(order)}
+
+        by_bias = ranks(lambda s: abs(s.bias_a - s.bias_b))
+        by_intensity = ranks(lambda s: s.mean_intensity)
+        assert len(set(s.mean_intensity for s in out)) == 3  # three tied triples
+        for s in out:
+            assert (s.rank_bias, s.rank_intensity) == (by_bias[s.frame_id],
+                                                       by_intensity[s.frame_id])
+            assert s.rank_sum == s.rank_bias + s.rank_intensity
+
+
+class TestCosineBlocks:
+    """`_cosine_blocks` forms each block's axes from the registry's rows:
+    over a built registry, a registry built by hand from its frames, or a
+    list of frames, the blocks are bit for bit those of the stacked
+    `frame.axis` arrays."""
+
+    @staticmethod
+    def _stacked(frames, unit_rows):
+        for start in range(0, len(frames), 64):
+            axes = np.array([f.axis for f in frames[start:start + 64]])
+            axes /= np.linalg.norm(axes, axis=1)[:, None]
+            yield axes @ unit_rows.T
+
+    def test_every_registry_kind_gives_the_stacked_blocks(self):
+        rng = np.random.default_rng(11)
+        vectors = {f"w{i}": rng.normal(size=7).tolist() for i in range(160)}
+        table = table_from_dict(vectors)
+        pairs = [(f"w{i}", f"w{i + 1}") for i in range(0, 150)]
+        built = build_registry(pairs, table)
+        frames = built.frames
+        unit_rows = table.unit_rows([f"w{i}" for i in range(0, 160, 3)])
+        expected = list(self._stacked(frames, unit_rows))
+        assert len(expected) == 3
+        for source in (built, FrameRegistry(frames, ()), list(frames)):
+            blocks = list(engine._cosine_blocks(source, unit_rows))
+            assert [b for b, _ in blocks] == [slice(0, 64), slice(64, 128), slice(128, 192)]
+            for (_, got), want in zip(blocks, expected):
+                assert got.tobytes() == want.tobytes()
+        for frame in frames[::37]:
+            ((_, got),) = engine._cosine_blocks([frame], unit_rows)
+            (want,) = self._stacked([frame], unit_rows)
+            assert got.tobytes() == want.tobytes()
 
 
 class TestRankSumSelect:
