@@ -17,6 +17,7 @@ from .corpus import (
     NormalizerConfig,
     UNK,
     build_view,
+    group_view,
     make_document,
     read_jsonl,
     read_topic_words,
@@ -99,6 +100,7 @@ __all__ = [
     "corpus_bias",
     "corpus_intensity",
     "document_spectrum",
+    "group_view",
     "load_embeddings",
     "log_odds_dirichlet",
     "make_document",

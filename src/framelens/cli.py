@@ -22,6 +22,7 @@ from .corpus import (
     Document,
     NormalizerConfig,
     build_view,
+    group_view,
     read_jsonl,
     read_topic_words,
     split_by_group,
@@ -368,7 +369,7 @@ RESULT_COLUMNS = [f.name for f in fields(FramingResult)]
 def cmd_analyze(cfg: RunConfig) -> Report:
     table, registry, full_view = _assemble(cfg)
     with _stage("build corpus views"):
-        target_view, _ = split_by_group(full_view, cfg.group)
+        target_view = group_view(full_view, cfg.group)
     _progress(
         f"analyze: {len(registry)} frames, target {target_view.total_tokens} tokens "
         f"of {full_view.total_tokens}, {cfg.n_bootstrap} bootstraps"
@@ -503,8 +504,8 @@ SEPARATION_COLUMNS = [f.name for f in fields(SeparationResult)]
 def cmd_separation(cfg: RunConfig) -> Report:
     table, registry, full_view = _assemble(cfg)
     with _stage("build corpus views"):
-        view_a, _ = split_by_group(full_view, cfg.group_a)
-        view_b, _ = split_by_group(full_view, cfg.group_b)
+        view_a = group_view(full_view, cfg.group_a)
+        view_b = group_view(full_view, cfg.group_b)
     with _stage("analyze"):
         seps = separation(full_view, view_a, view_b, registry, table)
         selected = rank_sum_select(seps, cfg.top_m)
@@ -654,7 +655,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="output directory (default ./reports)")
     p.add_argument(
         "--workers", type=int,
-        help="accepted for compatibility; no effect, frames share one set of draws",
+        help="deprecated: no effect (frames share one set of draws); will be removed",
     )
     p.add_argument("--keep-case", dest="keep_case", action="store_true", default=None,
                    help="do not lowercase corpus tokens")

@@ -219,6 +219,17 @@ def _subview(view: CorpusView, in_docs: np.ndarray) -> CorpusView:
     )
 
 
+def group_view(view: CorpusView, group: str) -> CorpusView:
+    """The labeled half of `split_by_group`, with its errors, counted alone."""
+    labeled = np.array([d.group == group for d in view.documents], dtype=bool)
+    if not labeled.any():
+        raise DataError(f"no documents labeled {group!r}")
+    target = _subview(view, labeled)
+    if target.total_tokens == 0:
+        raise DataError(f"empty corpus view: no countable token in documents labeled {group!r}")
+    return target
+
+
 def split_by_group(view: CorpusView, group: str) -> tuple[CorpusView, CorpusView]:
     """Partition a view into documents labeled `group` and the rest.
 
@@ -227,20 +238,17 @@ def split_by_group(view: CorpusView, group: str) -> tuple[CorpusView, CorpusView
     every document carries the label or because the rest have nothing
     countable (callers that need a background must check).
     """
-    labeled = np.array([d.group == group for d in view.documents], dtype=bool)
-    if not labeled.any():
-        raise DataError(f"no documents labeled {group!r}")
-    target = _subview(view, labeled)
-    if target.total_tokens == 0:
-        raise DataError(f"empty corpus view: no countable token in documents labeled {group!r}")
-    return target, _subview(view, ~labeled)
+    rest = np.array([d.group != group for d in view.documents], dtype=bool)
+    return group_view(view, group), _subview(view, rest)
 
 
 def read_jsonl(path: str, config: NormalizerConfig | None = None) -> list[Document]:
     """Read a JSONL corpus: one object per line with `id`, `text`,
-    optional `group`, optional `meta`. Ids must be unique."""
+    optional `group`, optional `meta`. Ids must be unique. Equal tokens
+    are one string object across the corpus: one string per token type."""
     docs: list[Document] = []
     first_line: dict[str, int] = {}
+    canon: dict[str, str] = {}
     try:
         fh = open_text(path)
     except OSError as exc:
@@ -267,13 +275,14 @@ def read_jsonl(path: str, config: NormalizerConfig | None = None) -> list[Docume
             if first != lineno:
                 raise DataError(f"{path}:{lineno}: duplicate id {doc_id!r} (first on line {first})")
             group = obj.get("group")
+            toks = tokenize(obj["text"], config)
             docs.append(
-                make_document(
+                Document(
                     doc_id=doc_id,
                     raw_text=obj["text"],
+                    tokens=tuple(map(canon.setdefault, toks, toks)),
                     group=str(group) if group is not None else None,
                     meta=meta,
-                    config=config,
                 )
             )
     if not docs:

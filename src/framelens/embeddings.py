@@ -83,17 +83,25 @@ class EmbeddingTable:
         return self._matrix[i]
 
     def unit_rows(self, tokens: list[str]) -> np.ndarray:
-        """Vectors for `tokens` (all must be present) as float64 rows of unit length."""
-        try:
-            rows = [self._index[t] for t in tokens]
-        except KeyError as exc:
-            raise DataError(f"token not in embedding table: {exc.args[0]!r}") from None
-        matrix = self._matrix[rows].astype(np.float64)
-        norms = np.linalg.norm(matrix, axis=1)
-        if np.any(norms == 0.0):
-            raise DataError("zero-norm vector has no direction")
-        matrix /= norms[:, None]
-        return matrix
+        """Vectors for `tokens` (all must be present) as float64 rows of unit length.
+
+        The result is the only V×d array held: each slice of rows is gathered,
+        cast and divided in place by ``sqrt(add.reduce(x * x, axis=1))``, as
+        `np.linalg.norm` does, so rows are bit for bit the one-shot ones.
+        """
+        rows = self.rows_of(tokens)
+        if -1 in rows:  # argmin is the first absent token
+            raise DataError(f"token not in embedding table: {tokens[rows.argmin()]!r}")
+        out = np.empty((len(rows), self.dimension))
+        step = max(1, _CHUNK_COMPONENTS // self.dimension)
+        for start in range(0, len(rows), step):
+            part = out[start:start + step]
+            part[...] = self._matrix[rows[start:start + step]]
+            norms = np.sqrt(np.add.reduce(part * part, axis=1))
+            if np.any(norms == 0.0):
+                raise DataError("zero-norm vector has no direction")
+            part /= norms[:, None]
+        return out
 
 
 def _looks_like_header(parts: list[str]) -> bool:
@@ -109,7 +117,7 @@ def _looks_like_header(parts: list[str]) -> bool:
 #: Components per bulk parse of kept records: a chunk's float32 block stays at
 #: 64 KiB, below glibc's default 128 KiB mmap threshold. Larger chunks, and
 #: blocks grown by reallocation, raised the peak RSS of a process that loads
-#: a table many times.
+#: a table many times. `unit_rows` works in slices of as many components.
 _CHUNK_COMPONENTS = 1 << 14
 
 #: Characters of dropped records per field count: each array of the count

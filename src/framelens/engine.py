@@ -13,11 +13,12 @@ Contributions are formed in one place, `_cosine_blocks`: the view's
 unit-length embedding rows (sorted-token order, float64 regardless of the
 table's storage dtype) times the unit axes of up to _FRAME_BLOCK frames,
 as one frames-major fb×V block. A block's axes are formed from the
-registry's pole rows only there. Every statistic is a count-weighted
-product on such a block: bias, intensity and their bootstrap nulls for
-many frames (`_score_frames`, `_frame_statistics`), and the per-token
-shifts and per-document or per-unit sums of one frame (`word_shifts`,
-`document_spectrum`, `unit_statistics`).
+registry's pole rows only there, and a sweep writes every block into one
+fb×V buffer, valid until the next block is requested. Every statistic is
+a count-weighted product on such a block: bias, intensity and their
+bootstrap nulls for many frames (`_score_frames`, `_frame_statistics`),
+and the per-token shifts and per-document or per-unit sums of one frame
+(`word_shifts`, `document_spectrum`, `unit_statistics`).
 
 Each frame's contributions are computed once per command, over the full
 view's vocabulary. Every narrower document set (a target and its
@@ -168,9 +169,12 @@ def _cosine_blocks(frames, unit_rows: np.ndarray):
     between each frame's axis and each unit row. The block bounds memory at
     any vocabulary size, and fb×V keeps BLAS packing frame-wide, not
     vocabulary-wide, panels. Axes are formed per block for the same reason.
+    Every block is written into one buffer: a yielded block is valid until
+    the next one is requested, and a caller may change it in place.
     """
     if not isinstance(frames, FrameRegistry):
         frames = FrameRegistry(frames)
+    buf = np.empty((min(_FRAME_BLOCK, len(frames)), len(unit_rows)))
     for start in range(0, len(frames), _FRAME_BLOCK):
         block = slice(start, start + _FRAME_BLOCK)
         axes = frames.axes(block)
@@ -178,7 +182,7 @@ def _cosine_blocks(frames, unit_rows: np.ndarray):
         if np.any(norms == 0.0):
             raise DataError("zero-norm axis")
         axes /= norms[:, None]
-        yield block, axes @ unit_rows.T
+        yield block, np.matmul(axes, unit_rows.T, out=buf[:len(axes)])
 
 
 def _frame_contributions(view: CorpusView, frame: Microframe, table: EmbeddingTable):
@@ -372,6 +376,7 @@ def _score_frames(
             np.square(c, out=c)
             intensity[block] = c @ n_target / total_target
             null_intensity[block, batch] = c @ resampled.T / sizes
+        del c  # the next batch's sweep makes its own buffer; free this one first
         done += len(sizes)
     return baseline, bias, intensity, null_bias, null_intensity
 

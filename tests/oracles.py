@@ -194,3 +194,22 @@ def registry_reference(pairs, table):
         except DataError as exc:
             dropped.append(((pole_minus, pole_plus), str(exc)))
     return kept, dropped
+
+
+def unit_rows_reference(table, tokens):
+    """The one-shot unit rows: gather every row, cast the whole block to
+    float64, divide it by its `np.linalg.norm` row norms. A missing token,
+    then a zero row, is a DataError."""
+    from framelens.errors import DataError
+
+    index = {t: i for i, t in enumerate(table.vocabulary)}
+    try:
+        rows = [index[t] for t in tokens]
+    except KeyError as exc:
+        raise DataError(f"token not in embedding table: {exc.args[0]!r}") from None
+    matrix = table.matrix[rows].astype(np.float64)
+    norms = np.linalg.norm(matrix, axis=1)
+    if np.any(norms == 0.0):
+        raise DataError("zero-norm vector has no direction")
+    matrix /= norms[:, None]
+    return matrix

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from framelens import cli, engine, reports, svg
+from framelens import cli, corpus, engine, reports, svg
 from framelens.cli import main
 from framelens.corpus import read_jsonl
 from framelens.embeddings import EmbeddingTable, load_embeddings
@@ -522,6 +522,28 @@ class TestContributionsOncePerCommand:
         assert len(blocks) == -(-n_frames // 64) and sum(blocks) == n_frames
 
 
+class TestGroupViewsOnly:
+    """A command counts only the document sets it uses: analyze and
+    separation build their labeled groups' views and no background."""
+
+    @pytest.mark.parametrize("command, extra, n_views", [
+        ("analyze", ["--group", "pos", "--n-bootstrap", "5"], 1),
+        ("separation", ["--group-a", "pos", "--group-b", "neg"], 2),
+        ("shifts", ["--group", "pos", "--frame", "bad--good"], 2),
+    ])
+    def test_subviews_built(self, setup, monkeypatch, command, extra, n_views):
+        built = []
+        subview = corpus._subview
+
+        def counted_subview(view, in_docs):
+            built.append(int(in_docs.sum()))
+            return subview(view, in_docs)
+
+        monkeypatch.setattr(corpus, "_subview", counted_subview)
+        assert main(base_args(setup, command) + extra + ["--formats", "tsv"]) == 0
+        assert built == [3] * n_views  # three documents in each group
+
+
 class TestRelevance:
     def test_embedding_method_ranks_related_frame_first(self, setup):
         code = main(
@@ -1018,9 +1040,11 @@ class TestTracedLayers:
         assert built == {"kept_frames": len(registry), "dropped_frames": len(registry.dropped)}
         assert (metrics["frames.kept"], metrics["frames.dropped"]) == (4, 0)
 
-    def test_separation_group_views_are_traced(self, setup, perfbench_spans):
-        """Separation's group views come from `split_by_group`, so each of its
-        `corpus.view` spans counts every token of the corpus once."""
+    def test_separation_views_are_traced(self, setup, perfbench_spans):
+        """Separation's full view comes from `build_view`, one `corpus.view`
+        span that counts every token of the corpus once. Its group views
+        come from `group_view`, which the traced names do not include, so
+        their time counts as `cli.self_s`."""
         spans = perfbench_spans
         tracer = spans.Tracer()
         with spans.instrument(tracer, cli, svg, embedding_lines=0):
@@ -1031,6 +1055,6 @@ class TestTracedLayers:
         table = load_embeddings(setup["emb"])
         counted = len(oracles.counted_stream(docs, table, set()))
         raw = sum(len(d.tokens) for d in docs)
-        assert views == [{"counted": counted, "raw": raw}] * 3
+        assert views == [{"counted": counted, "raw": raw}]
         metrics = spans.layer_metrics(spans.pass_spans(tracer, 0))
         assert metrics["corpus.counted_ratio"] == counted / raw

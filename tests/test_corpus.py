@@ -15,6 +15,7 @@ from framelens.corpus import (
     UNK,
     _strip_edge_punct,
     build_view,
+    group_view,
     make_document,
     read_jsonl,
     read_topic_words,
@@ -245,6 +246,35 @@ class TestSplitByGroup:
             split_by_group(view, "x")
 
 
+class TestGroupView:
+    """`group_view` is the labeled half of `split_by_group`, with its errors."""
+
+    DOCS = [("a", "good bad great", "x"), ("b", "awful service mystery", "y"),
+            ("c", "good food", "x"), ("d", "xyzzy", "z"), ("e", "bad", None)]
+
+    def test_equals_the_target_of_the_split(self, toy_table):
+        view = build_view([make_document(i, t, group=g) for i, t, g in self.DOCS],
+                          toy_table, {"food"})
+        for group in ("x", "y"):
+            got, (want, _) = group_view(view, group), split_by_group(view, group)
+            assert got.documents == want.documents
+            assert (got.tokens, got.excluded) == (want.tokens, want.excluded)
+            assert (got.masked, got.oov) == (want.masked, want.oov)
+            assert got.token_counts.tolist() == want.token_counts.tolist()
+            assert got.codes.tolist() == want.codes.tolist()
+
+    @pytest.mark.parametrize("group, message", [
+        ("w", "no documents labeled 'w'"),
+        ("z", "empty corpus view: no countable token in documents labeled 'z'"),
+    ])
+    def test_errors_are_those_of_the_split(self, toy_table, group, message):
+        view = build_view([make_document(i, t, group=g) for i, t, g in self.DOCS], toy_table)
+        for split in (group_view, split_by_group):
+            with pytest.raises(DataError) as exc:
+                split(view, group)
+            assert str(exc.value) == message
+
+
 @given(st.lists(st.booleans(), min_size=1, max_size=12))
 @settings(max_examples=60, deadline=None)
 def test_split_conserves_tokens_for_any_labeling(labels):
@@ -355,6 +385,21 @@ class TestIO:
         assert [d.doc_id for d in docs] == ["1", "2"]
         assert docs[0].tokens == ("good", "service")
         assert docs[1].meta == {"outlet": "x"}
+
+    def test_read_jsonl_keeps_one_string_per_token_type(self, tmp_path):
+        """Equal tokens are one object across documents and within one,
+        whichever tokenizer path produced them; the tokens are as
+        `make_document` gives them."""
+        p = tmp_path / "corpus.jsonl"
+        texts = ["Good food, good service", "GOOD  food!", "café good <UNK> food"]
+        p.write_text("".join(json.dumps({"id": str(i), "text": t}) + "\n"
+                             for i, t in enumerate(texts)), encoding="utf-8")
+        docs = read_jsonl(str(p))
+        assert [d.tokens for d in docs] == [make_document("", t).tokens for t in texts]
+        by_type = {}
+        for tok in itertools.chain.from_iterable(d.tokens for d in docs):
+            assert by_type.setdefault(tok, tok) is tok
+        assert set(by_type) == {"good", "food", "service", "café", UNK}
 
     def test_read_jsonl_missing_fields(self, tmp_path):
         p = tmp_path / "corpus.jsonl"

@@ -1,6 +1,7 @@
 import dataclasses
 import os
 import tempfile
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from framelens import embeddings
-from framelens.embeddings import load_embeddings
+from framelens.embeddings import EmbeddingTable, LoadStats, load_embeddings
 from framelens.errors import DataError
 
 
@@ -346,3 +347,92 @@ def test_queued_record_error_comes_before_a_later_invalid_line(tmp_path, second)
     path.write_bytes(b"a 1 2\n" + second.encode() + b"\n\xff 1 2\n")
     with pytest.raises(DataError, match="vecs.txt:2: vector has 3 components, expected 2"):
         load_embeddings(str(path), vocab_filter={"a", "b"})
+
+
+def _table_of(matrix: np.ndarray) -> EmbeddingTable:
+    """A table of float32 `matrix` with tokens t0, t1, ... in row order."""
+    index = {f"t{i}": i for i in range(len(matrix))}
+    return EmbeddingTable(dimension=matrix.shape[1], _index=index,
+                          _matrix=matrix.astype(np.float32), stats=LoadStats(kept=len(index)))
+
+
+def _unit_rows_outcome(unit_rows, table, tokens):
+    try:
+        rows = unit_rows(table, tokens)
+    except DataError as exc:
+        return str(exc)
+    return rows.dtype, rows.shape, rows.tobytes()
+
+
+@st.composite
+def _unit_row_cases(draw):
+    """A table, the slice size of `unit_rows`, and tokens to gather: none,
+    one, a slice less or more one, or three slices and more, with repeats,
+    and at most one missing token or zero row at any position."""
+    dim = draw(st.sampled_from([1, 2, 3, 7, 300]))
+    # the shipped slice size at d=300 (54 rows), smaller ones elsewhere
+    chunk = embeddings._CHUNK_COMPONENTS if dim == 300 else draw(st.integers(1, 64))
+    step = max(1, chunk // dim)
+    n = draw(st.sampled_from([0, 1, step - 1, step, step + 1, 3 * step, 3 * step + 2]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vocab = draw(st.integers(1, 12))
+    # rows from 1e-30 to 1e30 in scale, so norms round differently per row
+    matrix = (rng.standard_normal((vocab, dim))
+              * 10.0 ** rng.integers(-30, 31, size=(vocab, 1))).astype(np.float32)
+    matrix[~matrix.any(axis=1)] = 1.0
+    fault = draw(st.sampled_from([None, "zero", "missing"])) if n else None
+    if fault == "zero":
+        matrix = np.vstack([matrix, np.zeros((1, dim), np.float32)])
+    tokens = [f"t{i}" for i in rng.integers(0, vocab, size=n).tolist()]
+    if fault:
+        tokens[draw(st.integers(0, n - 1))] = "nowhere" if fault == "missing" else f"t{vocab}"
+    return _table_of(matrix), chunk, tokens
+
+
+@given(_unit_row_cases())
+@settings(max_examples=300, deadline=None)
+def test_unit_rows_match_the_one_shot_formula(case):
+    table, chunk, tokens = case
+    expected = _unit_rows_outcome(oracles.unit_rows_reference, table, tokens)
+    with mock.patch.object(embeddings, "_CHUNK_COMPONENTS", chunk):
+        got = _unit_rows_outcome(EmbeddingTable.unit_rows, table, tokens)
+    assert got == expected
+
+
+def test_unit_rows_errors_in_a_later_slice():
+    """A zero row, or a missing token, past the first slice of 54 rows at
+    d=300 gives the one-shot formula's DataError; the first missing token
+    is named."""
+    matrix = np.random.default_rng(3).standard_normal((200, 300))
+    matrix[150] = 0.0
+    table = _table_of(matrix)
+    assert max(1, embeddings._CHUNK_COMPONENTS // 300) == 54
+    cases = {
+        "zero-norm vector has no direction": [f"t{i}" for i in range(200)],
+        "token not in embedding table: 'gone'":
+            [f"t{i}" for i in range(120)] + ["gone"] + [f"t{i}" for i in range(150)] + ["lost"],
+    }
+    for message, tokens in cases.items():
+        assert _unit_rows_outcome(oracles.unit_rows_reference, table, tokens) == message
+        with pytest.raises(DataError) as exc:
+            table.unit_rows(tokens)
+        assert str(exc.value) == message
+
+
+def test_unit_rows_peak_is_its_output_and_two_slices():
+    """`unit_rows` over V rows holds its V×d float64 result and no second
+    array of that size: its traced peak stays below the result plus two
+    slices of float64 rows."""
+    dim = 64
+    table = _table_of(np.random.default_rng(4).standard_normal((500, dim)))
+    tokens = [f"t{i % 500}" for i in range(3000)]
+    slice_bytes = max(1, embeddings._CHUNK_COMPONENTS // dim) * dim * 8
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        rows = table.unit_rows(tokens)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rows.shape == (3000, dim)
+    assert peak - before < rows.nbytes + 2 * slice_bytes

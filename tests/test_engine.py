@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -683,7 +684,8 @@ class TestCosineBlocks:
     """`_cosine_blocks` forms each block's axes from the registry's rows:
     over a built registry, a registry built by hand from its frames, or a
     list of frames, the blocks are bit for bit those of the stacked
-    `frame.axis` arrays."""
+    `frame.axis` arrays. Every block is written into one buffer, so each
+    is compared as it is yielded."""
 
     @staticmethod
     def _stacked(frames, unit_rows):
@@ -700,17 +702,38 @@ class TestCosineBlocks:
         built = build_registry(pairs, table)
         frames = built.frames
         unit_rows = table.unit_rows([f"w{i}" for i in range(0, 160, 3)])
-        expected = list(self._stacked(frames, unit_rows))
+        expected = [want.tobytes() for want in self._stacked(frames, unit_rows)]
         assert len(expected) == 3
         for source in (built, FrameRegistry(frames, ()), list(frames)):
-            blocks = list(engine._cosine_blocks(source, unit_rows))
-            assert [b for b, _ in blocks] == [slice(0, 64), slice(64, 128), slice(128, 192)]
-            for (_, got), want in zip(blocks, expected):
-                assert got.tobytes() == want.tobytes()
+            seen = []
+            for block, got in engine._cosine_blocks(source, unit_rows):
+                assert got.shape == (len(range(150)[block]), len(unit_rows))
+                seen.append((block, got.tobytes()))
+            assert seen == list(zip([slice(0, 64), slice(64, 128), slice(128, 192)], expected))
         for frame in frames[::37]:
             ((_, got),) = engine._cosine_blocks([frame], unit_rows)
             (want,) = self._stacked([frame], unit_rows)
             assert got.tobytes() == want.tobytes()
+
+    def test_a_sweep_holds_one_block(self):
+        """A three-block sweep over V unit rows allocates one fb×V block:
+        the traced peak stays below one and a half blocks."""
+        rng = np.random.default_rng(12)
+        table = table_from_dict({f"w{i}": rng.normal(size=8).tolist() for i in range(5000)})
+        registry = build_registry([(f"w{i}", f"w{i + 1}") for i in range(150)], table)
+        unit_rows = table.unit_rows([f"w{i}" for i in range(5000)])
+        block_bytes = 64 * len(unit_rows) * 8
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            n_blocks = 0
+            for _, c in engine._cosine_blocks(registry, unit_rows):
+                n_blocks += 1
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert n_blocks == 3
+        assert peak - before < 1.5 * block_bytes
 
 
 class TestRankSumSelect:
