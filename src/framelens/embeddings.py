@@ -82,25 +82,40 @@ class EmbeddingTable:
             return None
         return self._matrix[i]
 
-    def unit_rows(self, tokens: list[str]) -> np.ndarray:
-        """Vectors for `tokens` (all must be present) as float64 rows of unit length.
+    def unit_slices(self, tokens: list[str], out: np.ndarray | None = None):
+        """Yield (start, unit rows of ``tokens[start:start + step]``) in order,
+        `step` rows at a time, ``step = max(1, _CHUNK_COMPONENTS // dimension)``.
 
-        The result is the only V×d array held: each slice of rows is gathered,
-        cast and divided in place by ``sqrt(add.reduce(x * x, axis=1))``, as
-        `np.linalg.norm` does, so rows are bit for bit the one-shot ones.
+        All tokens must be present. Each slice is gathered, cast to float64
+        and divided in place by ``sqrt(add.reduce(x * x, axis=1))``, as
+        `np.linalg.norm` does, so rows are bit for bit the one-shot ones
+        whatever the step. Slices are written into ``out[start:start + step]``
+        when `out` (V×d float64) is given, and otherwise into one buffer of
+        `step` rows: a yielded slice is then valid until the next one is
+        requested, and a caller may change it in place.
         """
         rows = self.rows_of(tokens)
         if -1 in rows:  # argmin is the first absent token
             raise DataError(f"token not in embedding table: {tokens[rows.argmin()]!r}")
-        out = np.empty((len(rows), self.dimension))
         step = max(1, _CHUNK_COMPONENTS // self.dimension)
+        buf = np.empty((min(step, len(rows)), self.dimension)) if out is None else None
         for start in range(0, len(rows), step):
-            part = out[start:start + step]
-            part[...] = self._matrix[rows[start:start + step]]
+            index = rows[start:start + step]
+            part = out[start:start + step] if buf is None else buf[:len(index)]
+            part[...] = self._matrix[index]
             norms = np.sqrt(np.add.reduce(part * part, axis=1))
             if np.any(norms == 0.0):
                 raise DataError("zero-norm vector has no direction")
             part /= norms[:, None]
+            yield start, part
+
+    def unit_rows(self, tokens: list[str]) -> np.ndarray:
+        """Vectors for `tokens` (all must be present) as float64 rows of unit
+        length, filled slice by slice by `unit_slices`: the result is the only
+        V×d array held."""
+        out = np.empty((len(tokens), self.dimension))
+        for _ in self.unit_slices(tokens, out):
+            pass
         return out
 
 
@@ -115,10 +130,16 @@ def _looks_like_header(parts: list[str]) -> bool:
 
 
 #: Components per bulk parse of kept records: a chunk's float32 block stays at
-#: 64 KiB, below glibc's default 128 KiB mmap threshold. Larger chunks, and
-#: blocks grown by reallocation, raised the peak RSS of a process that loads
-#: a table many times. `unit_rows` works in slices of as many components.
+#: 64 KiB, below glibc's default 128 KiB mmap threshold, until its rows are
+#: copied into the load's one matrix. On explain-corpus (perfbench, seed 5,
+#: 2-core x86-64) peak RSS read 56.0–56.4 MB; 56.7–56.9 MB with chunks of
+#: 1 << 16 components, and 59.0–59.1 MB when the chunks were kept and stacked
+#: at the end. `EmbeddingTable.unit_slices` works in slices of as many
+#: components.
 _CHUNK_COMPONENTS = 1 << 14
+
+#: Rows of the first matrix of an unfiltered load, which doubles when full.
+_START_ROWS = 1 << 12
 
 #: Characters of dropped records per field count: each array of the count
 #: stays at 64 KiB, below the same threshold.
@@ -144,14 +165,21 @@ def _field_counts(texts: list[str]) -> np.ndarray:
 
 
 class _Loader:
-    """State of one load: the index, the kept rows as float32 blocks, the
-    line accounting, and the records queued for the bulk checks."""
+    """State of one load: the index, the kept rows in one float32 matrix,
+    the line accounting, and the records queued for the bulk checks.
+
+    The matrix is allocated when the first row is kept. With a filter it
+    holds ``len(vocab_filter)`` rows, which bounds the kept rows because
+    each is a distinct filter member; without one it starts at
+    _START_ROWS and doubles in place when full. `matrix` trims it to the
+    kept rows.
+    """
 
     def __init__(self, path: str, vocab_filter: set[str] | None):
         self.path = path
         self.vocab_filter = vocab_filter
         self.index: dict[str, int] = {}
-        self.blocks: list[np.ndarray] = []
+        self._rows: np.ndarray | None = None
         self.dim: int | None = None
         self.malformed = self.zero_vectors = self.duplicates = self.filtered = 0
         self.kept: list[tuple[int, str, str]] = []
@@ -254,10 +282,22 @@ class _Loader:
             else:
                 index[token] = len(index)
                 kept.append(i)
-        if len(kept) == len(tokens):
-            self.blocks.append(block)
-        elif kept:
-            self.blocks.append(block[kept])
+        if not kept:
+            return
+        end = len(index)
+        start = end - len(kept)
+        if self._rows is None:
+            capacity = _START_ROWS if self.vocab_filter is None else len(self.vocab_filter)
+            self._rows = np.empty((capacity, self.dim), dtype=np.float32)
+        if end > len(self._rows):
+            self._rows.resize((max(end, 2 * len(self._rows)), self.dim))
+        self._rows[start:end] = block if len(kept) == len(tokens) else block[kept]
+
+    def matrix(self) -> np.ndarray | None:
+        """The kept rows, trimmed in place to their count; None when no row was kept."""
+        if self._rows is not None:
+            self._rows.resize((len(self.index), self.dim))
+        return self._rows
 
 
 def load_embeddings(
@@ -315,7 +355,8 @@ def load_embeddings(
                 load.record(lineno, line.split())
         load.flush()
 
-    if not load.blocks:
+    matrix = load.matrix()
+    if matrix is None:
         raise DataError(f"no loadable vectors in {path!r}")
 
     stats = LoadStats(
@@ -332,6 +373,4 @@ def load_embeddings(
             f"duplicate={stats.duplicates})",
             file=sys.stderr,
         )
-    matrix = np.vstack(load.blocks)
-    assert load.dim is not None
     return EmbeddingTable(dimension=load.dim, _index=load.index, _matrix=matrix, stats=stats)

@@ -9,16 +9,20 @@ samples of the full corpus sized to match the target: token draws are
 i.i.d. with replacement from the full corpus's bag of words, implemented
 as multinomial count resampling so no token strings are ever touched.
 
-Contributions are formed in one place, `_cosine_blocks`: the view's
-unit-length embedding rows (sorted-token order, float64 regardless of the
-table's storage dtype) times the unit axes of up to _FRAME_BLOCK frames,
-as one frames-major fb×V block. A block's axes are formed from the
-registry's pole rows only there, and a sweep writes every block into one
-fb×V buffer, valid until the next block is requested. Every statistic is
-a count-weighted product on such a block: bias, intensity and their
-bootstrap nulls for many frames (`_score_frames`, `_frame_statistics`),
-and the per-token shifts and per-document or per-unit sums of one frame
-(`word_shifts`, `document_spectrum`, `unit_statistics`).
+Contributions are formed in two places, over the view's unit-length
+embedding rows (sorted-token order, float64 regardless of the table's
+storage dtype) and unit axes normalised by `_unit_axes`. Commands over
+many frames use `_cosine_blocks`: the view's V×d unit rows times the axes
+of up to _FRAME_BLOCK frames, as one frames-major fb×V block. A block's
+axes are formed from the registry's pole rows only there, and a sweep
+writes every block into one fb×V buffer, valid until the next block is
+requested. Bias, intensity and their bootstrap nulls for many frames
+(`_score_frames`, `_frame_statistics`) are count-weighted products on such
+a block. Commands over one frame use `_frame_contributions`, which forms
+the V cosines one slice of unit rows at a time and holds no V×d array:
+the per-token shifts and per-document or per-unit sums of one frame
+(`word_shifts`, `document_spectrum`, `unit_statistics`) are count-weighted
+products on those V values.
 
 Each frame's contributions are computed once per command, over the full
 view's vocabulary. Every narrower document set (a target and its
@@ -177,24 +181,37 @@ def _cosine_blocks(frames, unit_rows: np.ndarray):
     buf = np.empty((min(_FRAME_BLOCK, len(frames)), len(unit_rows)))
     for start in range(0, len(frames), _FRAME_BLOCK):
         block = slice(start, start + _FRAME_BLOCK)
-        axes = frames.axes(block)
-        norms = np.linalg.norm(axes, axis=1)
-        if np.any(norms == 0.0):
-            raise DataError("zero-norm axis")
-        axes /= norms[:, None]
+        axes = _unit_axes(frames.axes(block))
         yield block, np.matmul(axes, unit_rows.T, out=buf[:len(axes)])
+
+
+def _unit_axes(axes: np.ndarray) -> np.ndarray:
+    """`axes`, one per row, divided in place by their norms; a zero axis is a
+    DataError."""
+    norms = np.linalg.norm(axes, axis=1)
+    if np.any(norms == 0.0):
+        raise DataError("zero-norm axis")
+    axes /= norms[:, None]
+    return axes
 
 
 def _frame_contributions(view: CorpusView, frame: Microframe, table: EmbeddingTable):
     """The view's sorted vocabulary, its counts, its contributions (V values)
     to `frame`, and its bias on `frame`.
 
-    The bias is the 1×V product that `view_statistics` forms for one frame,
-    so it is the bit-for-bit `corpus_bias` of the view.
+    Contributions are formed one slice of unit rows at a time, so no V×d
+    float64 array is held. Each is a per-row sum of the row times the unit
+    axis, which gives a word the same bits at any slice size; it lies within
+    1e-15 of the frame's row of `_cosine_blocks`, and the bias within 1e-15
+    of `corpus_bias`.
     """
     tokens, (n,) = _counts_over(view, [view])
-    _, c = next(_cosine_blocks([frame], table.unit_rows(tokens)))
-    return tokens, n, c[0], float((c @ n / n.sum())[0])
+    (axis,) = _unit_axes(np.array(frame.axis, dtype=np.float64, ndmin=2))
+    c = np.empty(len(tokens))
+    for start, part in table.unit_slices(tokens):
+        part *= axis
+        np.add.reduce(part, axis=1, out=c[start:start + len(part)])
+    return tokens, n, c, float(c @ n / n.sum())
 
 
 def _counts_over(full_view: CorpusView, views) -> tuple[list[str], list[np.ndarray]]:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from framelens import cli, corpus, engine, reports, svg
+from framelens import cli, corpus, embeddings, engine, reports, svg
 from framelens.cli import main
 from framelens.corpus import read_jsonl
 from framelens.embeddings import EmbeddingTable, load_embeddings
@@ -481,13 +481,47 @@ class TestEmptyGroupViews:
 
 
 class TestContributionsOncePerCommand:
-    """A command gathers the full view's embedding rows once and computes
-    each frame block once; every narrower document set is a count vector."""
+    """A command forms each frame's contributions over the full view's
+    vocabulary once; every narrower document set is a count vector."""
+
+    @pytest.mark.parametrize("command, extra", [
+        ("shifts", ["--group", "pos", "--frame", "bad--good", "--kind", "intensity"]),
+        ("spectrum", ["--frame", "bad--good"]),
+        ("map", ["--frame", "bad--good", "--unit", "outlet", "--min-docs", "1"]),
+    ])
+    def test_one_frame_sweeps_the_unit_slices_once(self, setup, monkeypatch, command, extra):
+        """A one-frame command forms its V cosines in one pass over the unit
+        slices of the full view's vocabulary, and neither gathers V×d unit
+        rows nor forms a frame block."""
+        corpus = write_unit_corpus(setup["tmp"])
+        sweeps = []
+        unit_slices = EmbeddingTable.unit_slices
+
+        def counted_unit_slices(table, tokens, out=None):
+            spans = []
+            sweeps.append((tokens, spans))
+            for start, part in unit_slices(table, tokens, out):
+                spans.append((start, len(part)))
+                yield start, part
+
+        def forbidden(*args):
+            raise AssertionError("a one-frame command forms V×d unit rows or a frame block")
+
+        monkeypatch.setattr(EmbeddingTable, "unit_slices", counted_unit_slices)
+        monkeypatch.setattr(EmbeddingTable, "unit_rows", forbidden)
+        monkeypatch.setattr(engine, "_cosine_blocks", forbidden)
+        monkeypatch.setattr(embeddings, "_CHUNK_COMPONENTS", 6)  # two rows of d=3 a slice
+        args = base_args({**setup, "corpus": str(corpus)}, command)
+        assert main(args + extra + ["--formats", "tsv"]) == 0
+        if command == "map":
+            _, _, rows = read_tsv(os.path.join(setup["out"], "map_bad--good.tsv"))
+            assert len(rows) >= 3
+        # every table word occurs in the unit corpus
+        vocabulary = sorted(line.split()[0] for line in EMBEDDINGS.splitlines())
+        assert [tokens for tokens, _ in sweeps] == [vocabulary]
+        assert sweeps[0][1] == [(start, min(2, 13 - start)) for start in range(0, 13, 2)]
 
     @pytest.mark.parametrize("command, extra, n_frames", [
-        ("shifts", ["--group", "pos", "--frame", "good--bad", "--kind", "intensity"], 1),
-        ("spectrum", ["--frame", "good--bad"], 1),
-        ("map", ["--frame", "good--bad", "--unit", "outlet", "--min-docs", "1"], 1),
         ("separation", ["--group-a", "pos", "--group-b", "neg"], 78),
     ])
     def test_one_gather_and_one_pass_over_the_frame_blocks(

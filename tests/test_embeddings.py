@@ -7,7 +7,7 @@ from unittest import mock
 import numpy as np
 import oracles
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from framelens import embeddings
@@ -227,7 +227,8 @@ def _tables(draw):
         text = text.rstrip("\r\n")
     vocab_filter = draw(st.none() | st.sets(_TOKENS))
     chunk_rows = draw(st.integers(1, 4))
-    return text, vocab_filter, chunk_rows * dim, draw(st.integers(1, 80))
+    # a first matrix of 1 to 4 rows grows several times in an unfiltered load
+    return text, vocab_filter, chunk_rows * dim, draw(st.integers(1, 80)), draw(st.integers(1, 4))
 
 
 def _outcome(load, path, vocab_filter):
@@ -237,17 +238,30 @@ def _outcome(load, path, vocab_filter):
         return str(exc)
 
 
+#: Records of the filter's tokens that are duplicate, zero and malformed.
+_FILTER_FAULTS = "b 1 2\nb 0 0\nc 0 0\nc x 1\nc nan 2\nb 3 4\na 5 6\nc 7 8\nd 9 9\n"
+
+
 @given(_tables())
+@example(("a 1 2\nb 3 4\n", set(), 4, 8, 1))  # an empty filter keeps nothing
+@example((_FILTER_FAULTS, {"c"}, 2, 8, 1))  # one member
+@example((_FILTER_FAULTS, {"b", "c"}, 4, 8, 1))  # smaller than the table
+@example((_FILTER_FAULTS, {"a", "b", "c", "d", "x", "y", "z"}, 6, 8, 1))  # larger
+# unfiltered: the first kept block, three rows, outgrows a one-row matrix
+@example(("z 0 0\na 1 2\nb 3 4\nc 5 6\n", None, 6, 8, 1))
+# unfiltered: a one-row matrix grows five times, to 32 rows
+@example(("".join(f"t{i} {i} 1\n" for i in range(1, 21)) + "t3 0 0\nt4 x 1\n", None, 6, 8, 1))
 @settings(max_examples=400, deadline=None)
 def test_loader_matches_the_per_record_reference(table):
-    text, vocab_filter, chunk_components, check_bytes = table
+    text, vocab_filter, chunk_components, check_bytes, start_rows = table
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "vecs.txt")
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         expected = _outcome(oracles.load_embeddings_reference, path, vocab_filter)
         with mock.patch.object(embeddings, "_CHUNK_COMPONENTS", chunk_components), \
-                mock.patch.object(embeddings, "_CHECK_BYTES", check_bytes):
+                mock.patch.object(embeddings, "_CHECK_BYTES", check_bytes), \
+                mock.patch.object(embeddings, "_START_ROWS", start_rows):
             got = _outcome(
                 lambda p, f: load_embeddings(p, f, warn=False), path, vocab_filter
             )
@@ -258,6 +272,34 @@ def test_loader_matches_the_per_record_reference(table):
     assert list(got.vocabulary) == tokens
     assert got._matrix.tobytes() == matrix.tobytes()
     assert dataclasses.asdict(got.stats) == counts
+    # one matrix of exactly the kept rows, trimmed in place, not a copy
+    assert got._matrix.shape == (counts["kept"], got.dimension)
+    assert got._matrix.flags.c_contiguous and got._matrix.flags.owndata
+    assert not got._matrix.flags.writeable
+
+
+def test_filtered_load_peak_is_its_matrix_and_the_queues(tmp_path):
+    """A filtered load holds one float32 matrix of its kept rows: its traced
+    peak stays below 1.25 times the matrix, which leaves room for the index,
+    plus the queues, the text of one chunk of kept records and eight arrays
+    as wide as the bulk field count of the dropped ones."""
+    dim, n_lines = 300, 3000
+    rng = np.random.default_rng(5)
+    lines = [f"w{i} " + " ".join(f"{v:.5f}" for v in rng.standard_normal(dim))
+             for i in range(n_lines)]
+    path = write(tmp_path, "vecs.txt", "\n".join(lines) + "\n")
+    wanted = {f"w{i}" for i in range(n_lines) if i % 3}
+    queues = (embeddings._CHUNK_COMPONENTS // dim * max(map(len, lines))
+              + 8 * embeddings._CHECK_BYTES)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        table = load_embeddings(path, vocab_filter=wanted)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.matrix.shape == (2000, dim)
+    assert peak - before < 1.25 * table.matrix.nbytes + queues
 
 
 def _midpoint_strings(n, rng):

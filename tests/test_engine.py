@@ -1,12 +1,13 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framelens import engine
+from framelens import embeddings, engine
 from framelens.corpus import build_view, make_document, split_by_group
 from framelens.engine import (
     FramingResult,
@@ -23,6 +24,7 @@ from framelens.engine import (
     shift_table,
     significance,
     top_significant_frames,
+    unit_statistics,
     view_statistics,
     word_contribution,
     word_shifts,
@@ -734,6 +736,101 @@ class TestCosineBlocks:
             tracemalloc.stop()
         assert n_blocks == 3
         assert peak - before < 1.5 * block_bytes
+
+
+def _one_document_view(table, tokens):
+    return build_view([make_document("d0", " ".join(tokens))], table)
+
+
+@st.composite
+def _contribution_cases(draw):
+    """A table with rows from 1e-30 to 1e30 in scale, a one-document view
+    of some of its tokens, and a frame of random scale."""
+    dim = draw(st.sampled_from([1, 2, 3, 7, 300]))
+    vocab = draw(st.integers(1, 120))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    matrix = (rng.standard_normal((vocab, dim))
+              * 10.0 ** rng.integers(-30, 31, size=(vocab, 1))).astype(np.float32)
+    matrix[~matrix.any(axis=1)] = 1.0
+    table = table_from_dict({f"t{i}": row for i, row in enumerate(matrix)})
+    words = rng.integers(0, vocab, size=draw(st.integers(1, 2 * vocab)))
+    view = _one_document_view(table, [f"t{i}" for i in words.tolist()])
+    axis = rng.standard_normal(dim) * 10.0 ** int(rng.integers(-5, 6))
+    return table, view, frame_with_axis(axis)
+
+
+class TestFrameContributions:
+    """One frame's contributions come one slice of unit rows at a time: within
+    1e-15 of the frame block over the V×d unit rows, the same bits at any
+    slice size, the same errors, and no V×d float64 array."""
+
+    @given(_contribution_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_within_1e15_of_the_frame_block_at_any_slice_size(self, case):
+        table, view, frame = case
+        tokens, n, c, bias = engine._frame_contributions(view, frame, table)
+        assert tokens == view.vocabulary()
+        ((_, block),) = engine._cosine_blocks([frame], table.unit_rows(tokens))
+        assert np.max(np.abs(c - block[0])) <= 1e-15
+        assert abs(bias - corpus_bias(view, frame, table)) <= 1e-15
+        dim, n_tokens = table.dimension, len(tokens)
+        for chunk in {1, dim - 1, dim, embeddings._CHUNK_COMPONENTS, n_tokens * dim + 1} - {0}:
+            with mock.patch.object(embeddings, "_CHUNK_COMPONENTS", chunk):
+                _, n_again, c_again, bias_again = engine._frame_contributions(view, frame, table)
+            assert c_again.tobytes() == c.tobytes()
+            assert (n_again.tobytes(), bias_again) == (n.tobytes(), bias)
+
+    def test_errors_in_a_later_slice(self):
+        """A zero row, or a missing token, past the first slice of 54 rows at
+        d=300 gives the DataError of the one-shot unit rows."""
+        matrix = np.random.default_rng(3).standard_normal((200, 300))
+        tokens = [f"t{i}" for i in range(200)]
+        view = _one_document_view(table_from_dict(dict(zip(tokens, matrix))), tokens)
+        vocabulary = view.vocabulary()
+        assert max(1, embeddings._CHUNK_COMPONENTS // 300) == 54
+        late = vocabulary[150]
+        zero = dict(zip(tokens, matrix))
+        zero[late] = np.zeros(300)
+        missing = {t: v for t, v in zip(tokens, matrix) if t != late}
+        frame = frame_with_axis(np.ones(300))
+        for vectors, message in [(zero, "zero-norm vector has no direction"),
+                                 (missing, f"token not in embedding table: {late!r}")]:
+            table = table_from_dict(vectors)
+            with pytest.raises(DataError) as want:
+                oracles.unit_rows_reference(table, vocabulary)
+            with pytest.raises(DataError) as got:
+                engine._frame_contributions(view, frame, table)
+            assert str(got.value) == str(want.value) == message
+
+    def test_one_frame_statistics_hold_no_vxd_array(self):
+        """On a view whose V×d float64 unit rows dominate every other array,
+        word shifts, the document spectrum and unit statistics each peak
+        below a quarter of V·d·8 bytes."""
+        rng = np.random.default_rng(13)
+        n_tokens, dim = 5000, 300
+        tokens = [f"w{i}" for i in range(n_tokens)]
+        table = table_from_dict(dict(zip(tokens, rng.standard_normal((n_tokens, dim)))))
+        docs = [make_document(f"d{j}", " ".join(tokens[j::10]), group="ab"[j % 2])
+                for j in range(10)]
+        view = build_view(docs, table)
+        target, background = split_by_group(view, "a")
+        frame = frame_with_axis(rng.standard_normal(dim))
+        calls = {
+            "word_shifts": lambda: word_shifts(view, target, background, frame, table, "bias"),
+            "document_spectrum": lambda: document_spectrum(view, frame, table),
+            "unit_statistics": lambda: unit_statistics(view, frame, table, [d.group for d in docs]),
+        }
+        peaks = {}
+        for name, call in calls.items():
+            tracemalloc.start()
+            try:
+                before, _ = tracemalloc.get_traced_memory()
+                call()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks[name] = peak - before
+        assert all(peak < n_tokens * dim * 8 / 4 for peak in peaks.values()), peaks
 
 
 class TestRankSumSelect:
