@@ -612,6 +612,9 @@ def _write_report(cfg: RunConfig, report: Report) -> None:
     chosen = _formats(cfg)
     written: list[str] = []
     with _stage("write reports"):
+        # drawn first, so a chart whose text XML cannot hold stops the run
+        # before any report is written
+        chart = report.chart() if report.chart and "svg" in chosen else None
         outdir = ensure_outdir(cfg.out)
         config = asdict(cfg)
 
@@ -628,8 +631,8 @@ def _write_report(cfg: RunConfig, report: Report) -> None:
             # the payload entry that is the TSV's rows reuses its float texts
             reuse = {k: floats for k, v in report.payload.items() if v is report.rows}
             write_json(target(".json"), report.payload, config, reuse)
-        if report.chart and "svg" in chosen:
-            write_text(target(".svg"), report.chart())
+        if chart is not None:
+            write_text(target(".svg"), chart)
     _progress(f"wrote {', '.join(written)} in {outdir}")
 
 

@@ -244,8 +244,10 @@ def split_by_group(view: CorpusView, group: str) -> tuple[CorpusView, CorpusView
 
 def read_jsonl(path: str, config: NormalizerConfig | None = None) -> list[Document]:
     """Read a JSONL corpus: one object per line with `id`, `text`,
-    optional `group`, optional `meta`. Ids must be unique. Equal tokens
-    are one string object across the corpus: one string per token type."""
+    optional `group`, optional `meta`. Ids must be unique. A record with a
+    lone surrogate in any string, keys included, is refused: only a ``\\u``
+    escape can give one, and no report could encode it. Equal tokens are one
+    string object across the corpus: one string per token type."""
     docs: list[Document] = []
     first_line: dict[str, int] = {}
     canon: dict[str, str] = {}
@@ -263,6 +265,16 @@ def read_jsonl(path: str, config: NormalizerConfig | None = None) -> list[Docume
                 raise DataError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
             if not isinstance(obj, dict):
                 raise DataError(f"{path}:{lineno}: record must be a JSON object")
+            # The line is valid UTF-8, so only a \uD800-\uDFFF escape without
+            # its pair can give a string that UTF-8 cannot hold.
+            if "\\u" in line:
+                try:
+                    json.dumps(obj, ensure_ascii=False).encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    char = exc.object[exc.start]
+                    raise DataError(
+                        f"{path}:{lineno}: lone surrogate {char!r} from a \\u escape"
+                    ) from None
             if "id" not in obj or "text" not in obj:
                 raise DataError(f"{path}:{lineno}: record needs 'id' and 'text'")
             if not isinstance(obj["text"], str):

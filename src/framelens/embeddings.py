@@ -290,14 +290,24 @@ class _Loader:
             capacity = _START_ROWS if self.vocab_filter is None else len(self.vocab_filter)
             self._rows = np.empty((capacity, self.dim), dtype=np.float32)
         if end > len(self._rows):
-            self._rows.resize((max(end, 2 * len(self._rows)), self.dim))
+            # No view of _rows exists here: the slice below is the only one
+            # this class takes, and it is gone once its assignment ends. The
+            # reference count is no proof of that: under a tracer or profiler
+            # the interpreter holds one more reference to the array (a
+            # profiler's c_call event gets the bound method), and refcheck
+            # would refuse the resize.
+            self._rows.resize((max(end, 2 * len(self._rows)), self.dim), refcheck=False)
         self._rows[start:end] = block if len(kept) == len(tokens) else block[kept]
 
     def matrix(self) -> np.ndarray | None:
-        """The kept rows, trimmed in place to their count; None when no row was kept."""
-        if self._rows is not None:
-            self._rows.resize((len(self.index), self.dim))
-        return self._rows
+        """Hand over the kept rows, trimmed in place to their count; None when
+        no row was kept. The loader drops its reference, so it never resizes
+        the array again."""
+        rows, self._rows = self._rows, None
+        if rows is not None:
+            # As in _keep, no view of the rows exists yet: nothing has seen them.
+            rows.resize((len(self.index), self.dim), refcheck=False)
+        return rows
 
 
 def load_embeddings(

@@ -7,7 +7,9 @@ Canvas is fixed at 960x540. Group A is blue, group B red, neutral gray.
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
+import re
+
+from .errors import DataError
 
 WIDTH = 960
 HEIGHT = 540
@@ -17,6 +19,25 @@ COLOR_NEUTRAL = "#7f7f7f"
 _PALETTE = (COLOR_A, COLOR_B, COLOR_NEUTRAL, "#2ca02c", "#9467bd", "#8c564b")
 
 _BALANCED_EPS = 1e-12  # |delta intensity| below this is neither side's frame
+
+#: The characters XML 1.0 forbids in a document: C0 controls other than TAB,
+#: LF and CR, U+FFFE, U+FFFF, and surrogate code points, which a JSON
+#: ``\uD8xx`` escape without its pair puts in a Python string.
+_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
+def escape(s: str) -> str:
+    """`s` as XML character data: ``&`` first, then ``<`` and ``>``; quotes
+    are left alone: the text ``xml.sax.saxutils.escape(s)`` gives, whose module
+    would load ``urllib.request`` and with it the http, email, socket and ssl
+    stacks into every CLI process.
+
+    Raises DataError naming `s` when it holds a character XML cannot hold.
+    """
+    bad = _NOT_XML.search(s)
+    if bad:
+        raise DataError(f"chart text {s!r} holds {bad.group()!r}, which XML cannot hold")
+    return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _fmt(x: float) -> str:

@@ -1092,3 +1092,85 @@ class TestTracedLayers:
         assert views == [{"counted": counted, "raw": raw}]
         metrics = spans.layer_metrics(spans.pass_spans(tracer, 0))
         assert metrics["corpus.counted_ratio"] == counted / raw
+
+
+class TestTextReportsCannotHold:
+    """Chart text that XML 1.0 cannot hold, and a lone surrogate from a JSON
+    escape, are data errors (exit 2) that leave --out unwritten."""
+
+    @pytest.mark.parametrize(
+        "command, extra, change",
+        [
+            ("shifts", ["--group", "pos", "--frame", "bad--good"],
+             {"id": "p1", "text": "The me\x01al was good"}),
+            ("spectrum", ["--frame", "bad--good"], {"id": "n1", "group": "n\x01eg"}),
+            ("map", ["--frame", "bad--good", "--unit", "outlet", "--min-docs", "1"],
+             {"id": "n1", "meta": {"outlet": "out\x01A"}}),
+            ("separation", ["--group-a", "pos", "--group-b", "n\x0beg"],
+             {"id": "n1", "group": "n\x0beg"}),
+        ],
+        ids=["shifts-token", "spectrum-group", "map-unit", "separation-group"],
+    )
+    def test_chart_text_xml_cannot_hold(self, setup, capsys, command, extra, change):
+        emb = setup["tmp"] / "with_control.txt"
+        emb.write_text(EMBEDDINGS + "me\x01al 0.9 0.9 0.9\n", encoding="utf-8")
+        docs = [{**d, **change} if d["id"] == change["id"] else d for d in DOCS]
+        inputs = {**with_corpus(setup, docs), "emb": str(emb)}
+        assert main(base_args(inputs, command) + extra) == 2
+        err = capsys.readouterr().err
+        assert "error [write reports]: chart text" in err and "which XML cannot hold" in err
+        assert not os.path.exists(setup["out"])
+
+    def test_map_of_sixty_documents_with_a_control_character_in_half_the_units(
+        self, setup, capsys
+    ):
+        texts = [d["text"] for d in DOCS]
+        docs = [{"id": f"d{i}", "text": texts[i % len(texts)], "group": "pos" if i % 3 else "neg",
+                 "meta": {"outlet": "out\u0001A" if i % 2 else "plain"}} for i in range(60)]
+        args = base_args(with_corpus(setup, docs), "map")
+        assert main(args + ["--frame", "bad--good", "--unit", "outlet", "--min-docs", "5"]) == 2
+        assert "'out\\x01A' holds '\\x01'" in capsys.readouterr().err
+        assert not os.path.exists(setup["out"])
+        # the same run without the chart writes its table
+        assert main(args + ["--frame", "bad--good", "--unit", "outlet", "--min-docs", "5",
+                            "--formats", "tsv"]) == 0
+        _, _, rows = read_tsv(os.path.join(setup["out"], "map_bad--good.tsv"))
+        assert [r["unit"] for r in rows] == ["out\x01A", "plain"]
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        [
+            ("shifts", ["--group", "pos", "--frame", "bad--good"]),
+            ("spectrum", ["--frame", "bad--good"]),
+            ("map", ["--frame", "bad--good", "--unit", "outlet", "--min-docs", "1"]),
+            ("analyze", ["--group", "pos", "--n-bootstrap", "5"]),
+        ],
+    )
+    def test_lone_surrogate_names_its_line(self, setup, capsys, command, extra):
+        lines = [json.dumps(d) for d in DOCS]
+        lines[3] = lines[3].replace('"moon"', '"out\\ud800A"')
+        corpus = setup["tmp"] / "surrogate.jsonl"
+        corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(base_args({**setup, "corpus": str(corpus)}, command) + extra) == 2
+        err = capsys.readouterr().err
+        assert f"error [read corpus]: {corpus}:4: lone surrogate '\\ud800'" in err
+        assert not os.path.exists(setup["out"])
+
+
+def test_analyze_under_a_profiler_writes_the_same_reports(setup):
+    """A profiler hook (cProfile, coverage.py, pdb use the same ones) changes
+    neither the exit code nor a byte of the reports."""
+    args = base_args(setup, "analyze") + ["--group", "pos", "--n-bootstrap", "20"]
+    names = ("results.tsv", "results.json")
+
+    def run():
+        assert main(args) == 0
+        return [Path(setup["out"], name).read_bytes() for name in names]
+
+    expected = run()
+    sys.setprofile(lambda *a: None)
+    try:
+        profiled = run()
+    finally:
+        sys.setprofile(None)
+    assert profiled == expected

@@ -448,6 +448,34 @@ class TestIO:
         docs = read_jsonl(str(p))
         assert docs[0].group == "3"
 
+    @pytest.mark.parametrize(
+        "record",
+        [
+            '{"id": "a\\ud800", "text": "x"}',
+            '{"id": "2", "text": "good \\udfff day"}',
+            '{"id": "2", "text": "x", "group": "\\udbff"}',
+            '{"id": "2", "text": "x", "meta": {"outlet": ["ok", "o\\ud800"]}}',
+            '{"id": "2", "text": "x", "meta": {"out\\udc00let": "sun"}}',
+        ],
+        ids=["id", "text", "group", "meta-value", "meta-key"],
+    )
+    def test_read_jsonl_refuses_a_lone_surrogate(self, tmp_path, record):
+        """Only a JSON escape can give a lone surrogate; no report could
+        encode it."""
+        p = tmp_path / "corpus.jsonl"
+        p.write_text(json.dumps({"id": "1", "text": "x"}) + "\n" + record + "\n",
+                     encoding="utf-8")
+        with pytest.raises(DataError, match=r"corpus\.jsonl:2: lone surrogate '\\ud[89abcdef]"):
+            read_jsonl(str(p))
+
+    def test_read_jsonl_keeps_surrogate_pairs_and_escaped_backslashes(self, tmp_path):
+        p = tmp_path / "corpus.jsonl"
+        p.write_text('{"id": "\\ud83d\\ude00", "text": "caf\\u00e9 \\ud83d\\ude00 a\\\\ud800"}\n',
+                     encoding="utf-8")
+        (doc,) = read_jsonl(str(p))
+        assert doc.doc_id == "\U0001f600"
+        assert doc.tokens == ("café", "\U0001f600", "a\\ud800")
+
     def test_read_topic_words(self, tmp_path):
         p = tmp_path / "topics.txt"
         p.write_text("Food\nService!\n", encoding="utf-8")

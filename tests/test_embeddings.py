@@ -1,5 +1,7 @@
 import dataclasses
+import functools
 import os
+import sys
 import tempfile
 import tracemalloc
 from unittest import mock
@@ -478,3 +480,36 @@ def test_unit_rows_peak_is_its_output_and_two_slices():
         tracemalloc.stop()
     assert rows.shape == (3000, dim)
     assert peak - before < rows.nbytes + 2 * slice_bytes
+
+
+def _load_outcome(table):
+    return table.matrix.tobytes(), list(table.vocabulary), table.stats
+
+
+@pytest.mark.parametrize("set_hook", [sys.settrace, sys.setprofile], ids=["trace", "profile"])
+@pytest.mark.parametrize("grow", [False, True], ids=["filtered-trim", "unfiltered-growth"])
+def test_loads_under_a_tracer_or_profiler(tmp_path, monkeypatch, set_hook, grow):
+    """The matrix is grown and trimmed in place whatever hook is set: a
+    filtered load that keeps fewer rows than its filter holds is trimmed; an
+    unfiltered load that starts at one row doubles. Matrix bytes, index
+    order and stats equal those of the load without the hook."""
+    path = write(tmp_path, "vecs.txt", "".join(
+        f"t{i} {i + 1} {-i} 0.5\n" for i in range(40)) + "zero 0 0 0\nbad 1 x 2\n")
+    if grow:
+        monkeypatch.setattr(embeddings, "_START_ROWS", 1)
+        vocab_filter = None
+    else:
+        vocab_filter = {f"t{i}" for i in range(0, 40, 3)} | {"absent", "also-absent"}
+    load = functools.partial(load_embeddings, path, vocab_filter, warn=False)
+    expected = _load_outcome(load())
+    set_hook(lambda *args: None)
+    try:
+        table = load()
+    finally:
+        set_hook(None)
+    assert _load_outcome(table) == expected
+    if grow:
+        assert len(table) == 40
+    else:
+        assert len(table) == len(vocab_filter) - 2
+        assert table.matrix.shape == (len(table), 3)
