@@ -69,6 +69,7 @@ from .relevance import (
     relevance_embedding,
     relevance_perplexity,
 )
+from .reports import Table
 
 __all__ = [
     "CharGramPerplexity",
@@ -88,6 +89,7 @@ __all__ = [
     "SeparationResult",
     "ShiftEntry",
     "SpectrumEntry",
+    "Table",
     "TablePerplexity",
     "UNK",
     "UsageError",

@@ -14,7 +14,7 @@ import os
 import sys
 from collections.abc import Callable
 from contextlib import contextmanager, suppress
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from itertools import chain
 
 from . import __version__, svg
@@ -32,9 +32,6 @@ from .embeddings import load_embeddings
 from .engine import (
     BOOTSTRAP_UNITS,
     SHIFT_KINDS,
-    FramingResult,
-    SeparationResult,
-    SpectrumEntry,
     analyze_frames,
     baseline_biases,  # unused here; perfbench/spans.py traces it by this name
     corpus_bias,  # unused here; perfbench/spans.py traces it by this name
@@ -58,6 +55,7 @@ from .relevance import (
 )
 from .reports import (
     TSV_UNSAFE,
+    Table,
     ensure_outdir,
     escape_stem,
     tsv_unsafe,
@@ -351,19 +349,16 @@ def _resolve_frame(cfg: RunConfig, registry):
 @dataclass
 class Report:
     """What one command computed. `_write_report` writes the parts that
-    --formats selects: the TSV from `columns` and `rows` (with `extra` in
-    its provenance line), the JSON from `payload`, the SVG that `chart`
-    draws."""
+    --formats selects: the TSV from `table`, with the cells of `columns`
+    (all of its columns when None) and `extra` in its provenance line, the
+    JSON from `payload`, the SVG that `chart` draws."""
 
     stem: str
+    table: Table | None = None
     columns: list[str] | None = None
-    rows: list[dict] = field(default_factory=list)
     extra: dict | None = None
     payload: dict | None = None
     chart: Callable[[], str] | None = None
-
-
-RESULT_COLUMNS = [f.name for f in fields(FramingResult)]
 
 
 def cmd_analyze(cfg: RunConfig) -> Report:
@@ -387,18 +382,14 @@ def cmd_analyze(cfg: RunConfig) -> Report:
     alpha_eff = cfg.alpha / len(results) if cfg.bonferroni else cfg.alpha
     top_bias = top_significant_frames(results, "bias", cfg.top_m, alpha_eff)
     top_int = top_significant_frames(results, "intensity", cfg.top_m, alpha_eff)
-    # A result's vars() are its fields in declaration order; asdict()
-    # deep-copies every field, about 40x slower per row.
-    rows = [vars(r) for r in results]
     return Report(
         "results",
-        RESULT_COLUMNS,
-        rows,
+        results,
         payload={
             "alpha_effective": alpha_eff,
-            "top_significant_bias": [r.frame_id for r in top_bias],
-            "top_significant_intensity": [r.frame_id for r in top_int],
-            "results": rows,
+            "top_significant_bias": top_bias.columns["frame_id"],
+            "top_significant_intensity": top_int.columns["frame_id"],
+            "results": results,
         },
     )
 
@@ -419,17 +410,17 @@ def cmd_shifts(cfg: RunConfig) -> Report:
         entries = word_shifts(
             full_view, target_view, background_view, frame, table, cfg.kind, cfg.k
         )
-    rows = [{"frame_id": frame.id, **vars(e)} for e in entries]
+    columns = {c: [getattr(e, c) for e in entries] for c in SHIFT_COLUMNS[1:]}
+    shifts = Table({"frame_id": [frame.id] * len(entries), **columns})
     title = f"{frame.id}: {cfg.kind} shifts, {cfg.group} vs background"
     return Report(
         f"shifts_{escape_stem(frame.id)}_{cfg.kind}",
-        SHIFT_COLUMNS,
-        rows,
-        chart=lambda: svg.chart_shifts(rows, title),
+        shifts,
+        chart=lambda: svg.chart_shifts(shifts, title),
     )
 
 
-SPECTRUM_COLUMNS = [f.name for f in fields(SpectrumEntry)]
+SPECTRUM_COLUMNS = ["doc_id", "group", "doc_bias", "doc_intensity"]
 
 
 def cmd_spectrum(cfg: RunConfig) -> Report:
@@ -437,13 +428,12 @@ def cmd_spectrum(cfg: RunConfig) -> Report:
     frame = _resolve_frame(cfg, registry)
     with _stage("analyze"):
         entries = document_spectrum(full_view, frame, table)
-    rows = [vars(e) for e in entries]
+    spectrum = Table({c: [getattr(e, c) for e in entries] for c in SPECTRUM_COLUMNS})
     title = f"{frame.id}: document bias spectrum"
     return Report(
         f"spectrum_{escape_stem(frame.id)}",
-        SPECTRUM_COLUMNS,
-        rows,
-        chart=lambda: svg.chart_spectrum(rows, title, frame.pole_minus, frame.pole_plus),
+        spectrum,
+        chart=lambda: svg.chart_spectrum(spectrum, title, frame.pole_minus, frame.pole_plus),
     )
 
 
@@ -480,8 +470,7 @@ def cmd_map(cfg: RunConfig) -> Report:
                 if tsv_unsafe(majority):
                     doc_id = first_doc[unit_value, majority]
                     raise DataError(f"document {doc_id!r}: group {majority!r} {TSV_UNSAFE}")
-                row = (unit_value, majority, len(groups), *stats[unit_value])
-                rows.append(dict(zip(MAP_COLUMNS, row)))
+                rows.append((unit_value, majority, len(groups), *stats[unit_value]))
         skipped = len(groups_of) - len(rows)
         if skipped:
             _progress(f"map: skipped {skipped} units below --min-docs {cfg.min_docs} or empty")
@@ -489,16 +478,13 @@ def cmd_map(cfg: RunConfig) -> Report:
             raise DataError(
                 f"no unit has at least {cfg.min_docs} documents; lower --min-docs"
             )
+    units = Table(dict(zip(MAP_COLUMNS, map(list, zip(*rows)))))  # rows is not empty
     title = f"{frame.id}: bias-intensity map by {cfg.unit}"
     return Report(
         f"map_{escape_stem(frame.id)}",
-        MAP_COLUMNS,
-        rows,
-        chart=lambda: svg.chart_map(rows, title, frame.pole_minus, frame.pole_plus),
+        units,
+        chart=lambda: svg.chart_map(units, title, frame.pole_minus, frame.pole_plus),
     )
-
-
-SEPARATION_COLUMNS = [f.name for f in fields(SeparationResult)]
 
 
 def cmd_separation(cfg: RunConfig) -> Report:
@@ -509,18 +495,17 @@ def cmd_separation(cfg: RunConfig) -> Report:
     with _stage("analyze"):
         seps = separation(full_view, view_a, view_b, registry, table)
         selected = rank_sum_select(seps, cfg.top_m)
-    rows = [vars(s) for s in seps]
     title = f"separation: {cfg.group_a} (A) vs {cfg.group_b} (B)"
     return Report(
         f"separation_{escape_stem(cfg.group_a)}_vs_{escape_stem(cfg.group_b)}",
-        SEPARATION_COLUMNS,
-        rows,
+        seps,
         extra={"group_a": cfg.group_a, "group_b": cfg.group_b},
-        payload={"rank_sum_selection": selected, "separations": rows},
-        chart=lambda: svg.chart_separation(rows, title),
+        payload={"rank_sum_selection": selected, "separations": seps},
+        chart=lambda: svg.chart_separation(seps, title, registry.poles_minus, registry.poles_plus),
     )
 
 
+#: the TSV leaves out the `details` column of a relevance table
 RELEVANCE_COLUMNS = ["rank", "frame_id", "score", "method"]
 
 
@@ -554,23 +539,17 @@ def cmd_relevance(cfg: RunConfig) -> Report:
             provider = CharGramPerplexity("\n".join(d.raw_text for d in docs))
             scores = relevance_perplexity(query, provider, templates)
         convention = "lower_is_more_relevant"
-    # the TSV leaves `details` out: it writes RELEVANCE_COLUMNS only
-    rows = [
-        {"rank": i + 1, "frame_id": s.frame_id, "score": s.score, "method": s.method,
-         "details": s.details}
-        for i, s in enumerate(scores)
-    ]
     topic_words = sorted(query.topic_words)
     return Report(
         f"relevance_{cfg.method}",
+        scores,
         RELEVANCE_COLUMNS,
-        rows,
         extra={"score_convention": convention, "topic_words": topic_words},
         payload={
             "score_convention": convention,
             "topic_words": topic_words,
             "unresolved_topic_words": sorted(query.unresolved),
-            "scores": rows,
+            "scores": scores,
         },
     )
 
@@ -622,15 +601,11 @@ def _write_report(cfg: RunConfig, report: Report) -> None:
             written.append(report.stem + ext)
             return os.path.join(outdir, written[-1])
 
-        floats = {}
-        if report.columns and "tsv" in chosen:
-            floats = write_tsv(
-                target(".tsv"), report.columns, report.rows, config, extra=report.extra
-            )
+        if report.table is not None and "tsv" in chosen:
+            columns = report.columns or list(report.table.columns)
+            write_tsv(target(".tsv"), columns, report.table, config, extra=report.extra)
         if report.payload is not None and "json" in chosen:
-            # the payload entry that is the TSV's rows reuses its float texts
-            reuse = {k: floats for k, v in report.payload.items() if v is report.rows}
-            write_json(target(".json"), report.payload, config, reuse)
+            write_json(target(".json"), report.payload, config)
         if chart is not None:
             write_text(target(".svg"), chart)
     _progress(f"wrote {', '.join(written)} in {outdir}")

@@ -47,6 +47,7 @@ from .corpus import CorpusView
 from .embeddings import EmbeddingTable
 from .errors import DataError
 from .frames import FrameRegistry, Microframe
+from .reports import Table
 
 #: Bootstrap draws happen in fixed-size batches so memory stays bounded.
 _BOOTSTRAP_BATCH = 256
@@ -63,7 +64,8 @@ BOOTSTRAP_UNITS = ("token", "document")
 
 
 # ---------------------------------------------------------------------------
-# Result types
+# Result types: the rows of the tables `analyze_frames` and `separation`
+# return, built only when a caller asks a table for one.
 
 
 @dataclass(frozen=True)
@@ -471,26 +473,34 @@ def significance(
     return tuple(map(float, _significance(observed_bias, observed_intensity, *nulls)))
 
 
+def _id_order(ids: list[str]) -> np.ndarray:
+    """Each id's position in sorted id order."""
+    order = np.empty(len(ids), dtype=np.intp)
+    order[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    return order
+
+
 def top_significant_frames(
-    results: list[FramingResult],
+    results: Table,
     by: str = "bias",
     m: int = 10,
     alpha: float = 0.05,
-) -> list[FramingResult]:
+) -> Table:
     """The at-most-m significant frames with the largest absolute effect size.
 
-    Filters to p <= alpha on the chosen statistic, sorts by |effect|
-    descending with ties broken by frame id, and may return fewer than m.
+    Filters an `analyze_frames` table to p <= alpha on the chosen statistic,
+    sorts by |effect| descending with ties broken by frame id, and returns
+    the first m rows, or fewer, as a table. A negative m is a DataError.
     """
     if by not in SHIFT_KINDS:
         raise DataError(f"unknown statistic {by!r}")
-    if by == "bias":
-        kept = [r for r in results if r.p_bias <= alpha]
-        kept.sort(key=lambda r: (-abs(r.effect_bias), r.frame_id))
-    else:
-        kept = [r for r in results if r.p_intensity <= alpha]
-        kept.sort(key=lambda r: (-abs(r.effect_intensity), r.frame_id))
-    return kept[:m]
+    if m < 0:
+        raise DataError(f"m must be >= 0, got {m}")
+    columns = results.columns
+    (kept,) = np.nonzero(np.array(columns[f"p_{by}"], dtype=np.float64) <= alpha)
+    effect = np.abs(np.array(columns[f"effect_{by}"], dtype=np.float64)[kept])
+    order = np.lexsort((_id_order(columns["frame_id"])[kept], -effect))
+    return results.take(kept[order[:m]].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -657,7 +667,7 @@ def separation(
     view_b: CorpusView,
     frames: FrameRegistry,
     table: EmbeddingTable,
-) -> list[SeparationResult]:
+) -> Table:
     """Per-frame bias and intensity differences between two corpora.
 
     `view_a` and `view_b` are document sets of `full_view`. The full
@@ -667,7 +677,7 @@ def separation(
     the mean intensity across the union of both corpora (token-weighted,
     which equals the intensity of the pooled counts); the bias rank
     orders by |delta bias|. Ranks are 1-based, descending, ties by frame
-    id.
+    id. Returns a table of `SeparationResult` rows in registry order.
     """
     tokens, weights = _counts_over(full_view, [full_view, view_a, view_b])
     (_, bias_a, bias_b), (_, int_a, int_b) = _frame_statistics(
@@ -676,34 +686,21 @@ def separation(
     total_a = float(view_a.total_tokens)
     total_b = float(view_b.total_tokens)
     mean_int = (total_a * int_a + total_b * int_b) / (total_a + total_b)
-    ids = frames.ids
-    id_order = np.empty(len(ids), dtype=np.intp)
-    id_order[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    id_order = _id_order(frames.ids)
     rank_b = _ordinal_ranks(np.abs(bias_a - bias_b), id_order)
     rank_i = _ordinal_ranks(mean_int, id_order)
-    columns = (bias_a, bias_b, int_a, int_b, mean_int, rank_b, rank_i, rank_b + rank_i)
-    return [
-        SeparationResult(
-            frame_id=fid,
-            delta_bias=ba - bb,
-            delta_intensity=ia - ib,
-            rank_bias=rb,
-            rank_intensity=ri,
-            rank_sum=rs,
-            bias_a=ba,
-            bias_b=bb,
-            intensity_a=ia,
-            intensity_b=ib,
-            mean_intensity=mi,
-        )
-        for fid, (ba, bb, ia, ib, mi, rb, ri, rs) in zip(ids, zip(*(c.tolist() for c in columns)))
-    ]
+    return Table.of(SeparationResult, list(frames.ids), bias_a - bias_b, int_a - int_b, rank_b,
+                    rank_i, rank_b + rank_i, bias_a, bias_b, int_a, int_b, mean_int)
 
 
-def rank_sum_select(separations: list[SeparationResult], m: int) -> list[str]:
-    """Ids of the m frames with the smallest rank sum, ties by frame id."""
-    order = sorted(separations, key=lambda s: (s.rank_sum, s.frame_id))
-    return [s.frame_id for s in order[:m]]
+def rank_sum_select(separations: Table, m: int) -> list[str]:
+    """Ids of the m frames of a `separation` table with the smallest rank
+    sum, ties by frame id. A negative m is a DataError."""
+    if m < 0:
+        raise DataError(f"m must be >= 0, got {m}")
+    ids = separations.columns["frame_id"]
+    order = np.lexsort((_id_order(ids), separations.columns["rank_sum"]))
+    return [ids[i] for i in order[:m].tolist()]
 
 
 def log_odds_dirichlet(
@@ -753,7 +750,7 @@ def analyze_frames(
     n_bootstrap: int = 1000,
     seed: int = 0,
     bootstrap_unit: str = "token",
-) -> list[FramingResult]:
+) -> Table:
     """Run the full per-frame analysis of a target corpus against its parent.
 
     For every registry frame: the target's bias and intensity, the
@@ -765,7 +762,7 @@ def analyze_frames(
     same, up to rounding, whichever other frames the registry holds, and
     its null is the one `bootstrap_null` gives under the same seed.
     p-values and effects come from the F×n null arrays in one step.
-    Results come back in registry order.
+    Returns a table of `FramingResult` rows in registry order.
     """
     if n_bootstrap < 1:
         raise DataError(f"need at least one bootstrap sample, got {n_bootstrap}")
@@ -781,9 +778,5 @@ def analyze_frames(
         registry, table.unit_rows(tokens_full), n_full, n_target, draws, n_bootstrap
     )
     p_b, p_i, eff_b, eff_i = _significance(bias, intensity, null_bias, null_intensity)
-    # FramingResult's fields between frame_id and n_bootstrap, in order
-    columns = (bias, intensity, baseline, eff_b, eff_i, p_b, p_i)
-    return [
-        FramingResult(fid, *row, n_bootstrap)
-        for fid, row in zip(registry.ids, zip(*(c.tolist() for c in columns)))
-    ]
+    return Table.of(FramingResult, list(registry.ids), bias, intensity, baseline, eff_b, eff_i,
+                    p_b, p_i, [n_bootstrap] * len(registry))

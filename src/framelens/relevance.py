@@ -8,7 +8,8 @@ perplexity per pole so the template with the correct subject-verb
 agreement wins, then summing the two pole scores.
 
 Embedding scores are higher-is-better; perplexity scores are
-lower-is-better. Output carries the convention explicitly.
+lower-is-better. Output carries the convention explicitly. Both return
+a `Table` of `RelevanceScore` rows, best first, with a `rank` column.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from typing import Protocol
 from .embeddings import EmbeddingTable
 from .errors import DataError
 from .frames import FrameRegistry
+from .reports import Table
 from .textio import numbered_lines, open_text
 
 DEFAULT_TEMPLATES = ("{topic} is {pole}.", "{topic} are {pole}.")
@@ -64,9 +66,16 @@ def make_relevance_query(
     return RelevanceQuery(topic_words=resolved, frames=frames, unresolved=unresolved)
 
 
-def relevance_embedding(
-    query: RelevanceQuery, table: EmbeddingTable
-) -> list[RelevanceScore]:
+def _ranked(ids, scores: list[float], method: str, details: list[dict],
+            higher_first: bool) -> Table:
+    """The relevance table of frames `ids`, best score first, ties by frame id."""
+    order = sorted(range(len(ids)),
+                   key=lambda i: (-scores[i] if higher_first else scores[i], ids[i]))
+    ranked = Table.of(RelevanceScore, list(ids), scores, [method] * len(ids), details).take(order)
+    return Table({"rank": list(range(1, len(ids) + 1)), **ranked.columns}, RelevanceScore)
+
+
+def relevance_embedding(query: RelevanceQuery, table: EmbeddingTable) -> Table:
     """Mean over topic words of the two pole cosines, averaged per frame.
 
     Symmetric in pole order by construction. Sorted by score descending,
@@ -81,22 +90,13 @@ def relevance_embedding(
                                                    frames.poles_minus)
                    if plus in missing or minus in missing)
         raise DataError(f"frame {fid!r} has a pole missing from the table")
-    cosines = table.unit_rows(list(query.topic_words)) @ table.unit_rows(poles).T
-    pole_means = ((cosines[:, : len(frames)] + cosines[:, len(frames) :]) / 2.0).T
-    scores: list[RelevanceScore] = []
-    for fid, means in zip(frames.ids, pole_means.tolist()):
-        per_word = dict(zip(query.topic_words, means))
-        score = sum(per_word.values()) / len(per_word)
-        scores.append(
-            RelevanceScore(
-                frame_id=fid,
-                score=score,
-                method="embedding",
-                details={"per_topic_word": per_word},
-            )
-        )
-    scores.sort(key=lambda s: (-s.score, s.frame_id))
-    return scores
+    words = query.topic_words
+    cosines = table.unit_rows(list(words)) @ table.unit_rows(poles).T
+    pole_means = ((cosines[:, : len(frames)] + cosines[:, len(frames) :]) / 2.0).T.tolist()
+    # a left-to-right sum per frame, in topic word order
+    scores = [sum(means) / len(words) for means in pole_means]
+    details = [{"per_topic_word": dict(zip(words, means))} for means in pole_means]
+    return _ranked(frames.ids, scores, "embedding", details, higher_first=True)
 
 
 def build_templates(
@@ -200,7 +200,7 @@ def relevance_perplexity(
     query: RelevanceQuery,
     provider: PerplexityProvider,
     templates: tuple[str, ...] = DEFAULT_TEMPLATES,
-) -> list[RelevanceScore]:
+) -> Table:
     """Template-based relevance: min across templates per pole, sum of poles.
 
     Per topic word and pole word, the score is the lowest perplexity over
@@ -211,23 +211,14 @@ def relevance_perplexity(
     failures propagate with the offending sentence attached.
     """
     frames = query.frames
-    scores: list[RelevanceScore] = []
-    for fid, pole_plus, pole_minus in zip(frames.ids, frames.poles_plus, frames.poles_minus):
-        per_word: dict[str, float] = {}
-        for word in query.topic_words:
-            pole_scores = []
-            for pole in (pole_plus, pole_minus):
-                sentences = build_templates(word, pole, templates)
-                pole_scores.append(min(provider.perplexity(s) for s in sentences))
-            per_word[word] = pole_scores[0] + pole_scores[1]
-        score = sum(per_word.values()) / len(per_word)
-        scores.append(
-            RelevanceScore(
-                frame_id=fid,
-                score=score,
-                method="perplexity",
-                details={"per_topic_word": per_word},
-            )
-        )
-    scores.sort(key=lambda s: (s.score, s.frame_id))
-    return scores
+    scores: list[float] = []
+    details: list[dict] = []
+    for pole_plus, pole_minus in zip(frames.poles_plus, frames.poles_minus):
+        per_word = {
+            word: sum(min(map(provider.perplexity, build_templates(word, pole, templates)))
+                      for pole in (pole_plus, pole_minus))
+            for word in query.topic_words
+        }
+        scores.append(sum(per_word.values()) / len(per_word))
+        details.append({"per_topic_word": per_word})
+    return _ranked(frames.ids, scores, "perplexity", details, higher_first=False)

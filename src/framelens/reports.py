@@ -6,17 +6,17 @@ single ``#``-prefixed provenance line; columns and their order are fixed
 per report type and documented in FORMATS.md. Floats are written with
 shortest round-trip precision.
 
-Rows are formatted by column, once: a column of floats is one
+Results travel as a `Table` of named columns, from the statistic to the
+writers. Cells are formatted by column, once: a column of floats is one
 ``map(float.__repr__, ...)``, a column of ints one ``map(int.__repr__,
 ...)``, a column of strings is its values, and only other columns go value
 by value. A TSV is those texts joined by C-level ``str.join``; a text cell
 holding a TAB, LF or CR would split its row, so it is a DataError. A JSON
-report is exactly ``json.dumps(doc, indent=2)``; its encoder here works the
-same way, filling one ``%``-template per dict from per-key columns when a
-list's dicts share one key order. Both write `SLICE_ROWS` rows at a time,
-so a report is never held whole as text. `write_tsv` returns the texts of
-its float columns, which `write_json` reuses for the payload entry that
-holds the same rows, so each number of a command is formatted once.
+report is exactly ``json.dumps(doc, indent=2)``, a table in it the list of
+its rows as dicts; its encoder here works the same way, filling one
+``%``-template per dict from per-key columns. Both write `SLICE_ROWS` rows
+at a time, so a report is never held whole as text. A table keeps the
+texts of its float columns, so each number of a command is formatted once.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import json
 import os
 from collections.abc import Iterator
 from contextlib import contextmanager
-from itertools import repeat
+from dataclasses import fields
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from urllib.parse import quote
@@ -37,6 +37,50 @@ from .errors import DataError
 SLICE_ROWS = 256
 #: float.__repr__ of the non-finite floats -> their JSON spelling
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+class Table:
+    """Equal-length named columns of Python scalars (or dicts, in a JSON-only
+    column), in report column order, and the dataclass of their rows.
+
+    Iteration and indexing build a `row` from the columns named after its
+    fields, or a tuple of all columns with no `row` type; a slice is a
+    table. The writers keep the texts they format, so columns stay as made.
+    """
+
+    def __init__(self, columns: dict[str, list], row: type | None = None):
+        self.columns = columns
+        self.row = row
+        self._row_columns = [columns[f.name] for f in fields(row)] if row else [*columns.values()]
+        self._texts: dict[str, list[str] | None] = {}
+
+    @classmethod
+    def of(cls, row: type, *columns) -> Table:
+        """The table of `row`s whose columns, in field order, are `columns`:
+        lists, or numpy arrays, which become lists of Python scalars."""
+        columns = [c.tolist() if hasattr(c, "tolist") else c for c in columns]
+        return cls({f.name: column for f, column in zip(fields(row), columns)}, row)
+
+    def take(self, indices) -> Table:
+        """The rows at `indices`, in their order."""
+        columns = self.columns.items()
+        return Table({k: list(map(c.__getitem__, indices)) for k, c in columns}, self.row)
+
+    def __len__(self) -> int:
+        return len(next(iter(self.columns.values()), ()))
+
+    def __iter__(self):
+        return map(self.row or (lambda *values: values), *self._row_columns)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self.take(range(len(self))[index])
+        values = [column[index] for column in self._row_columns]
+        return self.row(*values) if self.row else tuple(values)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Table) and self.row is other.row and (
+            list(self.columns.items()) == list(other.columns.items()))
 
 
 def provenance(config: dict) -> dict:
@@ -70,72 +114,62 @@ def _only_type(values: list):
     return types.pop() if len(types) == 1 else None
 
 
-def _tsv_cells(column: str, rows: list[dict]) -> tuple[list[str], bool]:
-    """The TSV cell texts of `column` in `rows`, and whether its values are
-    all floats. A missing key or None gives an empty cell; a text cell
-    holding a TAB, LF or CR is a DataError."""
-    values = list(map(dict.get, rows, repeat(column)))
+def _float_texts(table: Table, name: str) -> list[str] | None:
+    """The `float.__repr__` texts of column `name` of `table`, one LF-joined
+    string per slice of `SLICE_ROWS` rows, or None when not every value is a
+    float. Formatted on first use and kept on the table for both writers."""
+    kept, values = table._texts, table.columns[name]
+    if name not in kept:
+        kind = _only_type(values)
+        kept[name] = None if kind is None or not issubclass(kind, float) else [
+            "\n".join(map(float.__repr__, values[start : start + SLICE_ROWS]))
+            for start in range(0, len(values), SLICE_ROWS)]
+    return kept[name]
+
+
+def _tsv_cells(column: str, values: list) -> list[str]:
+    """The TSV cell texts of `values`, a slice of `column`. None gives an
+    empty cell; a text cell holding a TAB, LF or CR is a DataError."""
     kind = _only_type(values)
-    if kind is not None and issubclass(kind, float):
-        return list(map(float.__repr__, values)), True
     if kind is int:
-        return list(map(int.__repr__, values)), False
+        return list(map(int.__repr__, values))
     texts = values if kind is str else list(map(_cell, values))
     if tsv_unsafe("".join(texts)):
         bad = next(filter(tsv_unsafe, texts))
         raise DataError(f"report column {column!r}: cell {bad!r} {TSV_UNSAFE}")
-    return texts, False
+    return texts
 
 
-def write_tsv(
-    path: str,
-    columns: list[str],
-    rows: list[dict],
-    config: dict,
-    extra: dict | None = None,
-) -> dict[str, list[str]]:
-    """Write the provenance line, the header and one line per row. Returns,
-    for each column whose values are all floats, their `float.__repr__`
-    texts: one LF-joined string per slice of `SLICE_ROWS` rows."""
+def write_tsv(path: str, columns: list[str], table: Table, config: dict,
+              extra: dict | None = None) -> None:
+    """Write the provenance line, the header and one line per row of
+    `table`, with the cells of `columns`."""
     head = provenance(config)
     if extra:
         head.update(extra)
-    floats: dict[str, list[str]] = {c: [] for c in columns}
+    floats = [_float_texts(table, name) for name in columns]
     with _replaced(path) as fh:
         fh.write(f"# {json.dumps(head, sort_keys=True)}\n" + "\t".join(columns) + "\n")
-        for start in range(0, len(rows), SLICE_ROWS):
-            part = rows[start : start + SLICE_ROWS]
-            cells = []
-            for column in columns:
-                texts, all_floats = _tsv_cells(column, part)
-                cells.append(texts)
-                if not all_floats:
-                    floats.pop(column, None)
-                elif column in floats:
-                    floats[column].append("\n".join(texts))
+        for i, start in enumerate(range(0, len(table), SLICE_ROWS)):
+            cells = [
+                texts[i].split("\n") if texts is not None
+                else _tsv_cells(name, table.columns[name][start : start + SLICE_ROWS])
+                for name, texts in zip(columns, floats)
+            ]
             fh.write("\n".join(map("\t".join, zip(*cells))) + "\n")
-    return floats
 
 
-def write_json(
-    path: str,
-    payload: dict,
-    config: dict,
-    float_texts: dict[str, dict[str, list[str]]] | None = None,
-) -> None:
+def write_json(path: str, payload: dict, config: dict) -> None:
     """Write provenance and `payload` as ``json.dumps(doc, indent=2)`` and
-    LF. `float_texts` maps a payload key whose value is a list of row dicts
-    to what `write_tsv` returned for those rows; the encoder takes those
-    float texts instead of formatting the numbers again."""
+    LF; a `Table` in `payload` is the list of its rows as dicts."""
     doc = {"provenance": provenance(config)}
     doc.update(payload)
-    float_texts = float_texts or {}
     with _replaced(path) as fh:
         sep = "{"
         for key, value in doc.items():
             fh.write(f"{sep}\n  {_key(key)}: ")
-            if isinstance(value, (list, tuple)):
-                fh.writelines(_list_chunks(value, 1, float_texts.get(key)))
+            if isinstance(value, (list, tuple, Table)):
+                fh.writelines(_list_chunks(value, 1))
             else:
                 fh.write(_encode(value, 1))
             sep = ","
@@ -182,18 +216,18 @@ def _encode(value, level: int) -> str:
     if isinstance(value, float):
         text = float.__repr__(value)
         return _NONFINITE.get(text, text)
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, (list, tuple, Table)):
         return "".join(_list_chunks(value, level))
     if isinstance(value, dict):
-        return _dicts([value], level)[0] if value else "{}"
+        return _column([value], level)[0] if value else "{}"
     # not JSON-serializable: json.dumps raises its TypeError
     return json.dumps(value, indent=2).replace("\n", "\n" + "  " * level)
 
 
-def _column(values: list, level: int, floats: dict[str, list[str]] | None = None) -> list[str]:
+def _column(values: list, level: int) -> list[str]:
     """The JSON texts of `values`, each `level` levels deep: by type for a
     column of one scalar type or of dicts that share one key order, value
-    by value otherwise. `floats` are float texts of the dicts' keys."""
+    by value otherwise."""
     kind = _only_type(values)
     if kind is not None:
         if issubclass(kind, str):
@@ -205,45 +239,44 @@ def _column(values: list, level: int, floats: dict[str, list[str]] | None = None
         if issubclass(kind, dict) and values[0]:
             keys = tuple(values[0])
             if all(map(keys.__eq__, map(tuple, values))):
-                return _dicts(values, level, floats)
+                return _rows(Table({k: list(map(itemgetter(k), values)) for k in keys}), level)
     return [_encode(v, level) for v in values]
 
 
-def _dicts(dicts: list[dict], level: int, floats: dict[str, list[str]] | None = None) -> list[str]:
-    """The JSON texts of non-empty dicts that share one key order: one
-    ``%``-template filled from the column of each key."""
-    keys = tuple(dicts[0])
+def _rows(table: Table, level: int, floats: list | None = None) -> list[str]:
+    """The rows of `table`, which has columns, as JSON dicts `level` levels
+    deep: one ``%``-template filled per row. `floats` holds the
+    `float.__repr__` texts of each column, or None to format it here."""
     inner = "\n" + "  " * (level + 1)
-    template = (
-        "{"
-        + ",".join(inner + _key(k).replace("%", "%%") + ": %s" for k in keys)
-        + "\n" + "  " * level + "}"
-    )
-    floats = floats or {}
-    columns = [
-        _json_floats(floats[k]) if k in floats
-        else _column(list(map(itemgetter(k), dicts)), level + 1)
-        for k in keys
+    items = ",".join(inner + _key(k).replace("%", "%%") + ": %s" for k in table.columns)
+    template = "{" + items + "\n" + "  " * level + "}"
+    floats = floats or [None] * len(table.columns)
+    texts = [
+        _column(values, level + 1) if kept is None else _json_floats(kept)
+        for values, kept in zip(table.columns.values(), floats)
     ]
-    return list(map(template.__mod__, zip(*columns)))
+    return list(map(template.__mod__, zip(*texts)))
 
 
-def _list_chunks(
-    items: list | tuple, level: int, floats: dict[str, list[str]] | None = None
-) -> Iterator[str]:
+def _list_chunks(items: list | tuple | Table, level: int) -> Iterator[str]:
     """A list `level` levels deep as JSON text, `SLICE_ROWS` items a chunk.
-    `floats` are float texts of the items' keys when the items are dicts,
-    as `write_tsv` returns them: one LF-joined string per chunk."""
-    if not items:
+    A table is the list of its rows as dicts; its float columns take the
+    texts `_float_texts` keeps."""
+    if not len(items):
         yield "[]"
         return
     inner = "\n" + "  " * (level + 1)
     sep = "[" + inner
+    if isinstance(items, Table):
+        floats = [_float_texts(items, name) for name in items.columns]
     for i, start in enumerate(range(0, len(items), SLICE_ROWS)):
-        part = {k: t[i].split("\n") for k, t in floats.items()} if floats else None
-        yield sep + ("," + inner).join(
-            _column(list(items[start : start + SLICE_ROWS]), level + 1, part)
-        )
+        part = items[start : start + SLICE_ROWS]
+        if isinstance(items, Table):
+            texts = [None if t is None else t[i].split("\n") for t in floats]
+            chunk = _rows(part, level + 1, texts)
+        else:
+            chunk = _column(list(part), level + 1)
+        yield sep + ("," + inner).join(chunk)
         sep = "," + inner
     yield "\n" + "  " * level + "]"
 

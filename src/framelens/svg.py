@@ -1,7 +1,7 @@
 """Self-contained SVG rendering for the report charts.
 
-Every chart is drawn from the same row dictionaries that were written to
-the accompanying TSV, so nothing in the picture goes beyond the table.
+Every chart is drawn from the columns of the same `Table` that was written
+to the accompanying TSV, so nothing in the picture goes beyond the table.
 Canvas is fixed at 960x540. Group A is blue, group B red, neutral gray.
 """
 
@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 
 from .errors import DataError
+from .reports import Table
 
 WIDTH = 960
 HEIGHT = 540
@@ -105,7 +106,16 @@ def group_colors(groups: list[str]) -> dict[str, str]:
     return {g: _PALETTE[i % len(_PALETTE)] for i, g in enumerate(sorted(groups))}
 
 
-def chart_shifts(rows: list[dict], title: str) -> str:
+def _group_legend(colors: dict[str, str], x: float, y: float) -> list[str]:
+    """A swatch and a label per group, 160 apart from `x` on, at height `y`."""
+    els = []
+    for i, g in enumerate(colors):
+        els.append(_rect(x + 160 * i, y, 14, 14, colors[g]))
+        els.append(_text(x + 160 * i + 18, y + 12, g or "(no group)", size=12))
+    return els
+
+
+def chart_shifts(table: Table, title: str) -> str:
     """Horizontal bar diagram: per token, target / background / delta bars."""
     els: list[str] = [_text(20, 28, title, size=16)]
     legend = (("target", COLOR_A), ("background", COLOR_NEUTRAL), ("delta", COLOR_B))
@@ -114,27 +124,24 @@ def chart_shifts(rows: list[dict], title: str) -> str:
         els.append(_rect(lx, 16, 14, 14, color))
         els.append(_text(lx + 18, 28, name, size=12))
         lx += 110
-    if not rows:
+    if not len(table):
         els.append(_text(WIDTH / 2, HEIGHT / 2, "no rows", anchor="middle"))
         return _document(els)
     x0, x1, y0, y1 = 180.0, 930.0, 60.0, 500.0
-    values = [
-        abs(v)
-        for r in rows
-        for v in (r["shift_target"], r["shift_background"], r["shift_delta"])
-    ]
-    vmax = max(values) or 1e-12
+    columns = table.columns
+    shifts = list(zip(columns["shift_target"], columns["shift_background"], columns["shift_delta"]))
+    vmax = max(abs(v) for row in shifts for v in row) or 1e-12
     lo, hi = -vmax * 1.05, vmax * 1.05
     zero_x = _lin(0.0, lo, hi, x0, x1)
-    row_h = (y1 - y0) / len(rows)
+    row_h = (y1 - y0) / len(shifts)
     bar_h = min(row_h / 4.0, 14.0)
-    for i, r in enumerate(rows):
+    for i, (token, (target, background, delta)) in enumerate(zip(columns["token"], shifts)):
         yc = y0 + (i + 0.5) * row_h
-        els.append(_text(x0 - 10, yc + 4, r["token"], anchor="end"))
+        els.append(_text(x0 - 10, yc + 4, token, anchor="end"))
         series = (
-            (r["shift_target"], COLOR_A, yc - 1.5 * bar_h),
-            (r["shift_background"], COLOR_NEUTRAL, yc - 0.5 * bar_h),
-            (r["shift_delta"], COLOR_B, yc + 0.5 * bar_h),
+            (target, COLOR_A, yc - 1.5 * bar_h),
+            (background, COLOR_NEUTRAL, yc - 0.5 * bar_h),
+            (delta, COLOR_B, yc + 0.5 * bar_h),
         )
         for value, color, ytop in series:
             vx = _lin(value, lo, hi, x0, x1)
@@ -147,29 +154,26 @@ def chart_shifts(rows: list[dict], title: str) -> str:
     return _document(els)
 
 
-def chart_spectrum(rows: list[dict], title: str, pole_minus: str, pole_plus: str) -> str:
+def chart_spectrum(table: Table, title: str, pole_minus: str, pole_plus: str) -> str:
     """Strip plot: one tick per document at its bias, thick tick per group mean."""
     els: list[str] = [_text(20, 28, title, size=16)]
-    present = [r for r in rows if r["doc_bias"] is not None and r["doc_bias"] != ""]
+    columns = table.columns
+    present = [(g or "", b) for g, b in zip(columns["group"], columns["doc_bias"]) if b is not None]
     if not present:
         els.append(_text(WIDTH / 2, HEIGHT / 2, "no scored documents", anchor="middle"))
         return _document(els)
     x0, x1 = 80.0, 910.0
     ymid = 280.0
-    lo, hi = _pad_range([float(r["doc_bias"]) for r in present])
-    groups = sorted({r["group"] or "" for r in present})
+    lo, hi = _pad_range([b for _, b in present])
+    groups = sorted({g for g, _ in present})
     colors = group_colors(groups)
-    lx = 80.0
-    for g in groups:
-        els.append(_rect(lx, 44, 14, 14, colors[g]))
-        els.append(_text(lx + 18, 56, g or "(no group)", size=12))
-        lx += 160
+    els += _group_legend(colors, 80.0, 44)
     els.append(_line(x0, ymid, x1, ymid, "#cccccc", 1.0))
-    for r in present:
-        vx = _lin(float(r["doc_bias"]), lo, hi, x0, x1)
-        els.append(_line(vx, ymid - 40, vx, ymid + 40, colors[r["group"] or ""], 1.0, 0.55))
+    for g, b in present:
+        vx = _lin(b, lo, hi, x0, x1)
+        els.append(_line(vx, ymid - 40, vx, ymid + 40, colors[g], 1.0, 0.55))
     for g in groups:
-        vals = [float(r["doc_bias"]) for r in present if (r["group"] or "") == g]
+        vals = [b for h, b in present if h == g]
         mean = sum(vals) / len(vals)
         vx = _lin(mean, lo, hi, x0, x1)
         els.append(_line(vx, ymid - 70, vx, ymid + 70, colors[g], 5.0))
@@ -183,36 +187,33 @@ def chart_spectrum(rows: list[dict], title: str, pole_minus: str, pole_plus: str
     return _document(els)
 
 
-def chart_map(rows: list[dict], title: str, pole_minus: str, pole_plus: str) -> str:
+def chart_map(table: Table, title: str, pole_minus: str, pole_plus: str) -> str:
     """Scatter of units at (bias, intensity) with group mean markers."""
     els: list[str] = [_text(20, 28, title, size=16)]
-    if not rows:
+    if not len(table):
         els.append(_text(WIDTH / 2, HEIGHT / 2, "no units", anchor="middle"))
         return _document(els)
     x0, x1, y0, y1 = 90.0, 910.0, 70.0, 480.0
-    xlo, xhi = _pad_range([float(r["bias"]) for r in rows])
-    ylo, yhi = _pad_range([float(r["intensity"]) for r in rows])
-    groups = sorted({r["group"] or "" for r in rows})
+    columns = table.columns
+    xlo, xhi = _pad_range(columns["bias"])
+    ylo, yhi = _pad_range(columns["intensity"])
+    units = list(zip(columns["unit"], [g or "" for g in columns["group"]],
+                     columns["bias"], columns["intensity"]))
+    groups = sorted({g for _, g, _, _ in units})
     colors = group_colors(groups)
-    lx = 90.0
-    for g in groups:
-        els.append(_rect(lx, 40, 14, 14, colors[g]))
-        els.append(_text(lx + 18, 52, g or "(no group)", size=12))
-        lx += 160
+    els += _group_legend(colors, 90.0, 40)
     if xlo < 0.0 < xhi:
         zx = _lin(0.0, xlo, xhi, x0, x1)
         els.append(_line(zx, y0, zx, y1, "#cccccc", 1.0))
-    for r in rows:
-        px = _lin(float(r["bias"]), xlo, xhi, x0, x1)
-        py = _lin(float(r["intensity"]), ylo, yhi, y1, y0)
-        els.append(_circle(px, py, 5, colors[r["group"] or ""], 0.75))
-        els.append(_text(px + 7, py + 4, str(r["unit"]), size=9, color="#444444"))
+    for unit, g, b, i in units:
+        px = _lin(b, xlo, xhi, x0, x1)
+        py = _lin(i, ylo, yhi, y1, y0)
+        els.append(_circle(px, py, 5, colors[g], 0.75))
+        els.append(_text(px + 7, py + 4, str(unit), size=9, color="#444444"))
     for g in groups:
-        sub = [r for r in rows if (r["group"] or "") == g]
-        mx = sum(float(r["bias"]) for r in sub) / len(sub)
-        my = sum(float(r["intensity"]) for r in sub) / len(sub)
-        px = _lin(mx, xlo, xhi, x0, x1)
-        py = _lin(my, ylo, yhi, y1, y0)
+        sub = [(b, i) for _, h, b, i in units if h == g]
+        px = _lin(sum(b for b, _ in sub) / len(sub), xlo, xhi, x0, x1)
+        py = _lin(sum(i for _, i in sub) / len(sub), ylo, yhi, y1, y0)
         els.append(_circle(px, py, 9, colors[g], 0.95, stroke="#000000"))
     els.append(_line(x0, y1, x1, y1, "#000000", 0.8))
     els.append(_line(x0, y0, x0, y1, "#000000", 0.8))
@@ -227,9 +228,10 @@ def chart_map(rows: list[dict], title: str, pole_minus: str, pole_plus: str) -> 
     return _document(els)
 
 
-def _separation_label(row: dict) -> tuple[str, str, str, str, str]:
-    """Label parts for a separation point: (prefix, bold pole, superscript,
-    suffix, color).
+def _separation_label(delta_intensity: float, bias_a: float, bias_b: float,
+                      minus: str, plus: str) -> tuple[str, str, str, str, str]:
+    """Label parts for a separation point of the frame with poles `minus`
+    and `plus`: (prefix, bold pole, superscript, suffix, color).
 
     The highlighted side is the corpus using the frame more intensively:
     group A when the intensity separation is positive, group B when
@@ -237,12 +239,10 @@ def _separation_label(row: dict) -> tuple[str, str, str, str, str]:
     is the one the highlighted corpus's bias leans toward, and the
     superscript sign names the highlighted group.
     """
-    minus, _, plus = row["frame_id"].partition("--")
-    di = float(row["delta_intensity"])
-    if di > _BALANCED_EPS:
-        bias, sup, color = float(row["bias_a"]), "+", COLOR_A
-    elif di < -_BALANCED_EPS:
-        bias, sup, color = float(row["bias_b"]), "-", COLOR_B
+    if delta_intensity > _BALANCED_EPS:
+        bias, sup, color = bias_a, "+", COLOR_A
+    elif delta_intensity < -_BALANCED_EPS:
+        bias, sup, color = bias_b, "-", COLOR_B
     else:
         return f"{minus}--{plus} (balanced)", "", "", "", COLOR_NEUTRAL
     if bias >= 0.0:
@@ -250,21 +250,22 @@ def _separation_label(row: dict) -> tuple[str, str, str, str, str]:
     return "", minus, sup, f"--{plus}", color
 
 
-def chart_separation(rows: list[dict], title: str) -> str:
+def chart_separation(table: Table, title: str, poles_minus, poles_plus) -> str:
     """Scatter of per-frame (bias separation, intensity separation).
 
+    `poles_minus` and `poles_plus` hold the poles of each row's frame.
     Frames above the horizontal line are used more intensively by group
     A. The top 3 and bottom 3 frames by each separation are labeled; the
     label bolds the pole that the highlighted group leans toward and
     marks the group with a superscript sign.
     """
     els: list[str] = [_text(20, 28, title, size=16)]
-    if not rows:
+    if not len(table):
         els.append(_text(WIDTH / 2, HEIGHT / 2, "no frames", anchor="middle"))
         return _document(els)
     x0, x1, y0, y1 = 90.0, 910.0, 70.0, 470.0
-    xs = [float(r["delta_bias"]) for r in rows]
-    ys = [float(r["delta_intensity"]) for r in rows]
+    columns = table.columns
+    ids, xs, ys = columns["frame_id"], columns["delta_bias"], columns["delta_intensity"]
     xlo, xhi = _pad_range(xs + [0.0])
     ylo, yhi = _pad_range(ys + [0.0])
     zx = _lin(0.0, xlo, xhi, x0, x1)
@@ -272,23 +273,22 @@ def chart_separation(rows: list[dict], title: str) -> str:
     els.append(_line(x0, zy, x1, zy, "#bbbbbb", 1.2))
     els.append(_line(zx, y0, zx, y1, "#bbbbbb", 1.2))
 
-    by_db = sorted(rows, key=lambda r: (float(r["delta_bias"]), r["frame_id"]))
-    by_di = sorted(rows, key=lambda r: (float(r["delta_intensity"]), r["frame_id"]))
-    labeled = {r["frame_id"] for r in by_db[:3] + by_db[-3:] + by_di[:3] + by_di[-3:]}
+    by_db = sorted(range(len(ids)), key=lambda i: (xs[i], ids[i]))
+    by_di = sorted(range(len(ids)), key=lambda i: (ys[i], ids[i]))
+    labeled = {ids[i] for i in by_db[:3] + by_db[-3:] + by_di[:3] + by_di[-3:]}
 
-    for r in rows:
-        px = _lin(float(r["delta_bias"]), xlo, xhi, x0, x1)
-        py = _lin(float(r["delta_intensity"]), ylo, yhi, y1, y0)
-        if r["frame_id"] in labeled:
-            prefix, bold, sup, suffix, color = _separation_label(r)
+    rows = zip(ids, xs, ys, columns["bias_a"], columns["bias_b"], poles_minus, poles_plus)
+    for fid, db, di, bias_a, bias_b, minus, plus in rows:
+        px = _lin(db, xlo, xhi, x0, x1)
+        py = _lin(di, ylo, yhi, y1, y0)
+        if fid in labeled:
+            prefix, bold, sup, suffix, color = _separation_label(di, bias_a, bias_b, minus, plus)
             els.append(_circle(px, py, 4, color, 0.9))
             spans = escape(prefix)
-            if bold:
-                spans += f'<tspan font-weight="bold">{escape(bold)}</tspan>'
-            if sup:
-                spans += f'<tspan baseline-shift="super" font-size="9">{escape(sup)}</tspan>'
-            if suffix:
-                spans += escape(suffix)
+            if bold:  # a balanced frame has neither a bold pole nor a superscript
+                spans += (f'<tspan font-weight="bold">{escape(bold)}</tspan>'
+                          f'<tspan baseline-shift="super" font-size="9">{escape(sup)}</tspan>')
+            spans += escape(suffix)
             els.append(
                 f'<text x="{px + 6:.1f}" y="{py - 5:.1f}" font-family="sans-serif" '
                 f'font-size="11" fill="{color}">{spans}</text>'

@@ -3,13 +3,13 @@
 import numpy as np
 
 from framelens.corpus import build_view, make_document
-from framelens.engine import SeparationResult, separation
+from framelens.engine import separation
 from framelens.frames import build_registry
 
 from conftest import table_from_dict
 
 
-def planted_separation(rng, n_decoys: int = 30) -> list[SeparationResult]:
+def planted_separation(rng, n_decoys: int = 30):
     """Toy embedding with one axis that separates two corpora and `n_decoys`
     random axes that do not; returns the separation table."""
     dim = 16

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from framelens import cli, corpus, embeddings, engine, reports, svg
+from framelens import cli, corpus, embeddings, engine, relevance, reports, svg
 from framelens.cli import main
 from framelens.corpus import read_jsonl
 from framelens.embeddings import EmbeddingTable, load_embeddings
@@ -151,6 +151,30 @@ class TestAnalyze:
         assert doc["provenance"]["config"]["n_bootstrap"] == 50
         err = capsys.readouterr().err
         assert "registry: 4 frames" in err
+
+    @pytest.mark.parametrize("alpha", ["0.12", "0.99"])
+    def test_bonferroni_selects_at_alpha_over_the_frame_count(self, setup, alpha):
+        """At 0.12 Bonferroni drops a frame from the bias selection, at 0.99
+        from the intensity one; each selection is an independent filter and
+        sort of results.tsv at the divided alpha."""
+        args = base_args(setup, "analyze") + [
+            "--group", "pos", "--n-bootstrap", "200", "--alpha", alpha, "--top-m", "3"]
+        assert main(args + ["--bonferroni"]) == 0
+        _, _, rows = read_tsv(os.path.join(setup["out"], "results.tsv"))
+        doc = json.loads(Path(setup["out"], "results.json").read_text(encoding="utf-8"))
+        assert doc["provenance"]["config"]["bonferroni"] is True
+        alpha_eff = float(alpha) / len(rows)
+        assert doc["alpha_effective"] == alpha_eff
+
+        def selected(by, at):
+            kept = [r for r in rows if float(r[f"p_{by}"]) <= at]
+            kept.sort(key=lambda r: (-abs(float(r[f"effect_{by}"])), r["frame_id"]))
+            return [r["frame_id"] for r in kept[:3]]
+
+        for by in ("bias", "intensity"):
+            assert doc[f"top_significant_{by}"] == selected(by, alpha_eff)
+        assert any(selected(by, alpha_eff) != selected(by, float(alpha))
+                   for by in ("bias", "intensity"))
 
     def test_deterministic_reports(self, setup):
         args = base_args(setup, "analyze") + ["--group", "pos", "--n-bootstrap", "40"]
@@ -434,6 +458,35 @@ class TestSeparation:
         for row in rows:
             for column in header[1:]:
                 float(row[column])
+
+    @pytest.mark.parametrize("vectors", [
+        ("0.6 0.3 0.2", "-0.4 0.5 0.1"),
+        ("-0.4 0.5 0.1", "0.6 0.3 0.2"),
+    ])
+    def test_chart_bolds_a_pole_that_holds_the_id_separator(self, setup, vectors):
+        """The pair ``well--known TAB obscure`` has the id
+        ``well--known--obscure``; its label bolds one of its two poles
+        whole, by the rule of the TSV's numbers."""
+        minus, plus = vectors
+        emb = setup["tmp"] / "poles.txt"
+        emb.write_text(EMBEDDINGS + f"well--known {minus}\nobscure {plus}\n", encoding="utf-8")
+        pairs = setup["tmp"] / "poles.tsv"
+        pairs.write_text(PAIRS + "well--known\tobscure\n", encoding="utf-8")
+        s = {**setup, "emb": str(emb), "pairs": str(pairs)}
+        assert main(base_args(s, "separation") + ["--group-a", "pos", "--group-b", "neg"]) == 0
+        stem = os.path.join(setup["out"], "separation_pos_vs_neg")
+        _, _, rows = read_tsv(stem + ".tsv")
+        (row,) = [r for r in rows if r["frame_id"] == "well--known--obscure"]
+        di = float(row["delta_intensity"])
+        assert abs(di) > 1e-12  # not balanced: a pole is bold
+        bias = float(row["bias_a"] if di > 0 else row["bias_b"])
+        parts = ("well--known--", "obscure", "") if bias >= 0 else ("", "well--known", "--obscure")
+        root = ET.parse(stem + ".svg").getroot()
+        ns = "{http://www.w3.org/2000/svg}"
+        (label,) = [t for t in root.iter(f"{ns}text") if "obscure" in "".join(t.itertext())]
+        bold, sup = label.findall(f"{ns}tspan")
+        assert bold.get("font-weight") == "bold"
+        assert (label.text or "", bold.text, sup.tail or "") == parts
 
     def test_identical_groups_are_a_usage_error(self, setup, capsys, monkeypatch):
         def unread(*args, **kwargs):
@@ -1155,6 +1208,32 @@ class TestTextReportsCannotHold:
         err = capsys.readouterr().err
         assert f"error [read corpus]: {corpus}:4: lone surrogate '\\ud800'" in err
         assert not os.path.exists(setup["out"])
+
+
+def test_commands_build_no_result_rows(setup, monkeypatch):
+    """analyze, separation and relevance hand their tables to the writers
+    without one row object; asking a table for rows still builds them."""
+    built = []
+    for row in (engine.FramingResult, engine.SeparationResult, relevance.RelevanceScore):
+        def counted(self, *args, _init=row.__init__, _name=row.__name__, **kwargs):
+            built.append(_name)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(row, "__init__", counted)
+    for command, extra in EVERY_COMMAND:
+        if command in ("analyze", "separation", "relevance"):
+            assert main(base_args(setup, command) + extra) == 0
+    assert built == []
+    table = load_embeddings(setup["emb"])
+    registry = build_registry(read_pairs_tsv(setup["pairs"]), table)
+    full = corpus.build_view(read_jsonl(setup["corpus"]), table)
+    results = engine.analyze_frames(full, corpus.group_view(full, "pos"), registry, table,
+                                    n_bootstrap=20, seed=7)
+    assert built == []
+    assert results[0].p_bias == results.columns["p_bias"][0]
+    first, *rest = results
+    assert [r.frame_id for r in rest] == results.columns["frame_id"][1:]
+    assert built == ["FramingResult"] * (1 + len(results))
 
 
 def test_analyze_under_a_profiler_writes_the_same_reports(setup):

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import astuple
 from unittest import mock
 
 import numpy as np
@@ -31,9 +32,15 @@ from framelens.engine import (
 )
 from framelens.errors import DataError
 from framelens.frames import FrameRegistry, Microframe, build_registry, make_frame
+from framelens.reports import Table
 
 import oracles
 from conftest import random_instance, table_from_dict
+
+
+def table_of(rows) -> Table:
+    """The table of result rows of one dataclass, as the engine returns one."""
+    return Table.of(type(rows[0]), *map(list, zip(*map(astuple, rows))))
 
 
 def frame_with_axis(axis) -> Microframe:
@@ -399,26 +406,47 @@ def _result(fid, eff_b, p_b, eff_i=0.0, p_i=1.0):
 
 class TestTopSignificant:
     def test_nothing_significant(self):
-        results = [_result(f"f{i}", 0.5, 0.5) for i in range(5)]
-        assert top_significant_frames(results, "bias", 10, 0.05) == []
+        results = table_of([_result(f"f{i}", 0.5, 0.5) for i in range(5)])
+        out = top_significant_frames(results, "bias", 10, 0.05)
+        assert len(out) == 0 and out.columns["frame_id"] == []
 
     def test_sorted_by_absolute_effect(self):
-        results = [
-            _result("a", -0.9, 0.01),
-            _result("b", 0.5, 0.01),
-            _result("c", 0.7, 0.01),
-        ]
-        out = top_significant_frames(results, "bias", 2, 0.05)
-        assert [r.frame_id for r in out] == ["a", "c"]
+        rows = [_result("a", -0.9, 0.01), _result("b", 0.5, 0.01), _result("c", 0.7, 0.01)]
+        out = top_significant_frames(table_of(rows), "bias", 2, 0.05)
+        assert list(out) == [rows[0], rows[2]]
+        assert out.columns["frame_id"] == ["a", "c"]
 
     def test_tie_breaks_by_frame_id(self):
-        results = [_result("zeta", 0.5, 0.01), _result("alpha", -0.5, 0.01)]
+        results = table_of([_result("zeta", 0.5, 0.01), _result("alpha", -0.5, 0.01)])
         out = top_significant_frames(results, "bias", 5, 0.05)
         assert [r.frame_id for r in out] == ["alpha", "zeta"]
 
     def test_may_return_fewer_than_m(self):
-        results = [_result("a", 0.5, 0.01)]
+        results = table_of([_result("a", 0.5, 0.01)])
         assert len(top_significant_frames(results, "bias", 10, 0.05)) == 1
+
+    @pytest.mark.parametrize("by", ["bias", "intensity"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_against_a_filter_and_sort(self, by, seed):
+        """Ties in |effect| on both signs, ids out of sorted order, and p
+        values on both sides of alpha."""
+        rng = np.random.default_rng(seed)
+        effects, ps = rng.choice([-0.5, -0.2, 0.0, 0.2, 0.5], 40), rng.choice([0.01, 0.05, 0.2], 40)
+        rows = [
+            _result(f"f{j}", e, p) if by == "bias" else _result(f"f{j}", 0.0, 1.0, e, p)
+            for j, e, p in zip(rng.permutation(40).tolist(), effects.tolist(), ps.tolist())
+        ]
+        kept = [r for r in rows if getattr(r, f"p_{by}") <= 0.05]
+        kept.sort(key=lambda r: (-abs(getattr(r, f"effect_{by}")), r.frame_id))
+        for m in (0, 3, 40):
+            out = top_significant_frames(table_of(rows), by, m, 0.05)
+            assert list(out) == kept[:m]
+
+    @pytest.mark.parametrize("m", [-1, -4])
+    def test_negative_m_is_a_data_error(self, m):
+        results = table_of([_result(f"f{i}", 0.5, 0.01) for i in range(4)])
+        with pytest.raises(DataError, match=f"m must be >= 0, got {m}"):
+            top_significant_frames(results, "bias", m, 0.05)
 
 
 class TestWordShifts:
@@ -855,11 +883,17 @@ class TestRankSumSelect:
             self._sep("alpha", 1, 2),
             self._sep("gamma", 3, 3),
         ]
-        assert rank_sum_select(seps, 1) == ["alpha"]
+        assert rank_sum_select(table_of(seps), 1) == ["alpha"]
 
     def test_m_at_least_frame_count_returns_all_sorted(self):
         seps = [self._sep("b", 2, 2), self._sep("a", 1, 1)]
-        assert rank_sum_select(seps, 10) == ["a", "b"]
+        assert rank_sum_select(table_of(seps), 10) == ["a", "b"]
+
+    @pytest.mark.parametrize("m", [-1, -2])
+    def test_negative_m_is_a_data_error(self, m):
+        seps = table_of([self._sep("a", 1, 1), self._sep("b", 2, 2), self._sep("c", 3, 3)])
+        with pytest.raises(DataError, match=f"m must be >= 0, got {m}"):
+            rank_sum_select(seps, m)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_against_independent_sort_oracle(self, seed):
@@ -871,7 +905,7 @@ class TestRankSumSelect:
         expect = oracles.select_by_rank_sum(
             [(s.frame_id, s.rank_bias, s.rank_intensity) for s in seps], 5
         )
-        assert rank_sum_select(seps, 5) == expect
+        assert rank_sum_select(table_of(seps), 5) == expect
 
 
 class TestLogOdds:

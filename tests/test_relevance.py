@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from framelens.errors import DataError
@@ -53,6 +54,25 @@ class TestQuery:
 
 
 class TestEmbeddingRelevance:
+    def test_score_is_the_left_to_right_mean_of_its_topic_words(self):
+        """Twenty topic words: a pairwise or blocked sum (np.sum, np.mean)
+        would round differently from the per-word sum in topic word order."""
+        rng = np.random.default_rng(3)
+        words = [f"t{i}" for i in range(20)] + [f"m{i}" for i in range(6)] + [f"p{i}" for i in range(6)]
+        table = table_from_dict({w: rng.normal(size=5).tolist() for w in words})
+        registry = build_registry([(f"m{i}", f"p{i}") for i in range(6)], table)
+        query = make_relevance_query(set(words[:20]), registry, table)
+        scores = relevance_embedding(query, table)
+        assert scores.columns["rank"] == [1, 2, 3, 4, 5, 6]
+        assert [s.score for s in scores] == sorted((s.score for s in scores), reverse=True)
+        for s in scores:
+            per_word = s.details["per_topic_word"]
+            assert tuple(per_word) == query.topic_words
+            total = 0.0
+            for value in per_word.values():
+                total += value
+            assert s.score == total / 20
+
     def test_pole_aligned_topic_scores_half(self, rel_table, rel_registry):
         q = make_relevance_query({"topic"}, rel_registry, rel_table)
         scores = {s.frame_id: s.score for s in relevance_embedding(q, rel_table)}

@@ -15,6 +15,7 @@ from framelens.errors import DataError
 from framelens.frames import frame_id, read_pairs_tsv
 from framelens.reports import (
     SLICE_ROWS,
+    Table,
     dumps,
     escape_stem,
     provenance,
@@ -28,7 +29,7 @@ import oracles
 
 def test_numpy_floats_are_written_as_plain_numbers(tmp_path):
     path = tmp_path / "out.tsv"
-    write_tsv(str(path), ["a", "b"], [{"a": np.float64(0.1), "b": 0.25}], {"seed": 0})
+    write_tsv(str(path), ["a", "b"], Table({"a": [np.float64(0.1)], "b": [0.25]}), {"seed": 0})
     header, row = path.read_text(encoding="utf-8").splitlines()[1:]
     assert header == "a\tb"
     assert row == "0.1\t0.25"
@@ -164,64 +165,108 @@ def test_write_json_is_json_dumps_of_the_document(payload):
             assert fh.read() == json.dumps(doc, indent=2) + "\n"
 
 
-def _long_rows(n):
-    """Rows across several slices, whose key order changes within a slice
-    and whose float column holds non-finite values."""
+def _long_table(n):
+    """A table across several slices whose float column holds non-finite
+    values, with text, int and dict columns."""
     specials = [math.nan, math.inf, -math.inf, -0.0, 5e-324]
-    rows = [
-        {"id": f"f{i}%", "x": specials[i % 5] if i % 97 == 0 else i / 7, "n": i, "d": {"w": i / 3}}
-        for i in range(n)
-    ]
-    for row in rows[SLICE_ROWS + 10 : SLICE_ROWS + 20]:
-        row["n"] = row.pop("id")
-    return rows
+    return Table({
+        "id": [f"f{i}%" for i in range(n)],
+        "x": [specials[i % 5] if i % 97 == 0 else i / 7 for i in range(n)],
+        "n": list(range(n)),
+        "d": [{"w": i / 3} for i in range(n)],
+    })
+
+
+def test_write_json_writes_a_table_as_its_rows(tmp_path):
+    table = _long_table(3 * SLICE_ROWS + 5)
+    payload = {"before": [1.5], "rows": table, "after": {}, "empty": Table({"a": []})}
+    write_json(str(tmp_path / "r.json"), payload, {"seed": 1})
+    rows = [dict(zip(table.columns, values)) for values in zip(*table.columns.values())]
+    doc = {"provenance": provenance({"seed": 1}), **payload, "rows": rows, "empty": []}
+    assert (tmp_path / "r.json").read_text(encoding="utf-8") == json.dumps(doc, indent=2) + "\n"
+    assert dumps(table) == json.dumps(rows, indent=2)
 
 
 def test_write_json_reuses_the_tsv_float_texts(tmp_path):
-    rows = _long_rows(3 * SLICE_ROWS + 5)
-    floats = write_tsv(str(tmp_path / "r.tsv"), ["id", "x", "n"], rows, {"seed": 1})
-    texts = [repr(r["x"]) for r in rows]
-    assert floats == {
-        "x": ["\n".join(texts[i : i + SLICE_ROWS]) for i in range(0, len(rows), SLICE_ROWS)]
-    }
-    payload = {"before": [1.5], "rows": rows, "after": {}}
-    write_json(str(tmp_path / "r.json"), payload, {"seed": 1}, {"rows": floats})
-    doc = {"provenance": provenance({"seed": 1}), **payload}
+    """The JSON of a table whose TSV was written takes the TSV's float
+    texts: once the column's values change, the JSON still shows the
+    numbers the TSV printed, which it would not if it formatted them again."""
+    table = _long_table(3 * SLICE_ROWS + 5)
+    written = list(table.columns["x"])
+    write_tsv(str(tmp_path / "r.tsv"), ["id", "x", "n"], table, {"seed": 1})
+    tsv = [line.split("\t")[1] for line in (tmp_path / "r.tsv").read_text().splitlines()[2:]]
+    assert tsv == list(map(repr, written))
+    table.columns["x"][:] = [v + 1.0 for v in written]  # breaks the table's contract on purpose
+    write_json(str(tmp_path / "r.json"), {"rows": table}, {"seed": 1})
+    rows = [dict(zip(table.columns, values)) for values in zip(*table.columns.values())]
+    for row, x in zip(rows, written):
+        row["x"] = x
+    doc = {"provenance": provenance({"seed": 1}), "rows": rows}
     assert (tmp_path / "r.json").read_text(encoding="utf-8") == json.dumps(doc, indent=2) + "\n"
 
 
-_CELLS = st.one_of(
+def test_a_table_builds_rows_only_on_request():
+    from dataclasses import make_dataclass
+
+    Row = make_dataclass("Row", ["a", "b"], frozen=True)
+    table = Table({"rank": [1, 2, 3], "a": ["x", "y", "z"], "b": [0.5, -1.0, 2.0]}, Row)
+    assert len(table) == 3
+    assert list(table) == [Row("x", 0.5), Row("y", -1.0), Row("z", 2.0)]
+    assert table[0] == Row("x", 0.5) and table[-1].b == 2.0
+    first, *_ = table
+    assert first == Row("x", 0.5)
+    assert table[1:] == Table({"rank": [2, 3], "a": ["y", "z"], "b": [-1.0, 2.0]}, Row)
+    assert table.take([2, 0]).columns == {"rank": [3, 1], "a": ["z", "x"], "b": [2.0, 0.5]}
+    assert table != Table(dict(table.columns))  # another row type
+    assert list(Table(dict(table.columns))) == [(1, "x", 0.5), (2, "y", -1.0), (3, "z", 2.0)]
+    assert Table.of(Row, ["x"], [1]) == Table({"a": ["x"], "b": [1]}, Row)
+
+
+_CELL_KINDS = [
     st.none(),
     st.floats(),
     st.floats().map(np.float64),
+    st.sampled_from([-0.0, math.nan, math.inf, -math.inf]),
     st.integers(),
     st.booleans(),
     st.text(alphabet=st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n\r")),
-)
+]
+#: Cells of one column: one kind throughout, or any mixture.
+_COLUMN_CELLS = st.sampled_from([*_CELL_KINDS, st.one_of(_CELL_KINDS)])
 
 
-@given(
-    st.lists(st.sampled_from(["a", "b", "c", "d"]), min_size=1, max_size=4, unique=True),
-    st.lists(
-        st.dictionaries(st.sampled_from(["a", "b", "c", "d", "e"]), _CELLS, max_size=5),
-        max_size=2 * SLICE_ROWS + 3,
-    )
-    | st.integers(0, 2 * SLICE_ROWS + 3).map(lambda n: [{"a": 0.5, "b": "t", "c": 7}] * n),
-)
+@st.composite
+def _tables(draw):
+    """A table over some of the names a..e, of up to two slices and three
+    rows, whose columns repeat a drawn pattern of cells; and the TSV's
+    columns, some of its names in any order."""
+    names = draw(st.lists(st.sampled_from("abcde"), min_size=1, max_size=5, unique=True))
+    n = draw(st.integers(0, 2 * SLICE_ROWS + 3))
+    columns = {}
+    for name in names:
+        pattern = draw(st.lists(draw(_COLUMN_CELLS), min_size=1, max_size=8))
+        columns[name] = (pattern * n)[:n]
+    chosen = draw(st.lists(st.sampled_from(names), min_size=1, max_size=len(names), unique=True))
+    return Table(columns), chosen
+
+
+@given(_tables())
 @settings(max_examples=200, deadline=None)
-def test_tsv_is_the_cell_by_cell_loop(columns, rows):
+def test_tsv_is_the_cell_by_cell_loop(drawn):
+    table, columns = drawn
     config, extra = {"seed": 3}, {"group_a": "a\tb"}
     head = {**provenance(config), **extra}
+    rows = [dict(zip(table.columns, values)) for values in zip(*table.columns.values())]
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "r.tsv")
-        write_tsv(path, columns, rows, config, extra=extra)
+        write_tsv(path, columns, table, config, extra=extra)
         with open(path, encoding="utf-8", newline="") as fh:
             assert fh.read() == oracles.tsv_report(head, columns, rows)
 
 
 @pytest.mark.parametrize("text", ["Fox\tNews", "two\nlines", "cr\r"])
 def test_a_tab_lf_or_cr_in_a_text_cell_is_a_data_error(tmp_path, text):
-    rows = [{"unit": "ok", "bias": 0.5}, {"unit": text, "bias": 0.25}]
+    table = Table({"unit": ["ok", text], "bias": [0.5, 0.25]})
     with pytest.raises(DataError, match="report column 'unit'.*TAB, LF or CR"):
-        write_tsv(str(tmp_path / "map.tsv"), ["unit", "bias"], rows, {"seed": 0})
+        write_tsv(str(tmp_path / "map.tsv"), ["unit", "bias"], table, {"seed": 0})
     assert os.listdir(tmp_path) == []

@@ -10,8 +10,21 @@ from hypothesis import strategies as st
 
 from framelens import svg
 from framelens.errors import DataError
+from framelens.reports import Table
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
+
+
+def table(rows: list[dict]) -> Table:
+    """The table of rows that share one key order."""
+    return Table({k: [r[k] for r in rows] for k in rows[0]} if rows else {})
+
+
+def chart_separation(rows: list[dict], title: str) -> str:
+    """The separation chart of `rows`, whose frame ids are their poles
+    joined by the first ``--``."""
+    poles = [r["frame_id"].partition("--") for r in rows]
+    return svg.chart_separation(table(rows), title, [p[0] for p in poles], [p[2] for p in poles])
 
 
 def parse(content: str) -> ET.Element:
@@ -28,7 +41,7 @@ def test_shift_chart_structure():
         {"token": "bland", "shift_target": -0.004, "shift_background": 0.001,
          "shift_delta": -0.005},
     ]
-    content = svg.chart_shifts(rows, "demo shifts")
+    content = svg.chart_shifts(table(rows), "demo shifts")
     root = parse(content)
     texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
     assert "delicious" in texts and "bland" in texts
@@ -38,7 +51,7 @@ def test_shift_chart_structure():
 
 
 def test_shift_chart_empty():
-    parse(svg.chart_shifts([], "empty"))
+    parse(svg.chart_shifts(table([]), "empty"))
 
 
 def test_spectrum_chart_groups_and_means():
@@ -48,7 +61,7 @@ def test_spectrum_chart_groups_and_means():
         {"doc_id": "c", "group": "neg", "doc_bias": -0.3},
         {"doc_id": "d", "group": None, "doc_bias": None},
     ]
-    content = svg.chart_spectrum(rows, "demo spectrum", "bad", "good")
+    content = svg.chart_spectrum(table(rows), "demo spectrum", "bad", "good")
     parse(content)
     assert "pos mean 0.3" in content
     assert "neg mean -0.3" in content
@@ -60,7 +73,7 @@ def test_map_chart_units():
         {"unit": "sun", "group": "left", "n_docs": 30, "bias": 0.2, "intensity": 0.5},
         {"unit": "moon", "group": "right", "n_docs": 25, "bias": -0.1, "intensity": 0.8},
     ]
-    content = svg.chart_map(rows, "demo map", "bad", "good")
+    content = svg.chart_map(table(rows), "demo map", "bad", "good")
     parse(content)
     assert "sun" in content and "moon" in content
 
@@ -77,7 +90,7 @@ def test_separation_chart_labels_best_frames():
                 "bias_b": -0.1,
             }
         )
-    content = svg.chart_separation(rows, "demo separation")
+    content = chart_separation(rows, "demo separation")
     parse(content)
     assert 'font-weight="bold"' in content
     assert 'baseline-shift="super"' in content
@@ -85,20 +98,35 @@ def test_separation_chart_labels_best_frames():
 
 def test_separation_label_rule():
     # group A uses the frame more; its bias points at the positive pole
-    row = {"frame_id": "bad--good", "delta_intensity": 0.5, "bias_a": 0.3, "bias_b": -0.2}
-    prefix, bold, sup, suffix, color = svg._separation_label(row)
+    prefix, bold, sup, suffix, color = svg._separation_label(0.5, 0.3, -0.2, "bad", "good")
     assert (prefix, bold, sup, suffix) == ("bad--", "good", "+", "")
     assert color == svg.COLOR_A
     # group B uses it more; B's bias points at the negative pole
-    row = {"frame_id": "bad--good", "delta_intensity": -0.5, "bias_a": 0.3, "bias_b": -0.2}
-    prefix, bold, sup, suffix, color = svg._separation_label(row)
+    prefix, bold, sup, suffix, color = svg._separation_label(-0.5, 0.3, -0.2, "bad", "good")
     assert (prefix, bold, sup, suffix) == ("", "bad", "-", "--good")
     assert color == svg.COLOR_B
     # balanced within epsilon
-    row = {"frame_id": "bad--good", "delta_intensity": 0.0, "bias_a": 0.3, "bias_b": -0.2}
-    prefix, bold, sup, suffix, color = svg._separation_label(row)
-    assert "balanced" in prefix
+    prefix, bold, sup, suffix, color = svg._separation_label(0.0, 0.3, -0.2, "bad", "good")
+    assert (prefix, bold, sup, suffix) == ("bad--good (balanced)", "", "", "")
     assert color == svg.COLOR_NEUTRAL
+
+
+def label_parts(content: str) -> tuple[str, str, str, str]:
+    """(prefix, bold pole, superscript, suffix) of the one labeled point."""
+    (label,) = [t for t in parse(content).iter(f"{SVG_NS}text") if t.find(f"{SVG_NS}tspan") is not None]
+    bold, sup = label.findall(f"{SVG_NS}tspan")
+    assert bold.get("font-weight") == "bold" and sup.get("baseline-shift") == "super"
+    return label.text or "", bold.text, sup.text, sup.tail or ""
+
+
+@pytest.mark.parametrize("delta_intensity, parts", [
+    (0.5, ("well--known--", "obscure", "+", "")),  # group A, leaning plus
+    (-0.5, ("", "well--known", "-", "--obscure")),  # group B, leaning minus
+])
+def test_separation_label_bolds_a_pole_that_holds_the_id_separator(delta_intensity, parts):
+    seps = table([{"frame_id": "well--known--obscure", "delta_bias": 0.1,
+                   "delta_intensity": delta_intensity, "bias_a": 0.3, "bias_b": -0.2}])
+    assert label_parts(svg.chart_separation(seps, "t", ["well--known"], ["obscure"])) == parts
 
 
 def test_group_color_assignment_is_stable():
@@ -134,10 +162,10 @@ def _fixed_charts() -> dict[str, str]:
         for i, tok in enumerate(_LABELS + ("n<1", "m>2", "k&3"))
     ]
     return {
-        "shifts": svg.chart_shifts(shifts, "shifts & <title> 'q' \"dq\" é"),
-        "spectrum": svg.chart_spectrum(spectrum, "spectrum é", "b&d", "g<o>od"),
-        "map": svg.chart_map(units, "map 日本", "b&d", "g<o>od"),
-        "separation": svg.chart_separation(separation, "separation: a&b (A) vs <c> (B)"),
+        "shifts": svg.chart_shifts(table(shifts), "shifts & <title> 'q' \"dq\" é"),
+        "spectrum": svg.chart_spectrum(table(spectrum), "spectrum é", "b&d", "g<o>od"),
+        "map": svg.chart_map(table(units), "map 日本", "b&d", "g<o>od"),
+        "separation": chart_separation(separation, "separation: a&b (A) vs <c> (B)"),
     }
 
 
@@ -201,15 +229,15 @@ def test_escape_refuses_what_xml_cannot_hold(char):
 def test_every_chart_refuses_a_label_xml_cannot_hold(kind, char):
     label = f"out{char}A"
     draw = {
-        "shifts": lambda: svg.chart_shifts(
+        "shifts": lambda: svg.chart_shifts(table(
             [{"token": label, "shift_target": 0.1, "shift_background": 0.0,
-              "shift_delta": 0.1}], "t"),
-        "spectrum": lambda: svg.chart_spectrum(
-            [{"doc_id": "d", "group": label, "doc_bias": 0.1}], "t", "bad", "good"),
-        "map": lambda: svg.chart_map(
-            [{"unit": label, "group": "g", "n_docs": 5, "bias": 0.1, "intensity": 0.2}],
+              "shift_delta": 0.1}]), "t"),
+        "spectrum": lambda: svg.chart_spectrum(table(
+            [{"doc_id": "d", "group": label, "doc_bias": 0.1}]), "t", "bad", "good"),
+        "map": lambda: svg.chart_map(table(
+            [{"unit": label, "group": "g", "n_docs": 5, "bias": 0.1, "intensity": 0.2}]),
             "t", "bad", "good"),
-        "separation": lambda: svg.chart_separation(
+        "separation": lambda: chart_separation(
             [{"frame_id": f"{label}--good", "delta_bias": 0.1, "delta_intensity": 0.2,
               "bias_a": 0.1, "bias_b": -0.1}], "t"),
     }[kind]
