@@ -394,9 +394,6 @@ def cmd_analyze(cfg: RunConfig) -> Report:
     )
 
 
-SHIFT_COLUMNS = ["frame_id", "kind", "token", "shift_target", "shift_background", "shift_delta"]
-
-
 def cmd_shifts(cfg: RunConfig) -> Report:
     table, registry, full_view = _assemble(cfg)
     frame = _resolve_frame(cfg, registry)
@@ -407,11 +404,9 @@ def cmd_shifts(cfg: RunConfig) -> Report:
                    if background_view.documents else "every document has the target label")
             raise DataError(f"background corpus is empty; {why}")
     with _stage("analyze"):
-        entries = word_shifts(
+        shifts = word_shifts(
             full_view, target_view, background_view, frame, table, cfg.kind, cfg.k
         )
-    columns = {c: [getattr(e, c) for e in entries] for c in SHIFT_COLUMNS[1:]}
-    shifts = Table({"frame_id": [frame.id] * len(entries), **columns})
     title = f"{frame.id}: {cfg.kind} shifts, {cfg.group} vs background"
     return Report(
         f"shifts_{escape_stem(frame.id)}_{cfg.kind}",
@@ -420,15 +415,11 @@ def cmd_shifts(cfg: RunConfig) -> Report:
     )
 
 
-SPECTRUM_COLUMNS = ["doc_id", "group", "doc_bias", "doc_intensity"]
-
-
 def cmd_spectrum(cfg: RunConfig) -> Report:
     table, registry, full_view = _assemble(cfg)
     frame = _resolve_frame(cfg, registry)
     with _stage("analyze"):
-        entries = document_spectrum(full_view, frame, table)
-    spectrum = Table({c: [getattr(e, c) for e in entries] for c in SPECTRUM_COLUMNS})
+        spectrum = document_spectrum(full_view, frame, table)
     title = f"{frame.id}: document bias spectrum"
     return Report(
         f"spectrum_{escape_stem(frame.id)}",

@@ -242,12 +242,20 @@ def split_by_group(view: CorpusView, group: str) -> tuple[CorpusView, CorpusView
     return group_view(view, group), _subview(view, rest)
 
 
+def _label(value) -> bool:
+    """Whether a JSON value can be an id or a group label: a string or a
+    number, not a boolean."""
+    return isinstance(value, (str, int, float)) and not isinstance(value, bool)
+
+
 def read_jsonl(path: str, config: NormalizerConfig | None = None) -> list[Document]:
-    """Read a JSONL corpus: one object per line with `id`, `text`,
-    optional `group`, optional `meta`. Ids must be unique. A record with a
-    lone surrogate in any string, keys included, is refused: only a ``\\u``
-    escape can give one, and no report could encode it. Equal tokens are one
-    string object across the corpus: one string per token type."""
+    """Read a JSONL corpus: one object per line with `id` (a string or a
+    number), `text` (a string), optional `group` (a string, a number or
+    null) and optional `meta` (an object or null); a boolean is not a
+    number. Ids must be unique. A record with a lone surrogate in any
+    string, keys included, is refused: only a ``\\u`` escape can give one,
+    and no report could encode it. Equal tokens are one string object
+    across the corpus: one string per token type."""
     docs: list[Document] = []
     first_line: dict[str, int] = {}
     canon: dict[str, str] = {}
@@ -279,14 +287,18 @@ def read_jsonl(path: str, config: NormalizerConfig | None = None) -> list[Docume
                 raise DataError(f"{path}:{lineno}: record needs 'id' and 'text'")
             if not isinstance(obj["text"], str):
                 raise DataError(f"{path}:{lineno}: 'text' must be a string")
-            meta = obj.get("meta") or {}
-            if not isinstance(meta, dict):
-                raise DataError(f"{path}:{lineno}: 'meta' must be an object")
+            meta = obj.get("meta")
+            if not isinstance(meta, (dict, type(None))):
+                raise DataError(f"{path}:{lineno}: 'meta' must be an object or null")
+            if not _label(obj["id"]):
+                raise DataError(f"{path}:{lineno}: 'id' must be a string or a number")
+            group = obj.get("group")
+            if group is not None and not _label(group):
+                raise DataError(f"{path}:{lineno}: 'group' must be a string, a number or null")
             doc_id = str(obj["id"])
             first = first_line.setdefault(doc_id, lineno)
             if first != lineno:
                 raise DataError(f"{path}:{lineno}: duplicate id {doc_id!r} (first on line {first})")
-            group = obj.get("group")
             toks = tokenize(obj["text"], config)
             docs.append(
                 Document(
@@ -294,7 +306,7 @@ def read_jsonl(path: str, config: NormalizerConfig | None = None) -> list[Docume
                     raw_text=obj["text"],
                     tokens=tuple(map(canon.setdefault, toks, toks)),
                     group=str(group) if group is not None else None,
-                    meta=meta,
+                    meta=meta or {},
                 )
             )
     if not docs:

@@ -16,13 +16,16 @@ many frames use `_cosine_blocks`: the view's V×d unit rows times the axes
 of up to _FRAME_BLOCK frames, as one frames-major fb×V block. A block's
 axes are formed from the registry's pole rows only there, and a sweep
 writes every block into one fb×V buffer, valid until the next block is
-requested. Bias, intensity and their bootstrap nulls for many frames
-(`_score_frames`, `_frame_statistics`) are count-weighted products on such
-a block. Commands over one frame use `_frame_contributions`, which forms
-the V cosines one slice of unit rows at a time and holds no V×d array:
-the per-token shifts and per-document or per-unit sums of one frame
-(`word_shifts`, `document_spectrum`, `unit_statistics`) are count-weighted
-products on those V values.
+requested. One function, `_frame_statistics`, computes every statistic
+over many frames (`analyze_frames`, `bootstrap_null`, `separation`,
+`view_statistics`): it sweeps the blocks once per batch of bootstrap
+draws, and each count vector's bias and intensity, and the batch's null
+samples of both, are count-weighted products on each block. Commands
+over one frame use `_frame_contributions`, which forms the V cosines one
+slice of unit rows at a time and holds no V×d array: the per-token
+shifts and per-document or per-unit sums of one frame (`word_shifts`,
+`document_spectrum`, `unit_statistics`) are count-weighted products on
+those V values.
 
 Each frame's contributions are computed once per command, over the full
 view's vocabulary. Every narrower document set (a target and its
@@ -55,6 +58,10 @@ _BOOTSTRAP_BATCH = 256
 #: Frames scored together in one block of contributions.
 _FRAME_BLOCK = 64
 
+#: `_doc_coo` codes a (document, token) cell as an int32 below this many
+#: cells, and as an int64 from there on.
+_INT32_CELLS = 2**31
+
 #: Null samples this close to the observed value are ties and count in both
 #: tails, so the rounding of a blocked matrix product never decides a tail.
 _TIE_TOLERANCE = 1e-12
@@ -64,8 +71,9 @@ BOOTSTRAP_UNITS = ("token", "document")
 
 
 # ---------------------------------------------------------------------------
-# Result types: the rows of the tables `analyze_frames` and `separation`
-# return, built only when a caller asks a table for one.
+# Result types: the rows of the tables `analyze_frames`, `word_shifts`,
+# `document_spectrum` and `separation` return, built only when a caller
+# asks a table for one.
 
 
 @dataclass(frozen=True)
@@ -234,31 +242,48 @@ def _counts_over(full_view: CorpusView, views) -> tuple[list[str], list[np.ndarr
     return tokens, out
 
 
-def _frame_statistics(frames, unit_rows: np.ndarray, weights, baseline=None):
-    """Per-frame bias and intensity of each count vector.
+def _frame_statistics(frames, unit_rows: np.ndarray, weights, baseline=None, draws=None,
+                      n: int = 0):
+    """Per-frame bias and intensity of each count vector, and `n` null
+    samples of each.
 
     `weights` are count vectors over the rows of `unit_rows`. Intensity is
     measured about `baseline`, one value per frame, or, when it is None,
     about the bias of the first count vector: a full view's counts put
     first give every narrower count vector its baseline from the same
-    contributions. Each count vector is one 1-D product on a frame block,
-    never a column of a multi-column GEMM, which rounds differently.
-    Returns (bias, intensity), each with one row of F values per count
-    vector.
+    contributions. `draws` yields the batches of resampled counts that
+    every frame shares, (B×V counts, B sample totals), `n` samples in all;
+    None is one batch of none. Each batch sweeps the frame blocks once. On
+    a block C (fb×V contributions) and S = (C - baseline)², each count
+    vector's statistics are one 1-D product, never a column of a
+    multi-column GEMM, which rounds differently; the batch's null is
+    C @ D.T and S @ D.T over the sample totals. Returns (bias, intensity),
+    each with one row of F values per count vector, and (null bias, null
+    intensity), each F×n.
     """
-    totals = [n.sum() for n in weights]
+    if draws is None:
+        draws = [(np.empty((0, len(unit_rows))), np.empty(0))]
+    totals = [w.sum() for w in weights]
     bias, intensity = np.empty((2, len(weights), len(frames)))
+    null_bias, null_intensity = np.empty((2, len(frames), n))
     if baseline is None:
         baseline = bias[0]  # each block writes its slice before reading it
-    for block, c in _cosine_blocks(frames, unit_rows):
-        for row, n, total in zip(bias, weights, totals):
-            row[block] = c @ n / total
-        # C becomes S in place, so a block holds one fb×V buffer
-        c -= baseline[block, None]
-        np.square(c, out=c)
-        for row, n, total in zip(intensity, weights, totals):
-            row[block] = c @ n / total
-    return bias, intensity
+    done = 0
+    for resampled, sizes in draws:
+        batch = slice(done, done + len(sizes))
+        for block, c in _cosine_blocks(frames, unit_rows):
+            for row, w, total in zip(bias, weights, totals):
+                row[block] = c @ w / total
+            null_bias[block, batch] = c @ resampled.T / sizes
+            # C becomes S in place, so a block holds one fb×V buffer
+            c -= baseline[block, None]
+            np.square(c, out=c)
+            for row, w, total in zip(intensity, weights, totals):
+                row[block] = c @ w / total
+            null_intensity[block, batch] = c @ resampled.T / sizes
+        c = None  # the next batch's sweep makes its own buffer; free this one first
+        done += len(sizes)
+    return (bias, intensity), (null_bias, null_intensity)
 
 
 def view_statistics(
@@ -275,7 +300,7 @@ def view_statistics(
     frames. Returns (bias, intensity) arrays of one value per frame.
     """
     tokens, weights = _counts_over(view, [view])
-    (bias,), (intensity,) = _frame_statistics(
+    ((bias,), (intensity,)), _ = _frame_statistics(
         frames, table.unit_rows(tokens), weights, baseline
     )
     return bias, intensity
@@ -313,13 +338,18 @@ def _doc_coo(view: CorpusView):
     Each counted occurrence's code in `view.codes` becomes ``document * V +
     token index``; `np.unique` sorts and counts these, so triplets run in
     document order and, within a document, in sorted-token order, and
-    documents with the same counts accumulate identically.
+    documents with the same counts accumulate identically. Codes, rows and
+    columns are int32 when every cell fits one, int64 otherwise.
     """
     docs = view.documents
-    rows = np.repeat(np.arange(len(docs)), [len(d.tokens) for d in docs])
     n_tokens = len(view.tokens)
-    codes, counts = np.unique((rows * n_tokens + view.codes)[view.codes >= 0], return_counts=True)
-    rows, cols = np.divmod(codes, n_tokens)
+    dtype = np.int32 if len(docs) * n_tokens < _INT32_CELLS else np.int64
+    keys = np.repeat(np.arange(len(docs), dtype=dtype) * dtype(n_tokens),
+                     [len(d.tokens) for d in docs])
+    keys += view.codes
+    codes, counts = np.unique(keys[view.codes >= 0], return_counts=True)
+    del keys
+    rows, cols = np.divmod(codes, dtype(n_tokens))
     vals = counts.astype(np.float64)
     return rows, cols, vals, np.bincount(rows, weights=vals, minlength=len(docs))
 
@@ -360,46 +390,6 @@ def _resampled_counts(view: CorpusView, unit: str, sample_size: int, n: int, see
         yield resampled, totals
 
 
-def _score_frames(
-    frames,
-    unit_rows: np.ndarray,
-    n_full: np.ndarray,
-    n_target: np.ndarray,
-    draws,
-    n: int,
-):
-    """Baseline, target bias and intensity, and `n` null samples of each, per frame.
-
-    `n_full` and `n_target` are counts over the rows of `unit_rows`;
-    `draws` yields the resampled count batches that every frame shares.
-    For a frame block C (fb×V contributions) and S = (C - baseline)²,
-    the target statistics are C @ n_target and S @ n_target over the
-    target total, and the null samples are C @ D.T and S @ D.T over each
-    sample's total. Returns five arrays: three of F values, two F×n.
-    """
-    n_frames = len(frames)
-    baseline, bias, intensity = np.empty((3, n_frames))
-    null_bias, null_intensity = np.empty((2, n_frames, n))
-    total_full = n_full.sum()
-    total_target = n_target.sum()
-    done = 0
-    for resampled, sizes in draws:
-        batch = slice(done, done + len(sizes))
-        for block, c in _cosine_blocks(frames, unit_rows):
-            base = c @ n_full / total_full
-            baseline[block] = base
-            bias[block] = c @ n_target / total_target
-            null_bias[block, batch] = c @ resampled.T / sizes
-            # C becomes S in place, so a block holds one fb×V buffer
-            c -= base[:, None]
-            np.square(c, out=c)
-            intensity[block] = c @ n_target / total_target
-            null_intensity[block, batch] = c @ resampled.T / sizes
-        del c  # the next batch's sweep makes its own buffer; free this one first
-        done += len(sizes)
-    return baseline, bias, intensity, null_bias, null_intensity
-
-
 def bootstrap_null(
     full_view: CorpusView,
     frame: Microframe,
@@ -428,13 +418,13 @@ def bootstrap_null(
         raise DataError(f"sample size must be positive, got {sample_size}")
     if unit not in BOOTSTRAP_UNITS:
         raise DataError(f"unknown bootstrap unit {unit!r}")
-    tokens, (counts,) = _counts_over(full_view, [full_view])
+    tokens, weights = _counts_over(full_view, [full_view])
     draws = _resampled_counts(full_view, unit, sample_size, n, seed)
-    *_, bias, intensity = _score_frames(
-        [frame], table.unit_rows(tokens), counts, counts, draws, n
+    _, ((bias,), (intensity,)) = _frame_statistics(
+        [frame], table.unit_rows(tokens), weights, draws=draws, n=n
     )
     return NullDistribution(
-        frame_id=frame.id, bias_samples=bias[0], intensity_samples=intensity[0], seed=seed
+        frame_id=frame.id, bias_samples=bias, intensity_samples=intensity, seed=seed
     )
 
 
@@ -542,7 +532,7 @@ def word_shifts(
     table: EmbeddingTable,
     kind: str,
     k: int = 10,
-) -> list[ShiftEntry]:
+) -> Table:
     """Top-k tokens by |target shift - background shift|.
 
     `target` and `background` are document sets of `full_view`. One
@@ -552,6 +542,8 @@ def word_shifts(
     from one view contributes zero shift there, so a word that only the
     background uses pulls the delta negative. Ties break by token,
     ascending. k larger than the union vocabulary returns the full table.
+    Returns a table of `ShiftEntry` rows with the columns frame_id, kind,
+    token, shift_target, shift_background and shift_delta.
     """
     if kind not in SHIFT_KINDS:
         raise DataError(f"unknown shift kind {kind!r}")
@@ -564,10 +556,15 @@ def word_shifts(
     # sorted by -|delta|, ties by token index, which is token order
     order = np.lexsort((union, -np.abs(delta)))
     top = union[order[:k] if k > 0 else order]
-    return [
-        ShiftEntry(tokens[i], st, sb, st - sb, kind)
-        for i, st, sb in zip(top.tolist(), shift_t[top].tolist(), shift_b[top].tolist())
-    ]
+    shift_t, shift_b = shift_t[top], shift_b[top]
+    return Table({
+        "frame_id": [frame.id] * len(top),
+        "kind": [kind] * len(top),
+        "token": list(map(tokens.__getitem__, top.tolist())),
+        "shift_target": shift_t.tolist(),
+        "shift_background": shift_b.tolist(),
+        "shift_delta": (shift_t - shift_b).tolist(),
+    }, ShiftEntry)
 
 
 def _group_sums(view: CorpusView, frame: Microframe, table: EmbeddingTable,
@@ -593,25 +590,24 @@ def document_spectrum(
     view: CorpusView,
     frame: Microframe,
     table: EmbeddingTable,
-) -> list[SpectrumEntry]:
-    """Per-document bias and intensity, sorted by bias ascending.
+) -> Table:
+    """Per-document bias and intensity, sorted by bias ascending, ties by
+    document id.
 
     Intensity is measured about the view's own bias on `frame`. Documents
-    empty after masking are emitted with absent (None) values and sorted
-    to the end by document id.
+    empty after masking have absent (None) values and come last, by
+    document id. Returns a table of `SpectrumEntry` rows.
     """
-    n_docs = len(view.documents)
-    sums = _group_sums(view, frame, table, np.arange(n_docs), n_docs)
-    present: list[SpectrumEntry] = []
-    absent: list[SpectrumEntry] = []
-    for doc, (total, b, i) in zip(view.documents, zip(*(s.tolist() for s in sums))):
-        if total == 0.0:
-            absent.append(SpectrumEntry(doc.doc_id, doc.group, None, None))
-        else:
-            present.append(SpectrumEntry(doc.doc_id, doc.group, b / total, i / total))
-    present.sort(key=lambda e: (e.doc_bias, e.doc_id))
-    absent.sort(key=lambda e: e.doc_id)
-    return present + absent
+    docs = view.documents
+    total, b, i = _group_sums(view, frame, table, np.arange(len(docs)), len(docs))
+    present = total > 0.0
+    bias, intensity = (np.divide(s, total, out=np.zeros_like(total), where=present)
+                       for s in (b, i))
+    order = np.lexsort((_id_order([d.doc_id for d in docs]), bias, ~present)).tolist()
+    n = int(present.sum())
+    absent = [None] * (len(docs) - n)
+    return Table.of(SpectrumEntry, [docs[j].doc_id for j in order], [docs[j].group for j in order],
+                    bias[order[:n]].tolist() + absent, intensity[order[:n]].tolist() + absent)
 
 
 def unit_statistics(
@@ -680,7 +676,7 @@ def separation(
     id. Returns a table of `SeparationResult` rows in registry order.
     """
     tokens, weights = _counts_over(full_view, [full_view, view_a, view_b])
-    (_, bias_a, bias_b), (_, int_a, int_b) = _frame_statistics(
+    ((_, bias_a, bias_b), (_, int_a, int_b)), _ = _frame_statistics(
         frames, table.unit_rows(tokens), weights
     )
     total_a = float(view_a.total_tokens)
@@ -770,13 +766,13 @@ def analyze_frames(
         raise DataError(f"unknown bootstrap unit {bootstrap_unit!r}")
     if not len(registry):
         raise DataError("no frames to analyze")
-    tokens_full, (n_full, n_target) = _counts_over(full_view, [full_view, target_view])
+    tokens, weights = _counts_over(full_view, [full_view, target_view])
     sample_size = (target_view.total_tokens if bootstrap_unit == "token"
                    else len(target_view.documents))
     draws = _resampled_counts(full_view, bootstrap_unit, sample_size, n_bootstrap, seed)
-    baseline, bias, intensity, null_bias, null_intensity = _score_frames(
-        registry, table.unit_rows(tokens_full), n_full, n_target, draws, n_bootstrap
+    ((baseline, bias), (_, intensity)), nulls = _frame_statistics(
+        registry, table.unit_rows(tokens), weights, draws=draws, n=n_bootstrap
     )
-    p_b, p_i, eff_b, eff_i = _significance(bias, intensity, null_bias, null_intensity)
+    p_b, p_i, eff_b, eff_i = _significance(bias, intensity, *nulls)
     return Table.of(FramingResult, list(registry.ids), bias, intensity, baseline, eff_b, eff_i,
                     p_b, p_i, [n_bootstrap] * len(registry))

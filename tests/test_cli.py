@@ -535,7 +535,8 @@ class TestEmptyGroupViews:
 
 class TestContributionsOncePerCommand:
     """A command forms each frame's contributions over the full view's
-    vocabulary once; every narrower document set is a count vector."""
+    vocabulary once, or, in analyze, once per batch of bootstrap draws;
+    every narrower document set is a count vector."""
 
     @pytest.mark.parametrize("command, extra", [
         ("shifts", ["--group", "pos", "--frame", "bad--good", "--kind", "intensity"]),
@@ -574,11 +575,13 @@ class TestContributionsOncePerCommand:
         assert [tokens for tokens, _ in sweeps] == [vocabulary]
         assert sweeps[0][1] == [(start, min(2, 13 - start)) for start in range(0, 13, 2)]
 
-    @pytest.mark.parametrize("command, extra, n_frames", [
-        ("separation", ["--group-a", "pos", "--group-b", "neg"], 78),
+    @pytest.mark.parametrize("command, extra, n_frames, n_sweeps", [
+        ("separation", ["--group-a", "pos", "--group-b", "neg"], 78, 1),
+        # one sweep per batch of draws
+        ("analyze", ["--group", "pos", "--n-bootstrap", str(engine._BOOTSTRAP_BATCH + 1)], 78, 2),
     ])
     def test_one_gather_and_one_pass_over_the_frame_blocks(
-        self, setup, monkeypatch, command, extra, n_frames
+        self, setup, monkeypatch, command, extra, n_frames, n_sweeps
     ):
         corpus = write_unit_corpus(setup["tmp"])
         # every pair of the 13 words: 78 frames, two blocks
@@ -586,7 +589,7 @@ class TestContributionsOncePerCommand:
         pairs = setup["tmp"] / "all_pairs.tsv"
         pairs.write_text("".join(f"{a}\t{b}\n" for i, a in enumerate(words)
                                  for b in words[i + 1:]), encoding="utf-8")
-        gathers, blocks = [], []
+        gathers, sweeps, blocks = [], [], []
         unit_rows, cosine_blocks = EmbeddingTable.unit_rows, engine._cosine_blocks
 
         def counted_unit_rows(table, tokens):
@@ -594,6 +597,7 @@ class TestContributionsOncePerCommand:
             return unit_rows(table, tokens)
 
         def counted_cosine_blocks(frames, rows):
+            sweeps.append(len(rows))
             for block, c in cosine_blocks(frames, rows):
                 blocks.append(c.shape[0])
                 yield block, c
@@ -606,7 +610,8 @@ class TestContributionsOncePerCommand:
             _, _, rows = read_tsv(os.path.join(setup["out"], "map_good--bad.tsv"))
             assert len(rows) >= 3
         assert len(gathers) == 1
-        assert len(blocks) == -(-n_frames // 64) and sum(blocks) == n_frames
+        assert sweeps == gathers * n_sweeps
+        assert len(blocks) == -(-n_frames // 64) * n_sweeps and sum(blocks) == n_frames * n_sweeps
 
 
 class TestGroupViewsOnly:

@@ -421,14 +421,34 @@ class TestIO:
         with pytest.raises(DataError, match=r"corpus\.jsonl:2: record must be a JSON object"):
             read_jsonl(str(p))
 
-    def test_read_jsonl_rejects_non_object_meta(self, tmp_path):
+    @pytest.mark.parametrize("field, value, message", [
+        ("meta", "oops", "'meta' must be an object or null"),
+        ("meta", [], "'meta' must be an object or null"),
+        ("meta", "", "'meta' must be an object or null"),
+        ("meta", 0, "'meta' must be an object or null"),
+        ("meta", False, "'meta' must be an object or null"),
+        ("id", None, "'id' must be a string or a number"),
+        ("id", True, "'id' must be a string or a number"),
+        ("id", [1], "'id' must be a string or a number"),
+        ("group", {"k": 1}, "'group' must be a string, a number or null"),
+        ("group", False, "'group' must be a string, a number or null"),
+        ("group", ["a"], "'group' must be a string, a number or null"),
+    ])
+    def test_read_jsonl_rejects_a_field_of_another_type(self, tmp_path, field, value, message):
         p = tmp_path / "corpus.jsonl"
-        p.write_text(
-            json.dumps({"id": "1", "text": "x", "meta": "oops"}) + "\n",
-            encoding="utf-8",
-        )
-        with pytest.raises(DataError, match="'meta' must be an object"):
+        records = [{"id": "1", "text": "x"}, {"id": "2", "text": "y", field: value}]
+        p.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        with pytest.raises(DataError, match=rf"corpus\.jsonl:2: {message}$"):
             read_jsonl(str(p))
+
+    def test_read_jsonl_takes_null_group_and_meta_as_absent(self, tmp_path):
+        p = tmp_path / "corpus.jsonl"
+        records = [{"id": 1.5, "text": "x", "group": None, "meta": None},
+                   {"id": "2", "text": "y", "group": 2.0, "meta": {}}]
+        p.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        docs = read_jsonl(str(p))
+        assert [(d.doc_id, d.group, d.meta) for d in docs] == [
+            ("1.5", None, {}), ("2", "2.0", {})]
 
     @pytest.mark.parametrize("second_id", ["1", 1])
     def test_read_jsonl_rejects_duplicate_id(self, tmp_path, second_id):

@@ -13,6 +13,8 @@ from framelens.corpus import build_view, make_document, split_by_group
 from framelens.engine import (
     FramingResult,
     SeparationResult,
+    ShiftEntry,
+    SpectrumEntry,
     analyze_frames,
     baseline_biases,
     bootstrap_null,
@@ -555,6 +557,23 @@ class TestWordShifts:
         with pytest.raises(DataError, match="not contained"):
             word_shifts(full, full, other, frame, toy_table, "bias")
 
+    def test_returns_a_table_of_shift_rows(self, toy_table):
+        docs = [make_document("t", "good bad", group="t"), make_document("b", "great awful good")]
+        view = build_view(docs, toy_table)
+        target, background = split_by_group(view, "t")
+        frame = make_frame("bad", "good", toy_table)
+        shifts = word_shifts(view, target, background, frame, toy_table, "intensity", k=3)
+        assert isinstance(shifts, Table) and shifts.row is ShiftEntry
+        columns = shifts.columns
+        assert list(columns) == [
+            "frame_id", "kind", "token", "shift_target", "shift_background", "shift_delta"]
+        assert columns["frame_id"] == [frame.id] * 3 and columns["kind"] == ["intensity"] * 3
+        assert [astuple(e) for e in shifts] == list(zip(
+            columns["token"], columns["shift_target"], columns["shift_background"],
+            columns["shift_delta"], columns["kind"]))
+        assert columns["shift_delta"] == [
+            t - b for t, b in zip(columns["shift_target"], columns["shift_background"])]
+
 
 class TestDocumentSpectrum:
     def test_single_document_equals_corpus_bias(self, toy_table):
@@ -612,6 +631,52 @@ class TestDocumentSpectrum:
         assert entries[-1].doc_id == "hollow"
         assert entries[-1].doc_bias is None
         assert entries[-1].doc_intensity is None
+
+    def test_table_runs_by_bias_then_id_with_empty_documents_last_by_id(self):
+        """"x" and "y" share one vector, so their documents tie on bias, as
+        do the two "z" documents; two documents have no countable token."""
+        table = table_from_dict({"m": [-1.0, 0.0], "p": [1.0, 0.0], "x": [1.0, 1.0],
+                                 "y": [1.0, 1.0], "z": [-1.0, 0.5]})
+        texts = {"d3": "x", "e5": "qux", "d1": "y", "e9": "z", "d2": "x y", "e0": "oov",
+                 "d0": "z z"}
+        docs = [make_document(i, t, group=i[0]) for i, t in texts.items()]
+        spectrum = document_spectrum(build_view(docs, table), make_frame("m", "p", table), table)
+        assert isinstance(spectrum, Table) and spectrum.row is SpectrumEntry
+        columns = spectrum.columns
+        assert list(columns) == ["doc_id", "group", "doc_bias", "doc_intensity"]
+        assert columns["doc_id"] == ["d0", "e9", "d1", "d2", "d3", "e0", "e5"]
+        assert columns["group"] == [i[0] for i in columns["doc_id"]]
+        assert columns["doc_bias"][:2] == [-1 / math.sqrt(1.25)] * 2
+        assert columns["doc_bias"][2:5] == [1 / math.sqrt(2)] * 3
+        assert columns["doc_bias"][5:] == columns["doc_intensity"][5:] == [None, None]
+        assert list(spectrum) == [SpectrumEntry(*row) for row in zip(*columns.values())]
+
+
+class TestDocCoo:
+    def test_int32_cells_below_the_limit_and_int64_from_it(self, monkeypatch):
+        """Both code widths give the same triplets, and the same spectrum,
+        unit statistics and document-unit analysis."""
+        rng = np.random.default_rng(7)
+        table, docs, _, view, frame = random_instance(rng)
+        registry = FrameRegistry((frame,), ())
+        units = [d.group for d in docs]
+
+        def run():
+            return (engine._doc_coo(view), document_spectrum(view, frame, table),
+                    unit_statistics(view, frame, table, units),
+                    analyze_frames(view, view, registry, table, n_bootstrap=8, seed=1,
+                                   bootstrap_unit="document"))
+
+        assert engine._INT32_CELLS == 2**31
+        cells = len(view.documents) * len(view.tokens)
+        monkeypatch.setattr(engine, "_INT32_CELLS", cells + 1)
+        narrow, *narrow_results = run()
+        monkeypatch.setattr(engine, "_INT32_CELLS", cells)
+        wide, *wide_results = run()
+        assert [a.dtype for a in narrow[:2]] == [np.dtype(np.int32)] * 2
+        assert [a.dtype for a in wide[:2]] == [np.dtype(np.int64)] * 2
+        assert [a.tolist() for a in narrow] == [a.tolist() for a in wide]
+        assert narrow_results == wide_results
 
 
 class TestSeparation:
@@ -978,6 +1043,26 @@ def test_split_halves_give_the_numbers_of_views_built_on_their_own(seed):
         assert word_shifts(view, *halves, frame, table, kind, k=0) == word_shifts(
             view, *own, frame, table, kind, k=0
         )
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_separation_gives_a_group_the_bits_analyze_gives_it(seed):
+    """One sweep computes both: group A's bias and intensity in `separation`
+    are bit for bit its `analyze_frames` target values, over two blocks."""
+    rng = np.random.default_rng(200 + seed)
+    table, _, _, view, frame = random_instance(rng)
+    view_a, view_b = split_by_group(view, "a")
+    if view_b.total_tokens == 0:
+        view_b = view_a
+    frames = [frame] + [
+        Microframe(f"m{i}--p{i}", f"m{i}", f"p{i}", rng.normal(size=table.dimension))
+        for i in range(70)
+    ]
+    registry = FrameRegistry(tuple(frames), ())
+    seps = separation(view, view_a, view_b, registry, table).columns
+    results = analyze_frames(view, view_a, registry, table, n_bootstrap=4, seed=seed).columns
+    for sep, analyzed in (("bias_a", "bias"), ("intensity_a", "intensity")):
+        assert list(map(float.hex, seps[sep])) == list(map(float.hex, results[analyzed]))
 
 
 class TestAnalyzePipeline:
