@@ -37,7 +37,6 @@ from .engine import (
     corpus_bias,
     corpus_intensity,
     document_spectrum,
-    log_odds_dirichlet,
     rank_sum_select,
     separation,
     shift_table,
@@ -104,7 +103,6 @@ __all__ = [
     "document_spectrum",
     "group_view",
     "load_embeddings",
-    "log_odds_dirichlet",
     "make_document",
     "make_frame",
     "make_relevance_query",

@@ -1,5 +1,5 @@
 """Core statistics: contributions, bias, intensity, bootstrap significance,
-word shifts, document spectra, corpus separation, and the log-odds baseline.
+word shifts, document spectra and corpus separation.
 
 A word's contribution to a frame is the cosine between its vector and the
 frame's axis. Corpus bias is the frequency-weighted mean contribution;
@@ -9,35 +9,54 @@ samples of the full corpus sized to match the target: token draws are
 i.i.d. with replacement from the full corpus's bag of words, implemented
 as multinomial count resampling so no token strings are ever touched.
 
-Contributions are formed in two places, over the view's unit-length
-embedding rows (sorted-token order, float64 regardless of the table's
-storage dtype) and unit axes normalised by `_unit_axes`. Commands over
-many frames use `_cosine_blocks`: the view's V×d unit rows times the axes
-of up to _FRAME_BLOCK frames, as one frames-major fb×V block. A block's
-axes are formed from the registry's pole rows only there, and a sweep
-writes every block into one fb×V buffer, valid until the next block is
-requested. One function, `_frame_statistics`, computes every statistic
-over many frames (`analyze_frames`, `bootstrap_null`, `separation`,
-`view_statistics`): it sweeps the blocks once per batch of bootstrap
-draws, and each count vector's bias and intensity, and the batch's null
-samples of both, are count-weighted products on each block. Commands
-over one frame use `_frame_contributions`, which forms the V cosines one
-slice of unit rows at a time and holds no V×d array: the per-token
-shifts and per-document or per-unit sums of one frame (`word_shifts`,
-`document_spectrum`, `unit_statistics`) are count-weighted products on
-those V values.
+Every statistic works on the view's unit-length embedding rows (sorted-
+token order, float64 regardless of the table's storage dtype) and unit
+axes normalised by `_unit_axes`. One function, `_frame_statistics`,
+computes every statistic over many frames (`analyze_frames`,
+`bootstrap_null`, `separation`, `view_statistics`), on one of two paths:
 
-Each frame's contributions are computed once per command, over the full
+- The sweep (`_sweep_statistics`) forms the F×V cosines with
+  `_cosine_blocks`: the view's V×d unit rows times the axes of up to
+  _FRAME_BLOCK frames, as one frames-major fb×V block, written into one
+  buffer. It sweeps the blocks once per batch of bootstrap draws, and
+  each count vector's bias and intensity, and the batch's null samples
+  of both, are count-weighted products on each block.
+- The axis-space path holds neither. Contributions are linear in the
+  unit row u, so a count vector's bias on axis a is a·m and its intensity
+  about β is aᵀGa − 2β(a·m) + β², with m its mean unit row and G its d×d
+  second moment. `_moments` builds each vector's m and G, about a
+  reference row, in one pass over the unit slices of the vocabulary, and
+  `_axis_statistics` reads both statistics off them per block of axes.
+
+`_moments_pay` chooses the path per call by flop count, from F, V, d and
+the number of count vectors alone: K·V·d²/2 + K·F·d² against the sweep's
+F·V·d. The observed count vectors and the null samples are switched
+separately, so a view's observed statistics never depend on the null.
+Over the 1,621 frames of the shipped lexicon at d=100 or d=300,
+separation, analyze's observed statistics and a null of a few samples
+take the axis-space path; one-frame calls and a null of hundreds of
+samples take the sweep. The paths agree to within 4e-15 absolute and
+give the same p-values. Commands over one frame use
+`_frame_contributions`, which forms the V cosines one slice of unit rows
+at a time and holds no V×d array: the per-token shifts and per-document
+or per-unit sums of one frame (`word_shifts`, `document_spectrum`,
+`unit_statistics`) are count-weighted products on those V values.
+
+Each frame's statistics are computed once per command, over the full
 view's vocabulary. Every narrower document set (a target and its
 background, two groups, a unit, a document) is a count vector over that
-vocabulary, and the full-corpus baseline comes from the same
-contributions inside each statistic that needs it, so a word's
-contribution to a frame is one number in every view of a run.
+vocabulary, and the full-corpus baseline comes from the same numbers
+inside each statistic that needs it. Each count vector gets its own
+products, never a column of a product shared with other vectors, which
+rounds differently: a group has the same bits in `separation` and
+`analyze_frames` whenever both calls take the same path.
 
 Reproducibility: one bootstrap stream, ``default_rng(seed)``, is drawn
 once per run and shared by every frame, so a frame's null depends on the
 seed and the corpus, not on the other frames or their order. The same
-seed gives byte-identical reports on every run.
+seed gives byte-identical reports on every run at a fixed BLAS thread
+count; across thread counts p-values and selections are identical, and
+other values agree to within 1e-15 absolute.
 """
 
 from __future__ import annotations
@@ -55,8 +74,18 @@ from .reports import Table
 #: Bootstrap draws happen in fixed-size batches so memory stays bounded.
 _BOOTSTRAP_BATCH = 256
 
-#: Frames scored together in one block of contributions.
+#: Frames scored together in one block of contributions or axes.
 _FRAME_BLOCK = 64
+
+#: Unit rows per slice of the axis-space pass (`_moments`). A SYRK of few
+#: rows pays BLAS thread start-up for little work; a slice of many holds
+#: more memory. On the benchmark (perfbench, seed 7, 2-core x86-64),
+#: analyze-token's `analyze_frames` took 79 ms at 512 rows against 79 ms
+#: for the sweep, and 76 ms at 768 rows; `peak_rss_mb` read 58.7-58.8 MB
+#: at 512 rows and 60.7-60.8 MB at 768, against 62.1 MB for the sweep. A
+#: budget of 2^17 components (1,310 rows at d=100) raised compare-docs'
+#: `peak_rss_mb` by 0.4-0.9 MB; 512 rows left it within 0.1 MB.
+_MOMENT_ROWS = 512
 
 #: `_doc_coo` codes a (document, token) cell as an int32 below this many
 #: cells, and as an int64 from there on.
@@ -242,25 +271,126 @@ def _counts_over(full_view: CorpusView, views) -> tuple[list[str], list[np.ndarr
     return tokens, out
 
 
-def _frame_statistics(frames, unit_rows: np.ndarray, weights, baseline=None, draws=None,
-                      n: int = 0):
+def _moments_pay(frames: int, vocabulary: int, dimension: int, vectors: int) -> bool:
+    """Whether `vectors` count vectors cost fewer flops in axis space than in
+    one sweep: K·V·d²/2 (a SYRK per vector) + K·F·d² (an fb×d by d×d
+    product per vector and block), against F·V·d for the F×V cosines."""
+    squares = dimension * dimension
+    return (vectors * (vocabulary * squares + 2 * frames * squares)
+            < 2 * frames * vocabulary * dimension)
+
+
+def _moments(table: EmbeddingTable, tokens: list[str], weights):
+    """The reference row r, and each count vector's moment matrix about r:
+    M = Σ w x xᵀ / Σw over its tokens, with x = (u - r, 1) for a unit row u.
+
+    M[:d, :d] is the second moment G and M[:d, d] the mean m of the rows
+    about r. r is the unit row of the first token, so over a one-token
+    vocabulary G and m are exactly zero. One pass over the unit slices of
+    `tokens`, _MOMENT_ROWS rows at a time; per slice, each vector gets its
+    own SYRK of its counted rows, each scaled by √w, so its moments have
+    the same bits whichever other vectors share the pass.
+    """
+    d, step = table.dimension, min(_MOMENT_ROWS, len(tokens))
+    buf, scaled = np.empty((step, d)), np.empty((step, d + 1))
+    square = np.empty((d + 1, d + 1))
+    moments = np.zeros((len(weights), d + 1, d + 1))
+    for start in range(0, len(tokens), step):
+        chunk = tokens[start:start + step]
+        part = buf[:len(chunk)]
+        for _ in table.unit_slices(chunk, out=part):
+            pass
+        if start == 0:
+            r = part[0].copy()
+        part -= r
+        for moment, w in zip(moments, weights):
+            counted = np.flatnonzero(w[start:start + len(part)])
+            x = scaled[:len(counted)]
+            root = np.sqrt(w[start + counted])
+            x[:, d] = root
+            rows = part if len(counted) == len(part) else part[counted]
+            np.multiply(rows, root[:, None], out=x[:, :d])
+            moment += np.matmul(x.T, x, out=square)
+    moments /= np.array([w.sum() for w in weights])[:, None, None]
+    return r, moments
+
+
+def _axis_statistics(frames: FrameRegistry, r, moments, baseline=None):
+    """Per-frame bias and intensity of each count vector from its moment
+    matrix about r (`_moments`), one block of _FRAME_BLOCK axes at a time.
+
+    With t = a·m and q = aᵀGa the vector's first and second moments on
+    axis a, and δ = β − a·r the baseline's offset, bias is a·r + t and
+    intensity about β is max(0, q − 2δt + δ²). Intensity is measured about
+    `baseline`, or, when it is None, about the first vector's bias (δ = its
+    t). Each vector's t and q come from one fb×d by d×(d+1) product with
+    its own moments. Every step negates exactly with a, so bias negates
+    exactly and intensity is unchanged under a pole flip.
+    """
+    d = len(r)
+    bias, intensity = np.empty((2, len(moments), len(frames)))
+    for start in range(0, len(frames), _FRAME_BLOCK):
+        block = slice(start, start + _FRAME_BLOCK)
+        axes = _unit_axes(frames.axes(block))
+        offset = np.add.reduce(axes * r, axis=1)
+        products = [axes @ moment[:d] for moment in moments]
+        delta = products[0][:, d] if baseline is None else baseline[block] - offset
+        for b, i, p in zip(bias, intensity, products):
+            t = p[:, d]
+            q = np.add.reduce(p[:, :d] * axes, axis=1)
+            b[block] = offset + t
+            i[block] = np.maximum(q - 2.0 * delta * t + delta * delta, 0.0)
+    return bias, intensity
+
+
+def _frame_statistics(frames, table: EmbeddingTable, tokens: list[str], weights,
+                      baseline=None, draws=None, n: int = 0):
     """Per-frame bias and intensity of each count vector, and `n` null
     samples of each.
 
-    `weights` are count vectors over the rows of `unit_rows`. Intensity is
-    measured about `baseline`, one value per frame, or, when it is None,
-    about the bias of the first count vector: a full view's counts put
-    first give every narrower count vector its baseline from the same
-    contributions. `draws` yields the batches of resampled counts that
-    every frame shares, (B×V counts, B sample totals), `n` samples in all;
-    None is one batch of none. Each batch sweeps the frame blocks once. On
-    a block C (fb×V contributions) and S = (C - baseline)², each count
-    vector's statistics are one 1-D product, never a column of a
-    multi-column GEMM, which rounds differently; the batch's null is
-    C @ D.T and S @ D.T over the sample totals. Returns (bias, intensity),
-    each with one row of F values per count vector, and (null bias, null
-    intensity), each F×n.
+    `weights` are count vectors over `tokens`, a full view's sorted
+    vocabulary. Intensity is measured about `baseline`, one value per
+    frame, or, when it is None, about the bias of the first count vector:
+    a full view's counts put first give every narrower count vector its
+    baseline from the same numbers. `draws` yields the batches of
+    resampled counts that every frame shares, (B×V counts, B sample
+    totals), `n` samples in all. Returns (bias, intensity), each with one
+    row of F values per count vector, and (null bias, null intensity),
+    each F×n.
+
+    The count vectors take the axis-space path (`_moments`,
+    `_axis_statistics`) when `_moments_pay` says so for their number, and
+    the sweep (`_sweep_statistics`) otherwise. The null samples join the
+    axis-space pass when the count vectors take it and `_moments_pay` says
+    so for `n`; otherwise they are swept, about the count vectors'
+    baseline. Either rule reads only F, V, d and a count, so a view's
+    observed statistics never depend on the null.
     """
+    if not isinstance(frames, FrameRegistry):
+        frames = FrameRegistry(frames)
+    shape = len(frames), len(tokens), table.dimension
+    if not _moments_pay(*shape, len(weights)):
+        return _sweep_statistics(frames, table.unit_rows(tokens), weights, baseline, draws, n)
+    k = len(weights)
+    null_joins = n > 0 and _moments_pay(*shape, n)
+    if null_joins:
+        weights = [*weights, *np.concatenate([resampled for resampled, _ in draws])]
+    bias, intensity = _axis_statistics(frames, *_moments(table, tokens, weights), baseline)
+    if null_joins or not n:
+        return (bias[:k], intensity[:k]), (bias[k:].T, intensity[k:].T)
+    _, nulls = _sweep_statistics(frames, table.unit_rows(tokens), [],
+                                 bias[0] if baseline is None else baseline, draws, n)
+    return (bias, intensity), nulls
+
+
+def _sweep_statistics(frames: FrameRegistry, unit_rows: np.ndarray, weights, baseline,
+                      draws, n: int):
+    """`_frame_statistics` over the F×V cosines: each batch of `draws`
+    (None is one batch of none) sweeps the frame blocks once. On a block C
+    (fb×V contributions) and S = (C - baseline)², each count vector's
+    statistics are one 1-D product, never a column of a multi-column GEMM,
+    which rounds differently; the batch's null is C @ D.T and S @ D.T over
+    the sample totals."""
     if draws is None:
         draws = [(np.empty((0, len(unit_rows))), np.empty(0))]
     totals = [w.sum() for w in weights]
@@ -296,13 +426,11 @@ def view_statistics(
 
     `baseline` holds one full-corpus bias per frame, in the order of
     `frames`; intensity is measured about it, or about the view's own bias
-    when it is None. The view's embedding rows are gathered once for all
+    when it is None. The view's embedding rows are read once for all
     frames. Returns (bias, intensity) arrays of one value per frame.
     """
     tokens, weights = _counts_over(view, [view])
-    ((bias,), (intensity,)), _ = _frame_statistics(
-        frames, table.unit_rows(tokens), weights, baseline
-    )
+    ((bias,), (intensity,)), _ = _frame_statistics(frames, table, tokens, weights, baseline)
     return bias, intensity
 
 
@@ -421,7 +549,7 @@ def bootstrap_null(
     tokens, weights = _counts_over(full_view, [full_view])
     draws = _resampled_counts(full_view, unit, sample_size, n, seed)
     _, ((bias,), (intensity,)) = _frame_statistics(
-        [frame], table.unit_rows(tokens), weights, draws=draws, n=n
+        [frame], table, tokens, weights, draws=draws, n=n
     )
     return NullDistribution(
         frame_id=frame.id, bias_samples=bias, intensity_samples=intensity, seed=seed
@@ -640,7 +768,7 @@ def unit_statistics(
 def baseline_biases(
     view: CorpusView, frames: FrameRegistry, table: EmbeddingTable
 ) -> dict[str, float]:
-    """Full-corpus bias per frame, with the embedding rows gathered once."""
+    """Full-corpus bias per frame, with the embedding rows read once."""
     biases, _ = view_statistics(view, frames, table)
     return dict(zip(frames.ids, biases.tolist()))
 
@@ -667,9 +795,9 @@ def separation(
     """Per-frame bias and intensity differences between two corpora.
 
     `view_a` and `view_b` are document sets of `full_view`. The full
-    vocabulary's embedding rows are gathered once; each frame block gives
-    the full-corpus baseline and both corpora's bias and intensity about
-    it from the same contributions. The intensity rank orders frames by
+    vocabulary's embedding rows are read once; each frame block gives the
+    full-corpus baseline and both corpora's bias and intensity about it
+    from the same numbers. The intensity rank orders frames by
     the mean intensity across the union of both corpora (token-weighted,
     which equals the intensity of the pooled counts); the bias rank
     orders by |delta bias|. Ranks are 1-based, descending, ties by frame
@@ -677,7 +805,7 @@ def separation(
     """
     tokens, weights = _counts_over(full_view, [full_view, view_a, view_b])
     ((_, bias_a, bias_b), (_, int_a, int_b)), _ = _frame_statistics(
-        frames, table.unit_rows(tokens), weights
+        frames, table, tokens, weights
     )
     total_a = float(view_a.total_tokens)
     total_b = float(view_b.total_tokens)
@@ -697,40 +825,6 @@ def rank_sum_select(separations: Table, m: int) -> list[str]:
     ids = separations.columns["frame_id"]
     order = np.lexsort((_id_order(ids), separations.columns["rank_sum"]))
     return [ids[i] for i in order[:m].tolist()]
-
-
-def log_odds_dirichlet(
-    target: CorpusView,
-    background: CorpusView,
-    prior: CorpusView,
-    k: int = 10,
-) -> list[tuple[str, float]]:
-    """Overrepresented tokens by log odds ratio with an informative Dirichlet prior.
-
-    The pseudo-count for each token is its count in the prior corpus
-    (floored at 1 so unseen tokens stay defined). Returns the top-k
-    tokens by z-score descending, ties by token ascending. This is the
-    frequency-only comparison baseline: unlike shift analysis it knows
-    nothing about any frame.
-    """
-    if not target.counts or not background.counts or not prior.counts:
-        raise DataError("empty corpus view")
-    vocab = sorted(set(target.counts) | set(background.counts))
-    y_t = np.array([target.counts.get(t, 0) for t in vocab], dtype=np.float64)
-    y_b = np.array([background.counts.get(t, 0) for t in vocab], dtype=np.float64)
-    alpha = np.array(
-        [max(prior.counts.get(t, 0), 1) for t in vocab], dtype=np.float64
-    )
-    alpha0 = alpha.sum()
-    n_t = y_t.sum()
-    n_b = y_b.sum()
-    delta = np.log((y_t + alpha) / (n_t + alpha0 - y_t - alpha)) - np.log(
-        (y_b + alpha) / (n_b + alpha0 - y_b - alpha)
-    )
-    variance = 1.0 / (y_t + alpha) + 1.0 / (y_b + alpha)
-    z = delta / np.sqrt(variance)
-    scored = sorted(zip(vocab, z.tolist()), key=lambda tz: (-tz[1], tz[0]))
-    return scored[:k] if k > 0 else scored
 
 
 # ---------------------------------------------------------------------------
@@ -753,11 +847,12 @@ def analyze_frames(
     full-corpus baseline bias, and bootstrap significance with the null
     sized to the target (token count for the token unit, document count
     for the document unit). The embedding rows for the full vocabulary
-    are gathered once, and one set of resamples, drawn from
-    ``default_rng(seed)``, is shared by every frame: a frame's row is the
-    same, up to rounding, whichever other frames the registry holds, and
-    its null is the one `bootstrap_null` gives under the same seed.
-    p-values and effects come from the F×n null arrays in one step.
+    are read once for the observed statistics, and one set of resamples,
+    drawn from ``default_rng(seed)``, is shared by every frame: a frame's
+    row is the same, up to rounding, whichever other frames the registry
+    holds, and its null is, up to rounding, the one `bootstrap_null` gives
+    under the same seed. p-values and effects come from the F×n null
+    arrays in one step.
     Returns a table of `FramingResult` rows in registry order.
     """
     if n_bootstrap < 1:
@@ -771,7 +866,7 @@ def analyze_frames(
                    else len(target_view.documents))
     draws = _resampled_counts(full_view, bootstrap_unit, sample_size, n_bootstrap, seed)
     ((baseline, bias), (_, intensity)), nulls = _frame_statistics(
-        registry, table.unit_rows(tokens), weights, draws=draws, n=n_bootstrap
+        registry, table, tokens, weights, draws=draws, n=n_bootstrap
     )
     p_b, p_i, eff_b, eff_i = _significance(bias, intensity, *nulls)
     return Table.of(FramingResult, list(registry.ids), bias, intensity, baseline, eff_b, eff_i,

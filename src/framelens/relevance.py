@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 from string import Formatter
 from typing import Protocol
 
+import numpy as np
+
 from .embeddings import EmbeddingTable
 from .errors import DataError
 from .frames import FrameRegistry
@@ -91,7 +93,9 @@ def relevance_embedding(query: RelevanceQuery, table: EmbeddingTable) -> Table:
                    if plus in missing or minus in missing)
         raise DataError(f"frame {fid!r} has a pole missing from the table")
     words = query.topic_words
-    cosines = table.unit_rows(list(words)) @ table.unit_rows(poles).T
+    # einsum's own loops, not BLAS: a product this small costs more handed
+    # to BLAS threads than it computes
+    cosines = np.einsum("ij,kj->ik", table.unit_rows(list(words)), table.unit_rows(poles))
     pole_means = ((cosines[:, : len(frames)] + cosines[:, len(frames) :]) / 2.0).T.tolist()
     # a left-to-right sum per frame, in topic word order
     scores = [sum(means) / len(words) for means in pole_means]

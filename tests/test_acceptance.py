@@ -11,6 +11,8 @@ and extrapolates, conservatively, to 8 cores.
 
 import json
 import os
+import subprocess
+import sys
 import time
 import xml.etree.ElementTree as ET
 from importlib import resources
@@ -18,7 +20,6 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from framelens.cli import main
 from framelens.corpus import build_view, make_document, split_by_group
 from framelens.embeddings import load_embeddings
 from framelens.engine import (
@@ -282,62 +283,94 @@ def test_criterion_7b_semeval_separation():
     assert not failures
 
 
+#: Values other than p-values, ranks and selections agree across BLAS
+#: thread counts to this absolute bound (README, "Reproducibility").
+THREAD_COUNT_BOUND = 1e-15
+
+
+def _agree_across_thread_counts(rows_a, rows_b):
+    """The largest absolute difference between two lists of report rows
+    whose ids, p-values, ranks and other non-float cells are identical."""
+    assert [r["frame_id"] for r in rows_a] == [r["frame_id"] for r in rows_b]
+    worst = 0.0
+    for row_a, row_b in zip(rows_a, rows_b):
+        for key, value in row_a.items():
+            if isinstance(value, float) and not key.startswith("p_"):
+                worst = max(worst, abs(value - row_b[key]))
+            else:
+                assert value == row_b[key], key
+    return worst
+
+
 def test_criterion_8_determinism_across_parallelism(tmp_path):
+    """Reports are byte-identical across reruns. Across BLAS thread counts
+    (1 and 2), p-values and selections are identical and every other value
+    agrees to THREAD_COUNT_BOUND, on inputs shaped like the compare-docs
+    benchmark (d=100, V≈3k): analyze at B=300, whose null is swept, and
+    separation, which takes the axis-space path."""
     rng = np.random.default_rng(88)
-    dim = 12
-    vocab = [f"w{i}" for i in range(60)]
-    vectors = {t: rng.normal(size=dim).tolist() for t in vocab}
-    pair_rows = []
-    for i in range(20):
-        pm, pp = f"pm{i}", f"pp{i}"
-        vectors[pm] = rng.normal(size=dim).tolist()
-        vectors[pp] = rng.normal(size=dim).tolist()
-        pair_rows.append(f"{pm}\t{pp}")
+    dim = 100
+    vocab = [f"w{i}" for i in range(3000)]
     emb_path = tmp_path / "vectors.txt"
     emb_path.write_text(
-        "\n".join(f"{t} " + " ".join(f"{x:.6f}" for x in v) for t, v in vectors.items()) + "\n",
+        "".join(f"{t} " + " ".join(f"{x:.6f}" for x in v) + "\n"
+                for t, v in zip(vocab, rng.normal(size=(len(vocab), dim)).tolist())),
         encoding="utf-8",
     )
+    poles = rng.choice(vocab, size=(400, 2), replace=False).tolist()
     pairs_path = tmp_path / "pairs.tsv"
-    pairs_path.write_text("\n".join(pair_rows) + "\n", encoding="utf-8")
+    pairs_path.write_text("".join(f"{m}\t{p}\n" for m, p in poles), encoding="utf-8")
+    probs = 1.0 / np.arange(1, len(vocab) + 1)
     docs = []
-    for d in range(24):
-        words = rng.choice(vocab, size=15).tolist()
-        docs.append(
-            {"id": f"d{d}", "text": " ".join(words), "group": "t" if d % 3 == 0 else "r"}
-        )
+    for d in range(1500):
+        words = rng.choice(vocab, size=20, p=probs / probs.sum()).tolist()
+        docs.append({"id": f"d{d}", "text": " ".join(words), "group": "abc"[d % 3]})
     corpus_path = tmp_path / "corpus.jsonl"
     corpus_path.write_text("\n".join(json.dumps(d) for d in docs) + "\n", encoding="utf-8")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
-    def run(out, workers):
-        code = main([
-            "analyze", "--embeddings", str(emb_path), "--pairs", str(pairs_path),
-            "--corpus", str(corpus_path), "--group", "t", "--seed", "123",
-            "--n-bootstrap", "200", "--workers", str(workers), "--out", str(out),
-        ])
-        assert code == 0
+    def run(command, out, threads, *extra):
+        env = {**os.environ, "PYTHONPATH": src,
+               "OPENBLAS_NUM_THREADS": str(threads), "OMP_NUM_THREADS": str(threads)}
+        subprocess.run([
+            sys.executable, "-c", "import sys; from framelens.cli import main; "
+            "sys.exit(main(sys.argv[1:]))", command, "--embeddings", str(emb_path),
+            "--pairs", str(pairs_path), "--corpus", str(corpus_path), "--seed", "123",
+            "--out", str(out), *extra,
+        ], env=env, check=True, capture_output=True)
+
+    def analyze(out, threads):
+        run("analyze", out, threads, "--group", "a", "--n-bootstrap", "300")
         tsv = (out / "results.tsv").read_bytes()
         doc = json.loads((out / "results.json").read_text())
         return tsv, doc
 
     out_a = tmp_path / "runA"
-    tsv_a, doc_a = run(out_a, 2)
+    tsv_a, doc_a = analyze(out_a, 2)
     raw_json_a = (out_a / "results.json").read_bytes()
-    tsv_b, doc_b = run(out_a, 2)  # identical config, same destination
+    tsv_b, doc_b = analyze(out_a, 2)  # identical config, same destination
     raw_json_b = (out_a / "results.json").read_bytes()
-    tsv_c, doc_c = run(tmp_path / "runC", 1)
+    _, doc_c = analyze(tmp_path / "runC", 1)
     identical_repeat = tsv_a == tsv_b and raw_json_a == raw_json_b
-    # across parallelism levels the data rows must match; the embedded
-    # config legitimately records the differing --workers flag
-    rows_match = doc_a["results"] == doc_c["results"]
-    tsv_rows_a = tsv_a.split(b"\n", 1)[1]
-    tsv_rows_c = tsv_c.split(b"\n", 1)[1]
-    ok = identical_repeat and rows_match and tsv_rows_a == tsv_rows_c
+    selections = ("top_significant_bias", "top_significant_intensity")
+    same_selections = all(doc_a[key] == doc_c[key] for key in selections)
+    worst = _agree_across_thread_counts(doc_a["results"], doc_c["results"])
+    seps = []
+    for threads in (2, 1):
+        out = tmp_path / f"sep{threads}"
+        run("separation", out, threads, "--group-a", "a", "--group-b", "b", "--formats", "json")
+        seps.append(json.loads((out / "separation_a_vs_b.json").read_text()))
+    same_selections = same_selections and (
+        seps[0]["rank_sum_selection"] == seps[1]["rank_sum_selection"])
+    worst = max(worst, _agree_across_thread_counts(seps[0]["separations"],
+                                                   seps[1]["separations"]))
+    ok = identical_repeat and same_selections and worst <= THREAD_COUNT_BOUND
     _report(8, "determinism", ok,
-            "byte-identical repeat runs; identical rows at workers 1 vs 2")
+            f"byte-identical repeat runs; at 1 vs 2 BLAS threads identical p-values, "
+            f"ranks and selections, values within {worst:.1e}")
     assert identical_repeat
-    assert rows_match
-    assert tsv_rows_a == tsv_rows_c
+    assert same_selections
+    assert worst <= THREAD_COUNT_BOUND
 
 
 def test_criterion_9_desk_scale_throughput():

@@ -534,9 +534,10 @@ class TestEmptyGroupViews:
 
 
 class TestContributionsOncePerCommand:
-    """A command forms each frame's contributions over the full view's
-    vocabulary once, or, in analyze, once per batch of bootstrap draws;
-    every narrower document set is a count vector."""
+    """A command reads the full view's vocabulary once for its observed
+    statistics, in one pass over the unit slices or one sweep of frame
+    blocks, and a null swept in analyze sweeps once per batch of bootstrap
+    draws; every narrower document set is a count vector."""
 
     @pytest.mark.parametrize("command, extra", [
         ("shifts", ["--group", "pos", "--frame", "bad--good", "--kind", "intensity"]),
@@ -575,22 +576,58 @@ class TestContributionsOncePerCommand:
         assert [tokens for tokens, _ in sweeps] == [vocabulary]
         assert sweeps[0][1] == [(start, min(2, 13 - start)) for start in range(0, 13, 2)]
 
-    @pytest.mark.parametrize("command, extra, n_frames, n_sweeps", [
-        ("separation", ["--group-a", "pos", "--group-b", "neg"], 78, 1),
-        # one sweep per batch of draws
-        ("analyze", ["--group", "pos", "--n-bootstrap", str(engine._BOOTSTRAP_BATCH + 1)], 78, 2),
-    ])
-    def test_one_gather_and_one_pass_over_the_frame_blocks(
-        self, setup, monkeypatch, command, extra, n_frames, n_sweeps
-    ):
-        corpus = write_unit_corpus(setup["tmp"])
-        # every pair of the 13 words: 78 frames, two blocks
+    @staticmethod
+    def _all_pairs(setup):
+        """Every pair of the 13 words: 78 frames, two blocks."""
         words = [line.split()[0] for line in EMBEDDINGS.splitlines()]
         pairs = setup["tmp"] / "all_pairs.tsv"
         pairs.write_text("".join(f"{a}\t{b}\n" for i, a in enumerate(words)
                                  for b in words[i + 1:]), encoding="utf-8")
-        gathers, sweeps, blocks = [], [], []
-        unit_rows, cosine_blocks = EmbeddingTable.unit_rows, engine._cosine_blocks
+        return {**setup, "corpus": str(write_unit_corpus(setup["tmp"])), "pairs": str(pairs)}
+
+    @pytest.mark.parametrize("command, extra", [
+        ("separation", ["--group-a", "pos", "--group-b", "neg"]),
+        ("analyze", ["--group", "pos", "--n-bootstrap", "2"]),
+    ])
+    def test_axis_space_makes_one_pass_over_the_unit_slices(
+        self, setup, monkeypatch, command, extra
+    ):
+        """Over 78 frames of d=3, separation's three count vectors and
+        analyze's two with a two-sample null take the axis-space path: one
+        pass over the unit slices of the full vocabulary, no V×d unit rows
+        and no frame block of cosines."""
+        calls = []
+        unit_slices = EmbeddingTable.unit_slices
+
+        def counted_unit_slices(table, tokens, out=None):
+            calls.append(tokens)
+            yield from unit_slices(table, tokens, out)
+
+        def forbidden(*args):
+            raise AssertionError("the axis-space path forms V×d unit rows or a frame block")
+
+        monkeypatch.setattr(EmbeddingTable, "unit_slices", counted_unit_slices)
+        monkeypatch.setattr(EmbeddingTable, "unit_rows", forbidden)
+        monkeypatch.setattr(engine, "_cosine_blocks", forbidden)
+        monkeypatch.setattr(engine, "_MOMENT_ROWS", 2)
+        args = base_args(self._all_pairs(setup), command)
+        assert main(args + extra + ["--formats", "tsv"]) == 0
+        vocabulary = sorted(line.split()[0] for line in EMBEDDINGS.splitlines())
+        assert calls == [vocabulary[start:start + 2] for start in range(0, 13, 2)]
+
+    def test_a_null_above_the_switch_sweeps_the_blocks_once_per_batch(
+        self, setup, monkeypatch
+    ):
+        """analyze with more samples than the axis-space path pays for: the
+        observed statistics make one axis-space pass, and the null gathers
+        the unit rows once and sweeps both frame blocks once per batch."""
+        moment_passes, gathers, sweeps, blocks = [], [], [], []
+        moments, unit_rows = engine._moments, EmbeddingTable.unit_rows
+        cosine_blocks = engine._cosine_blocks
+
+        def counted_moments(table, tokens, weights):
+            moment_passes.append(len(weights))
+            return moments(table, tokens, weights)
 
         def counted_unit_rows(table, tokens):
             gathers.append(len(tokens))
@@ -602,16 +639,16 @@ class TestContributionsOncePerCommand:
                 blocks.append(c.shape[0])
                 yield block, c
 
+        monkeypatch.setattr(engine, "_moments", counted_moments)
         monkeypatch.setattr(EmbeddingTable, "unit_rows", counted_unit_rows)
         monkeypatch.setattr(engine, "_cosine_blocks", counted_cosine_blocks)
-        args = base_args({**setup, "corpus": str(corpus), "pairs": str(pairs)}, command)
-        assert main(args + extra + ["--formats", "tsv"]) == 0
-        if command == "map":
-            _, _, rows = read_tsv(os.path.join(setup["out"], "map_good--bad.tsv"))
-            assert len(rows) >= 3
-        assert len(gathers) == 1
-        assert sweeps == gathers * n_sweeps
-        assert len(blocks) == -(-n_frames // 64) * n_sweeps and sum(blocks) == n_frames * n_sweeps
+        n = engine._BOOTSTRAP_BATCH + 1
+        args = base_args(self._all_pairs(setup), "analyze")
+        assert main(args + ["--group", "pos", "--n-bootstrap", str(n), "--formats", "tsv"]) == 0
+        assert moment_passes == [2]
+        assert gathers == [13]
+        assert sweeps == [13, 13]  # one sweep per batch of draws
+        assert blocks == [64, 14, 64, 14]
 
 
 class TestGroupViewsOnly:

@@ -5,11 +5,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from framelens import embeddings, engine
 from framelens.corpus import build_view, make_document, split_by_group
+from framelens.embeddings import EmbeddingTable, LoadStats
 from framelens.engine import (
     FramingResult,
     SeparationResult,
@@ -21,7 +22,6 @@ from framelens.engine import (
     corpus_bias,
     corpus_intensity,
     document_spectrum,
-    log_odds_dirichlet,
     rank_sum_select,
     separation,
     shift_table,
@@ -926,6 +926,161 @@ class TestFrameContributions:
         assert all(peak < n_tokens * dim * 8 / 4 for peak in peaks.values()), peaks
 
 
+def _registry_of_axes(axes) -> FrameRegistry:
+    return FrameRegistry(tuple(
+        Microframe(f"m{i}--p{i}", f"m{i}", f"p{i}", np.array(axis, dtype=np.float64))
+        for i, axis in enumerate(axes)), ())
+
+
+@st.composite
+def _axis_space_cases(draw):
+    """A table, its sorted tokens, a registry of up to two frame blocks, the
+    full corpus's counts, a target's counts (the corpus itself, or some of
+    it), null samples drawn from the corpus at the target's size, and the
+    rows of a slice of the axis-space pass."""
+    dim = draw(st.sampled_from([1, 2, 3, 5, 16]))
+    vocab = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    matrix = rng.standard_normal((vocab, dim)) * 10.0 ** rng.integers(-3, 4, size=(vocab, 1))
+    table = table_from_dict({f"t{i:02d}": row.tolist() for i, row in enumerate(matrix)})
+    registry = _registry_of_axes(rng.standard_normal((draw(st.integers(1, 70)), dim)))
+    full = rng.integers(1, 20, size=vocab).astype(np.float64)
+    if draw(st.booleans()):
+        target = full.copy()
+    else:
+        target = np.minimum(full, rng.integers(0, 4, size=vocab)).astype(np.float64)
+        target[int(rng.integers(vocab))] += 1.0
+    draws = rng.multinomial(int(target.sum()), full / full.sum(),
+                            size=draw(st.integers(1, 3))).astype(np.float64)
+    rows = draw(st.integers(1, 12))
+    return table, sorted(table.vocabulary), registry, full, target, draws, rows
+
+
+class TestAxisSpace:
+    """Bias and intensity from each count vector's moments about a reference
+    row (`_moments`, `_axis_statistics`) agree with the sweep over the F×V
+    cosines within 4e-15 absolute, give the same p-values, and keep the
+    sweep's exact properties; `_frame_statistics` picks a path per call."""
+
+    @given(_axis_space_cases())
+    @settings(max_examples=150, deadline=None)
+    @example((
+        table_from_dict({"a": [0.5], "b": [-2.0]}), ["a", "b"],
+        _registry_of_axes([[1.0], [-3.0]]), np.array([3.0, 1.0]), np.array([3.0, 1.0]),
+        np.array([[2.0, 2.0], [4.0, 0.0]]), 1,
+    ))
+    def test_moments_agree_with_the_sweep(self, case):
+        table, tokens, registry, full, target, draws, rows = case
+        (bias, intensity), (null_bias, null_intensity) = engine._sweep_statistics(
+            registry, table.unit_rows(tokens), [full, target], None,
+            [(draws, draws.sum(axis=1))], len(draws))
+        with mock.patch.object(engine, "_MOMENT_ROWS", rows):
+            moments = engine._moments(table, tokens, [full, target, *draws])
+        m_bias, m_intensity = engine._axis_statistics(registry, *moments)
+        pairs = [(bias, m_bias[:2]), (intensity, m_intensity[:2]),
+                 (null_bias, m_bias[2:].T), (null_intensity, m_intensity[2:].T)]
+        for sweep, axis_space in pairs:
+            np.testing.assert_allclose(axis_space, sweep, rtol=0.0, atol=4e-15)
+        assert np.all(m_intensity >= 0.0)
+        sweep_p = engine._significance(bias[1], intensity[1], null_bias, null_intensity)
+        moment_p = engine._significance(m_bias[1], m_intensity[1], m_bias[2:].T,
+                                        m_intensity[2:].T)
+        for want, got in zip(sweep_p[:2], moment_p[:2]):
+            assert got.tolist() == want.tolist()
+
+    def test_one_type_view_has_zero_intensity(self):
+        rng = np.random.default_rng(5)
+        table = table_from_dict({"w": rng.standard_normal(4).tolist()})
+        registry = _registry_of_axes(rng.standard_normal((70, 4)))
+        _, intensity = engine._axis_statistics(
+            registry, *engine._moments(table, ["w"], [np.array([7.0])]))
+        assert intensity.tolist() == [[0.0] * 70]
+
+    def test_contributions_equal_to_the_baseline_give_zero_intensity(self):
+        """Ten words of different directions that all make the same angle
+        with every axis: each contribution is the view's bias, on the axis
+        path, and the intensity about it is exactly 0.0."""
+        rows = [[1.0, 1.0, 0.0], [1.0, 0.0, -1.0], [1.0, -1.0, 0.0], [1.0, 0.0, 1.0]]
+        table = table_from_dict({f"w{i}": rows[i % 4] for i in range(10)})
+        view = _one_document_view(table, [f"w{i}" for i in range(10) for _ in range(i + 1)])
+        registry = _registry_of_axes([[x, 0.0, 0.0] for x in range(-32, 32) if x])
+        assert engine._moments_pay(len(registry), 10, 3, 1)
+        bias, intensity = view_statistics(view, registry, table)
+        (row,) = table.unit_rows(["w0"])
+        assert np.abs(bias).tolist() == [row[0]] * 63
+        assert intensity.tolist() == [0.0] * 63
+
+    def test_intensity_is_never_negative(self):
+        """Eight words at one angle to an axis in general position: the
+        intensity about their bias is ~1e-32, the axis path's
+        q − 2δt + δ² rounds to about ±1e-17, and a negative one reads 0."""
+        for seed in range(16):
+            rng = np.random.default_rng(seed)
+            axis = rng.standard_normal(5)
+            axis /= np.linalg.norm(axis)
+            others = rng.standard_normal((8, 5))
+            others -= np.outer(others @ axis, axis)
+            others /= np.linalg.norm(others, axis=1)[:, None]
+            table = EmbeddingTable(dimension=5, _index={f"w{i}": i for i in range(8)},
+                                   _matrix=0.6 * axis + 0.8 * others, stats=LoadStats(kept=8))
+            words = [f"w{i}" for i in range(8) for _ in range(int(rng.integers(1, 9)))]
+            registry = _registry_of_axes([axis] * 64)
+            assert engine._moments_pay(64, 8, 5, 1)
+            _, intensity = view_statistics(_one_document_view(table, words), registry, table)
+            assert np.all((intensity >= 0.0) & (intensity < 1e-15))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_flip_negates_bias_exactly_and_keeps_intensity(self, seed):
+        rng = np.random.default_rng(seed)
+        table = table_from_dict({f"w{i}": rng.standard_normal(6).tolist() for i in range(40)})
+        docs = [make_document(f"d{j}", " ".join(rng.choice(list(table.vocabulary), size=12)),
+                              group="ab"[j % 2]) for j in range(8)]
+        full = build_view(docs, table)
+        view_a, view_b = split_by_group(full, "a")
+        axes = rng.standard_normal((100, 6))
+        registry, flipped = _registry_of_axes(axes), _registry_of_axes(-axes)
+        assert engine._moments_pay(100, len(full.tokens), 6, 3)
+        seps, seps_flipped = (separation(full, view_a, view_b, r, table).columns
+                              for r in (registry, flipped))
+        for column in ("bias_a", "bias_b"):
+            assert seps_flipped[column] == [-x for x in seps[column]]
+        for column in ("intensity_a", "intensity_b"):
+            assert seps_flipped[column] == seps[column]
+        bias, intensity = view_statistics(view_a, registry, table)
+        bias_flipped, intensity_flipped = view_statistics(view_a, flipped, table)
+        assert bias_flipped.tolist() == (-bias).tolist()
+        assert intensity_flipped.tolist() == intensity.tolist()
+
+    def test_each_path_is_taken_by_a_real_input(self, monkeypatch):
+        """Many frames over few dimensions take the axis path for the
+        observed statistics and a small null; one frame, and a large null,
+        take the sweep."""
+        calls = []
+        for name in ("_moments", "_sweep_statistics"):
+            original = getattr(engine, name)
+
+            def spy(*args, _name=name, _original=original):
+                calls.append((_name, len(args[2])) if _name == "_moments" else (_name,))
+                return _original(*args)
+
+            monkeypatch.setattr(engine, name, spy)
+        rng = np.random.default_rng(3)
+        table = table_from_dict({f"w{i}": rng.standard_normal(4).tolist() for i in range(30)})
+        docs = [make_document(f"d{j}", " ".join(rng.choice(list(table.vocabulary), size=20)),
+                              group="ab"[j % 2]) for j in range(10)]
+        full = build_view(docs, table)
+        target, _ = split_by_group(full, "a")
+        registry = _registry_of_axes(rng.standard_normal((80, 4)))
+        analyze_frames(full, target, registry, table, n_bootstrap=3, seed=1)
+        assert calls == [("_moments", 5)]
+        calls.clear()
+        analyze_frames(full, target, registry, table, n_bootstrap=300, seed=1)
+        assert calls == [("_moments", 2), ("_sweep_statistics",)]
+        calls.clear()
+        corpus_bias(full, registry.frames[0], table)
+        assert calls == [("_sweep_statistics",)]
+
+
 class TestRankSumSelect:
     def _sep(self, fid, rank_b, rank_i):
         return SeparationResult(
@@ -971,41 +1126,6 @@ class TestRankSumSelect:
             [(s.frame_id, s.rank_bias, s.rank_intensity) for s in seps], 5
         )
         assert rank_sum_select(table_of(seps), 5) == expect
-
-
-class TestLogOdds:
-    def test_symmetric_inputs_give_zero_scores(self, toy_table):
-        docs = [make_document("d", "good bad great awful")]
-        view = build_view(docs, toy_table)
-        out = log_odds_dirichlet(view, view, view, k=10)
-        assert all(abs(z) < 1e-12 for _, z in out)
-
-    def test_hand_computed_tiny_example(self, toy_table):
-        target = build_view([make_document("t", "good good good bad")], toy_table)
-        background = build_view([make_document("b", "good bad bad bad")], toy_table)
-        prior = build_view([make_document("p", "good good bad bad")], toy_table)
-        out = dict(log_odds_dirichlet(target, background, prior, k=10))
-        # by hand: alpha = {good: 2, bad: 2}, alpha0 = 4, n_t = n_b = 4
-        delta_good = math.log((3 + 2) / (4 + 4 - 3 - 2)) - math.log((1 + 2) / (4 + 4 - 1 - 2))
-        var_good = 1 / (3 + 2) + 1 / (1 + 2)
-        z_good = delta_good / math.sqrt(var_good)
-        assert out["good"] == pytest.approx(z_good, abs=1e-9)
-        delta_bad = math.log((1 + 2) / (4 + 4 - 1 - 2)) - math.log((3 + 2) / (4 + 4 - 3 - 2))
-        var_bad = 1 / (1 + 2) + 1 / (3 + 2)
-        assert out["bad"] == pytest.approx(delta_bad / math.sqrt(var_bad), abs=1e-9)
-
-    def test_overrepresented_tokens_rank_first(self, toy_table):
-        target = build_view(
-            [make_document("t", "service service service good")], toy_table
-        )
-        background = build_view(
-            [make_document("b", "bad awful meal slow good")], toy_table
-        )
-        prior = build_view(
-            [make_document("p", "service good bad awful meal slow")], toy_table
-        )
-        out = log_odds_dirichlet(target, background, prior, k=3)
-        assert out[0][0] == "service"
 
 
 def _two_group_instance(rng):
