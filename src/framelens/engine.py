@@ -28,19 +28,23 @@ computes every statistic over many frames (`analyze_frames`,
   reference row, in one pass over the unit slices of the vocabulary, and
   `_axis_statistics` reads both statistics off them per block of axes.
 
-`_moments_pay` chooses the path per call by flop count, from F, V, d and
-the number of count vectors alone: K·V·d²/2 + K·F·d² against the sweep's
-F·V·d. The observed count vectors and the null samples are switched
-separately, so a view's observed statistics never depend on the null.
-Over the 1,621 frames of the shipped lexicon at d=100 or d=300,
-separation, analyze's observed statistics and a null of a few samples
-take the axis-space path; one-frame calls and a null of hundreds of
-samples take the sweep. The paths agree to within 4e-15 absolute and
-give the same p-values. Commands over one frame use
-`_frame_contributions`, which forms the V cosines one slice of unit rows
-at a time and holds no V×d array: the per-token shifts and per-document
-or per-unit sums of one frame (`word_shifts`, `document_spectrum`,
-`unit_statistics`) are count-weighted products on those V values.
+`_moments_pay` chooses the path per call by a flop count calibrated on
+timings of both paths (`_AXIS_FLOP_COST`): 1.5·K·(V·d²/2 + F·d²) against
+the sweep's F·V·d. The observed count vectors are counted as
+_OBSERVED_VECTORS whatever their number, so their path reads only F, V
+and d; the null samples are switched separately, by their own count, so
+a view's observed statistics never depend on the null. Over the 1,621
+frames of the shipped lexicon at d=100 or d=300, separation, analyze's
+observed statistics and a null of a few samples take the axis-space
+path; one-frame calls and a null of hundreds of samples take the sweep.
+On the property tests' small tables the paths agree to within 4e-15
+absolute and give the same p-values.
+
+Commands over one frame use `_frame_contributions`, which forms the V
+cosines one slice of unit rows at a time and holds no V×d array: the
+per-token shifts and per-document or per-unit sums of one frame
+(`word_shifts`, `document_spectrum`, `unit_statistics`) are
+count-weighted products on those V values.
 
 Each frame's statistics are computed once per command, over the full
 view's vocabulary. Every narrower document set (a target and its
@@ -48,15 +52,15 @@ background, two groups, a unit, a document) is a count vector over that
 vocabulary, and the full-corpus baseline comes from the same numbers
 inside each statistic that needs it. Each count vector gets its own
 products, never a column of a product shared with other vectors, which
-rounds differently: a group has the same bits in `separation` and
-`analyze_frames` whenever both calls take the same path.
+rounds differently, and both calls take the same path: a group has the
+same bits in `separation` and `analyze_frames`.
 
 Reproducibility: one bootstrap stream, ``default_rng(seed)``, is drawn
 once per run and shared by every frame, so a frame's null depends on the
 seed and the corpus, not on the other frames or their order. The same
 seed gives byte-identical reports on every run at a fixed BLAS thread
-count; across thread counts p-values and selections are identical, and
-other values agree to within 1e-15 absolute.
+count. Across thread counts BLAS may round a product differently; README
+("Reproducibility") gives what was measured.
 """
 
 from __future__ import annotations
@@ -74,18 +78,43 @@ from .reports import Table
 #: Bootstrap draws happen in fixed-size batches so memory stays bounded.
 _BOOTSTRAP_BATCH = 256
 
-#: Frames scored together in one block of contributions or axes.
+#: Frames in one fb×V block of contributions of the sweep (`_cosine_blocks`).
 _FRAME_BLOCK = 64
+
+#: Axes per block of the axis-space path (`_axis_statistics`), which holds
+#: fb×d axes and one fb×(d+1) product per count vector, no fb×V array.
+#: In-process over 1,621 frames at d=300 (V=3,354, 21 alternating runs,
+#: 2-core x86-64), `analyze_frames` at B=2 took 60.6 ms at 64 axes a
+#: block and 55.5 ms at 128 or 256; peak RSS moved by at most 0.2 MB.
+_AXIS_BLOCK = 128
 
 #: Unit rows per slice of the axis-space pass (`_moments`). A SYRK of few
 #: rows pays BLAS thread start-up for little work; a slice of many holds
-#: more memory. On the benchmark (perfbench, seed 7, 2-core x86-64),
-#: analyze-token's `analyze_frames` took 79 ms at 512 rows against 79 ms
-#: for the sweep, and 76 ms at 768 rows; `peak_rss_mb` read 58.7-58.8 MB
-#: at 512 rows and 60.7-60.8 MB at 768, against 62.1 MB for the sweep. A
-#: budget of 2^17 components (1,310 rows at d=100) raised compare-docs'
-#: `peak_rss_mb` by 0.4-0.9 MB; 512 rows left it within 0.1 MB.
+#: more memory. On the benchmark (perfbench, seed 7, 2-core x86-64), its
+#: d=300 analyze workload's `analyze_frames` took 79 ms at 512 rows against
+#: 79 ms for the sweep, and 76 ms at 768 rows; `peak_rss_mb` read
+#: 58.7-58.8 MB at 512 rows and 60.7-60.8 MB at 768, against 62.1 MB for
+#: the sweep. A budget of 2^17 components (1,310 rows at d=100) raised the
+#: d=100 workload's `peak_rss_mb` by 0.4-0.9 MB; 512 rows left it within
+#: 0.1 MB.
 _MOMENT_ROWS = 512
+
+#: `_moments_pay` counts an axis-space flop as this many sweep flops. In
+#: timings of both paths on the benchmark's tables (2-core x86-64,
+#: OpenBLAS, two series of 7-11 alternating runs per point), three count
+#: vectors broke even at F ≈ 1,000-1,200 frames at d=300 (V=3,354) and
+#: F ≈ 300-450 at d=100 (V=2,907). This factor puts the switch at
+#: F ≈ 1,130 and 266; just above it the axis path took up to 1.2x the
+#: sweep's time, and at 1,621 frames 0.4-0.9x. Small slices and axis
+#: blocks make its BLAS calls less efficient than the sweep's products.
+_AXIS_FLOP_COST = 1.5
+
+#: The observed statistics take their path as if this many count vectors
+#: were passed: `separation`'s three (the full view and two groups), the
+#: most any caller passes. Every caller over the same frames, vocabulary
+#: and dimension then takes the same path, so a group keeps its bits
+#: between `separation` and `analyze_frames`.
+_OBSERVED_VECTORS = 3
 
 #: `_doc_coo` codes a (document, token) cell as an int32 below this many
 #: cells, and as an int64 from there on.
@@ -272,12 +301,13 @@ def _counts_over(full_view: CorpusView, views) -> tuple[list[str], list[np.ndarr
 
 
 def _moments_pay(frames: int, vocabulary: int, dimension: int, vectors: int) -> bool:
-    """Whether `vectors` count vectors cost fewer flops in axis space than in
-    one sweep: K·V·d²/2 (a SYRK per vector) + K·F·d² (an fb×d by d×d
-    product per vector and block), against F·V·d for the F×V cosines."""
+    """Whether `vectors` count vectors cost less in axis space than in one
+    sweep: _AXIS_FLOP_COST · (K·V·d²/2 (a SYRK per vector) + K·F·d² (an
+    fb×d by d×d product per vector and block)) against F·V·d for the F×V
+    cosines."""
     squares = dimension * dimension
-    return (vectors * (vocabulary * squares + 2 * frames * squares)
-            < 2 * frames * vocabulary * dimension)
+    return (_AXIS_FLOP_COST * vectors * (vocabulary * squares / 2 + frames * squares)
+            < frames * vocabulary * dimension)
 
 
 def _moments(table: EmbeddingTable, tokens: list[str], weights):
@@ -317,7 +347,7 @@ def _moments(table: EmbeddingTable, tokens: list[str], weights):
 
 def _axis_statistics(frames: FrameRegistry, r, moments, baseline=None):
     """Per-frame bias and intensity of each count vector from its moment
-    matrix about r (`_moments`), one block of _FRAME_BLOCK axes at a time.
+    matrix about r (`_moments`), one block of _AXIS_BLOCK axes at a time.
 
     With t = a·m and q = aᵀGa the vector's first and second moments on
     axis a, and δ = β − a·r the baseline's offset, bias is a·r + t and
@@ -329,8 +359,8 @@ def _axis_statistics(frames: FrameRegistry, r, moments, baseline=None):
     """
     d = len(r)
     bias, intensity = np.empty((2, len(moments), len(frames)))
-    for start in range(0, len(frames), _FRAME_BLOCK):
-        block = slice(start, start + _FRAME_BLOCK)
+    for start in range(0, len(frames), _AXIS_BLOCK):
+        block = slice(start, start + _AXIS_BLOCK)
         axes = _unit_axes(frames.axes(block))
         offset = np.add.reduce(axes * r, axis=1)
         products = [axes @ moment[:d] for moment in moments]
@@ -359,17 +389,18 @@ def _frame_statistics(frames, table: EmbeddingTable, tokens: list[str], weights,
     each F×n.
 
     The count vectors take the axis-space path (`_moments`,
-    `_axis_statistics`) when `_moments_pay` says so for their number, and
-    the sweep (`_sweep_statistics`) otherwise. The null samples join the
-    axis-space pass when the count vectors take it and `_moments_pay` says
-    so for `n`; otherwise they are swept, about the count vectors'
-    baseline. Either rule reads only F, V, d and a count, so a view's
-    observed statistics never depend on the null.
+    `_axis_statistics`) when `_moments_pay` says so for _OBSERVED_VECTORS
+    of them, whatever their number, and the sweep (`_sweep_statistics`)
+    otherwise. The null samples join the axis-space pass when the count
+    vectors take it and `_moments_pay` says so for `n`; otherwise they are
+    swept, about the count vectors' baseline. The first rule reads only F,
+    V and d, so a view's observed statistics never depend on the null or
+    on the other count vectors.
     """
     if not isinstance(frames, FrameRegistry):
         frames = FrameRegistry(frames)
     shape = len(frames), len(tokens), table.dimension
-    if not _moments_pay(*shape, len(weights)):
+    if not _moments_pay(*shape, _OBSERVED_VECTORS):
         return _sweep_statistics(frames, table.unit_rows(tokens), weights, baseline, draws, n)
     k = len(weights)
     null_joins = n > 0 and _moments_pay(*shape, n)

@@ -20,8 +20,6 @@ from dataclasses import dataclass, field
 from string import Formatter
 from typing import Protocol
 
-import numpy as np
-
 from .embeddings import EmbeddingTable
 from .errors import DataError
 from .frames import FrameRegistry
@@ -93,9 +91,7 @@ def relevance_embedding(query: RelevanceQuery, table: EmbeddingTable) -> Table:
                    if plus in missing or minus in missing)
         raise DataError(f"frame {fid!r} has a pole missing from the table")
     words = query.topic_words
-    # einsum's own loops, not BLAS: a product this small costs more handed
-    # to BLAS threads than it computes
-    cosines = np.einsum("ij,kj->ik", table.unit_rows(list(words)), table.unit_rows(poles))
+    cosines = table.unit_rows(list(words)) @ table.unit_rows(poles).T
     pole_means = ((cosines[:, : len(frames)] + cosines[:, len(frames) :]) / 2.0).T.tolist()
     # a left-to-right sum per frame, in topic word order
     scores = [sum(means) / len(words) for means in pole_means]

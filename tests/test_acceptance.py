@@ -284,7 +284,8 @@ def test_criterion_7b_semeval_separation():
 
 
 #: Values other than p-values, ranks and selections agree across BLAS
-#: thread counts to this absolute bound (README, "Reproducibility").
+#: thread counts to this absolute bound on criterion 8's inputs; README
+#: ("Reproducibility") gives what was measured on the benchmark's.
 THREAD_COUNT_BOUND = 1e-15
 
 

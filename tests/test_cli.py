@@ -1,6 +1,7 @@
 import argparse
 import importlib.util
 import json
+import math
 import os
 import sys
 import xml.etree.ElementTree as ET
@@ -578,12 +579,23 @@ class TestContributionsOncePerCommand:
 
     @staticmethod
     def _all_pairs(setup):
-        """Every pair of the 13 words: 78 frames, two blocks."""
+        """Every pair of the 13 fixture words, 78 frames in two blocks, over
+        a vocabulary of 40 words of d=3: the unit corpus plus 27 more words,
+        each in the table and in one document of each group. Returns the
+        setup and the sorted vocabulary."""
         words = [line.split()[0] for line in EMBEDDINGS.splitlines()]
+        more = [f"x{i:02d}" for i in range(27)]
+        emb = setup["tmp"] / "wide.txt"
+        emb.write_text(EMBEDDINGS + "".join(
+            f"{w} {math.cos(i):.4f} {math.sin(i):.4f} {0.05 * i:.4f}\n"
+            for i, w in enumerate(more)), encoding="utf-8")
         pairs = setup["tmp"] / "all_pairs.tsv"
         pairs.write_text("".join(f"{a}\t{b}\n" for i, a in enumerate(words)
                                  for b in words[i + 1:]), encoding="utf-8")
-        return {**setup, "corpus": str(write_unit_corpus(setup["tmp"])), "pairs": str(pairs)}
+        docs = UNIT_DOCS + [{"id": f"more-{g}", "text": " ".join(more), "group": g}
+                            for g in ("pos", "neg")]
+        wide = {**with_corpus(setup, docs), "emb": str(emb), "pairs": str(pairs)}
+        return wide, sorted(words + more)
 
     @pytest.mark.parametrize("command, extra", [
         ("separation", ["--group-a", "pos", "--group-b", "neg"]),
@@ -592,10 +604,10 @@ class TestContributionsOncePerCommand:
     def test_axis_space_makes_one_pass_over_the_unit_slices(
         self, setup, monkeypatch, command, extra
     ):
-        """Over 78 frames of d=3, separation's three count vectors and
-        analyze's two with a two-sample null take the axis-space path: one
-        pass over the unit slices of the full vocabulary, no V×d unit rows
-        and no frame block of cosines."""
+        """Over 78 frames and 40 words of d=3, separation's three count
+        vectors and analyze's two with a two-sample null take the axis-space
+        path: one pass over the unit slices of the full vocabulary, no V×d
+        unit rows and no frame block of cosines."""
         calls = []
         unit_slices = EmbeddingTable.unit_slices
 
@@ -610,10 +622,10 @@ class TestContributionsOncePerCommand:
         monkeypatch.setattr(EmbeddingTable, "unit_rows", forbidden)
         monkeypatch.setattr(engine, "_cosine_blocks", forbidden)
         monkeypatch.setattr(engine, "_MOMENT_ROWS", 2)
-        args = base_args(self._all_pairs(setup), command)
-        assert main(args + extra + ["--formats", "tsv"]) == 0
-        vocabulary = sorted(line.split()[0] for line in EMBEDDINGS.splitlines())
-        assert calls == [vocabulary[start:start + 2] for start in range(0, 13, 2)]
+        wide, vocabulary = self._all_pairs(setup)
+        assert engine._moments_pay(78, len(vocabulary), 3, engine._OBSERVED_VECTORS)
+        assert main(base_args(wide, command) + extra + ["--formats", "tsv"]) == 0
+        assert calls == [vocabulary[start:start + 2] for start in range(0, 40, 2)]
 
     def test_a_null_above_the_switch_sweeps_the_blocks_once_per_batch(
         self, setup, monkeypatch
@@ -643,11 +655,12 @@ class TestContributionsOncePerCommand:
         monkeypatch.setattr(EmbeddingTable, "unit_rows", counted_unit_rows)
         monkeypatch.setattr(engine, "_cosine_blocks", counted_cosine_blocks)
         n = engine._BOOTSTRAP_BATCH + 1
-        args = base_args(self._all_pairs(setup), "analyze")
+        wide, vocabulary = self._all_pairs(setup)
+        args = base_args(wide, "analyze")
         assert main(args + ["--group", "pos", "--n-bootstrap", str(n), "--formats", "tsv"]) == 0
         assert moment_passes == [2]
-        assert gathers == [13]
-        assert sweeps == [13, 13]  # one sweep per batch of draws
+        assert gathers == [40]
+        assert sweeps == [40, 40]  # one sweep per batch of draws
         assert blocks == [64, 14, 64, 14]
 
 

@@ -943,7 +943,7 @@ def _axis_space_cases(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     matrix = rng.standard_normal((vocab, dim)) * 10.0 ** rng.integers(-3, 4, size=(vocab, 1))
     table = table_from_dict({f"t{i:02d}": row.tolist() for i, row in enumerate(matrix)})
-    registry = _registry_of_axes(rng.standard_normal((draw(st.integers(1, 70)), dim)))
+    registry = _registry_of_axes(rng.standard_normal((draw(st.integers(1, 140)), dim)))
     full = rng.integers(1, 20, size=vocab).astype(np.float64)
     if draw(st.booleans()):
         target = full.copy()
@@ -997,35 +997,35 @@ class TestAxisSpace:
         assert intensity.tolist() == [[0.0] * 70]
 
     def test_contributions_equal_to_the_baseline_give_zero_intensity(self):
-        """Ten words of different directions that all make the same angle
+        """Forty words of different directions that all make the same angle
         with every axis: each contribution is the view's bias, on the axis
         path, and the intensity about it is exactly 0.0."""
         rows = [[1.0, 1.0, 0.0], [1.0, 0.0, -1.0], [1.0, -1.0, 0.0], [1.0, 0.0, 1.0]]
-        table = table_from_dict({f"w{i}": rows[i % 4] for i in range(10)})
-        view = _one_document_view(table, [f"w{i}" for i in range(10) for _ in range(i + 1)])
+        table = table_from_dict({f"w{i}": rows[i % 4] for i in range(40)})
+        view = _one_document_view(table, [f"w{i}" for i in range(40) for _ in range(i + 1)])
         registry = _registry_of_axes([[x, 0.0, 0.0] for x in range(-32, 32) if x])
-        assert engine._moments_pay(len(registry), 10, 3, 1)
+        assert engine._moments_pay(len(registry), 40, 3, engine._OBSERVED_VECTORS)
         bias, intensity = view_statistics(view, registry, table)
         (row,) = table.unit_rows(["w0"])
         assert np.abs(bias).tolist() == [row[0]] * 63
         assert intensity.tolist() == [0.0] * 63
 
     def test_intensity_is_never_negative(self):
-        """Eight words at one angle to an axis in general position: the
+        """32 words at one angle to an axis in general position: the
         intensity about their bias is ~1e-32, the axis path's
         q − 2δt + δ² rounds to about ±1e-17, and a negative one reads 0."""
         for seed in range(16):
             rng = np.random.default_rng(seed)
             axis = rng.standard_normal(5)
             axis /= np.linalg.norm(axis)
-            others = rng.standard_normal((8, 5))
+            others = rng.standard_normal((32, 5))
             others -= np.outer(others @ axis, axis)
             others /= np.linalg.norm(others, axis=1)[:, None]
-            table = EmbeddingTable(dimension=5, _index={f"w{i}": i for i in range(8)},
-                                   _matrix=0.6 * axis + 0.8 * others, stats=LoadStats(kept=8))
-            words = [f"w{i}" for i in range(8) for _ in range(int(rng.integers(1, 9)))]
+            table = EmbeddingTable(dimension=5, _index={f"w{i}": i for i in range(32)},
+                                   _matrix=0.6 * axis + 0.8 * others, stats=LoadStats(kept=32))
+            words = [f"w{i}" for i in range(32) for _ in range(int(rng.integers(1, 9)))]
             registry = _registry_of_axes([axis] * 64)
-            assert engine._moments_pay(64, 8, 5, 1)
+            assert engine._moments_pay(64, 32, 5, engine._OBSERVED_VECTORS)
             _, intensity = view_statistics(_one_document_view(table, words), registry, table)
             assert np.all((intensity >= 0.0) & (intensity < 1e-15))
 
@@ -1039,7 +1039,7 @@ class TestAxisSpace:
         view_a, view_b = split_by_group(full, "a")
         axes = rng.standard_normal((100, 6))
         registry, flipped = _registry_of_axes(axes), _registry_of_axes(-axes)
-        assert engine._moments_pay(100, len(full.tokens), 6, 3)
+        assert engine._moments_pay(100, len(full.tokens), 6, engine._OBSERVED_VECTORS)
         seps, seps_flipped = (separation(full, view_a, view_b, r, table).columns
                               for r in (registry, flipped))
         for column in ("bias_a", "bias_b"):
@@ -1181,6 +1181,31 @@ def test_separation_gives_a_group_the_bits_analyze_gives_it(seed):
     registry = FrameRegistry(tuple(frames), ())
     seps = separation(view, view_a, view_b, registry, table).columns
     results = analyze_frames(view, view_a, registry, table, n_bootstrap=4, seed=seed).columns
+    for sep, analyzed in (("bias_a", "bias"), ("intensity_a", "intensity")):
+        assert list(map(float.hex, seps[sep])) == list(map(float.hex, results[analyzed]))
+
+
+@pytest.mark.parametrize("vocab, dim, n_frames", [(40, 2, 5), (500, 20, 45)])
+def test_a_group_keeps_its_bits_where_a_count_dependent_switch_would_split(
+    vocab, dim, n_frames
+):
+    """At these shapes a switch that read the number of count vectors would
+    send analyze's two down one path and separation's three down the other;
+    the observed path reads only F, V and d, so group A's bias and intensity
+    in `separation` are still bit for bit its `analyze_frames` values."""
+    rng = np.random.default_rng(vocab)
+    words = [f"w{i}" for i in range(vocab)]
+    table = table_from_dict({w: rng.standard_normal(dim).tolist() for w in words})
+    docs = [make_document(f"d{j}", " ".join(words[j::10] + list(rng.choice(words, size=5))),
+                          group="ab"[j % 2]) for j in range(10)]
+    view = build_view(docs, table)
+    view_a, view_b = split_by_group(view, "a")
+    assert len(view.tokens) == vocab
+    assert (engine._moments_pay(n_frames, vocab, dim, 2)
+            != engine._moments_pay(n_frames, vocab, dim, 3))
+    registry = _registry_of_axes(rng.standard_normal((n_frames, dim)))
+    seps = separation(view, view_a, view_b, registry, table).columns
+    results = analyze_frames(view, view_a, registry, table, n_bootstrap=4, seed=1).columns
     for sep, analyzed in (("bias_a", "bias"), ("intensity_a", "intensity")):
         assert list(map(float.hex, seps[sep])) == list(map(float.hex, results[analyzed]))
 
