@@ -13,32 +13,28 @@ Every statistic works on the view's unit-length embedding rows (sorted-
 token order, float64 regardless of the table's storage dtype) and unit
 axes normalised by `_unit_axes`. One function, `_frame_statistics`,
 computes every statistic over many frames (`analyze_frames`,
-`bootstrap_null`, `separation`, `view_statistics`), on one of two paths:
+`bootstrap_null`, `separation`, `view_statistics`) by one rule:
 
-- The sweep (`_sweep_statistics`) forms the F×V cosines with
-  `_cosine_blocks`: the view's V×d unit rows times the axes of up to
-  _FRAME_BLOCK frames, as one frames-major fb×V block, written into one
-  buffer. It sweeps the blocks once per batch of bootstrap draws, and
-  each count vector's bias and intensity, and the batch's null samples
-  of both, are count-weighted products on each block.
-- The axis-space path holds neither. Contributions are linear in the
-  unit row u, so a count vector's bias on axis a is a·m and its intensity
-  about β is aᵀGa − 2β(a·m) + β², with m its mean unit row and G its d×d
-  second moment. `_moments` builds each vector's m and G, about a
-  reference row, in one pass over the unit slices of the vocabulary, and
+- Count vectors always take the axis-space pass, which holds no V×d
+  unit rows and no F×V cosines. Contributions are linear in the unit row
+  u, so a count vector's bias on axis a is a·m and its intensity about β
+  is aᵀGa − 2β(a·m) + β², with m its mean unit row and G its d×d second
+  moment. `_moments` builds each vector's m and G, about a reference row,
+  in one pass over the unit slices of the vocabulary, and
   `_axis_statistics` reads both statistics off them per block of axes.
+- Null samples join that pass when `_moments_pay` says they cost less
+  there than in a sweep: 1.5·n·(V·d²/2 + F·d²) flops (`_AXIS_FLOP_COST`)
+  against F·V·d. Otherwise `_sweep_null` forms the F×V cosines with
+  `_cosine_blocks`, the view's V×d unit rows times the axes of up to
+  _FRAME_BLOCK frames as one frames-major fb×V block in one buffer, and
+  sweeps the blocks once per batch of bootstrap draws; the batch's null
+  samples are count-weighted products on each block, about the count
+  vectors' baseline.
 
-`_moments_pay` chooses the path per call by a flop count calibrated on
-timings of both paths (`_AXIS_FLOP_COST`): 1.5·K·(V·d²/2 + F·d²) against
-the sweep's F·V·d. The observed count vectors are counted as
-_OBSERVED_VECTORS whatever their number, so their path reads only F, V
-and d; the null samples are switched separately, by their own count, so
-a view's observed statistics never depend on the null. Over the 1,621
-frames of the shipped lexicon at d=100 or d=300, separation, analyze's
-observed statistics and a null of a few samples take the axis-space
-path; one-frame calls and a null of hundreds of samples take the sweep.
-On the property tests' small tables the paths agree to within 4e-15
-absolute and give the same p-values.
+Over the 1,621 frames of the shipped lexicon at d=100 or d=300, a null of
+a few samples joins the axis-space pass; a one-frame null and a null of
+hundreds of samples are swept. On the property tests' small tables the
+two agree to within 4e-15 absolute and give the same p-values.
 
 Commands over one frame use `_frame_contributions`, which forms the V
 cosines one slice of unit rows at a time and holds no V×d array: the
@@ -52,8 +48,8 @@ background, two groups, a unit, a document) is a count vector over that
 vocabulary, and the full-corpus baseline comes from the same numbers
 inside each statistic that needs it. Each count vector gets its own
 products, never a column of a product shared with other vectors, which
-rounds differently, and both calls take the same path: a group has the
-same bits in `separation` and `analyze_frames`.
+rounds differently: a group has the same bits in `separation` and
+`analyze_frames`.
 
 Reproducibility: one bootstrap stream, ``default_rng(seed)``, is drawn
 once per run and shared by every frame, so a frame's null depends on the
@@ -99,22 +95,16 @@ _AXIS_BLOCK = 128
 #: 0.1 MB.
 _MOMENT_ROWS = 512
 
-#: `_moments_pay` counts an axis-space flop as this many sweep flops. In
-#: timings of both paths on the benchmark's tables (2-core x86-64,
-#: OpenBLAS, two series of 7-11 alternating runs per point), three count
-#: vectors broke even at F ≈ 1,000-1,200 frames at d=300 (V=3,354) and
-#: F ≈ 300-450 at d=100 (V=2,907). This factor puts the switch at
-#: F ≈ 1,130 and 266; just above it the axis path took up to 1.2x the
-#: sweep's time, and at 1,621 frames 0.4-0.9x. Small slices and axis
-#: blocks make its BLAS calls less efficient than the sweep's products.
+#: `_moments_pay` counts an axis-space flop as this many sweep flops when
+#: it decides whether null samples join the axis-space pass or are swept.
+#: The factor was calibrated for three count vectors: in timings of both
+#: paths on the benchmark's tables (2-core x86-64, OpenBLAS, two series of
+#: 7-11 alternating runs per point), three vectors broke even at
+#: F ≈ 1,000-1,200 frames at d=300 (V=3,354) and F ≈ 300-450 at d=100
+#: (V=2,907), where this factor puts the switch at F ≈ 1,130 and 266. Small
+#: slices and axis blocks make the axis path's BLAS calls less efficient
+#: than the sweep's products.
 _AXIS_FLOP_COST = 1.5
-
-#: The observed statistics take their path as if this many count vectors
-#: were passed: `separation`'s three (the full view and two groups), the
-#: most any caller passes. Every caller over the same frames, vocabulary
-#: and dimension then takes the same path, so a group keeps its bits
-#: between `separation` and `analyze_frames`.
-_OBSERVED_VECTORS = 3
 
 #: `_doc_coo` codes a (document, token) cell as an int32 below this many
 #: cells, and as an int64 from there on.
@@ -233,19 +223,16 @@ def _power_of_two_scaled(x: np.ndarray) -> np.ndarray:
     return np.ldexp(x, -exponent)
 
 
-def _cosine_blocks(frames, unit_rows: np.ndarray):
+def _cosine_blocks(frames: FrameRegistry, unit_rows: np.ndarray):
     """Yield (frame slice, contributions) for at most _FRAME_BLOCK frames at a time.
 
-    `frames` is a `FrameRegistry`, or microframes, which become a registry
-    built by hand. Contributions are a frames-major fb×V block of cosines
-    between each frame's axis and each unit row. The block bounds memory at
-    any vocabulary size, and fb×V keeps BLAS packing frame-wide, not
+    Contributions are a frames-major fb×V block of cosines between each
+    frame's axis and each unit row. The block bounds memory at any
+    vocabulary size, and fb×V keeps BLAS packing frame-wide, not
     vocabulary-wide, panels. Axes are formed per block for the same reason.
     Every block is written into one buffer: a yielded block is valid until
     the next one is requested, and a caller may change it in place.
     """
-    if not isinstance(frames, FrameRegistry):
-        frames = FrameRegistry(frames)
     buf = np.empty((min(_FRAME_BLOCK, len(frames)), len(unit_rows)))
     for start in range(0, len(frames), _FRAME_BLOCK):
         block = slice(start, start + _FRAME_BLOCK)
@@ -300,13 +287,13 @@ def _counts_over(full_view: CorpusView, views) -> tuple[list[str], list[np.ndarr
     return tokens, out
 
 
-def _moments_pay(frames: int, vocabulary: int, dimension: int, vectors: int) -> bool:
-    """Whether `vectors` count vectors cost less in axis space than in one
-    sweep: _AXIS_FLOP_COST · (K·V·d²/2 (a SYRK per vector) + K·F·d² (an
-    fb×d by d×d product per vector and block)) against F·V·d for the F×V
-    cosines."""
+def _moments_pay(frames: int, vocabulary: int, dimension: int, samples: int) -> bool:
+    """Whether `samples` null samples cost less in the axis-space pass than
+    in one sweep: _AXIS_FLOP_COST · (n·V·d²/2 (a SYRK per sample) + n·F·d²
+    (an fb×d by d×d product per sample and block)) against F·V·d for the
+    F×V cosines."""
     squares = dimension * dimension
-    return (_AXIS_FLOP_COST * vectors * (vocabulary * squares / 2 + frames * squares)
+    return (_AXIS_FLOP_COST * samples * (vocabulary * squares / 2 + frames * squares)
             < frames * vocabulary * dimension)
 
 
@@ -374,7 +361,7 @@ def _axis_statistics(frames: FrameRegistry, r, moments, baseline=None):
 
 
 def _frame_statistics(frames, table: EmbeddingTable, tokens: list[str], weights,
-                      baseline=None, draws=None, n: int = 0):
+                      baseline=None, draws=(), n: int = 0):
     """Per-frame bias and intensity of each count vector, and `n` null
     samples of each.
 
@@ -388,63 +375,46 @@ def _frame_statistics(frames, table: EmbeddingTable, tokens: list[str], weights,
     row of F values per count vector, and (null bias, null intensity),
     each F×n.
 
-    The count vectors take the axis-space path (`_moments`,
-    `_axis_statistics`) when `_moments_pay` says so for _OBSERVED_VECTORS
-    of them, whatever their number, and the sweep (`_sweep_statistics`)
-    otherwise. The null samples join the axis-space pass when the count
-    vectors take it and `_moments_pay` says so for `n`; otherwise they are
-    swept, about the count vectors' baseline. The first rule reads only F,
-    V and d, so a view's observed statistics never depend on the null or
-    on the other count vectors.
+    The count vectors always take the axis-space pass (`_moments`,
+    `_axis_statistics`). The null samples join that pass when
+    `_moments_pay` says so for `n` of them, and are otherwise swept about
+    the count vectors' baseline (`_sweep_null`). Each vector's moments
+    have the same bits whichever others share the pass, so a view's
+    observed statistics never depend on the null or on the other count
+    vectors.
     """
     if not isinstance(frames, FrameRegistry):
         frames = FrameRegistry(frames)
-    shape = len(frames), len(tokens), table.dimension
-    if not _moments_pay(*shape, _OBSERVED_VECTORS):
-        return _sweep_statistics(frames, table.unit_rows(tokens), weights, baseline, draws, n)
     k = len(weights)
-    null_joins = n > 0 and _moments_pay(*shape, n)
-    if null_joins:
-        weights = [*weights, *np.concatenate([resampled for resampled, _ in draws])]
+    swept = not _moments_pay(len(frames), len(tokens), table.dimension, n)
+    if not swept:
+        weights = [*weights, *(row for resampled, _ in draws for row in resampled)]
     bias, intensity = _axis_statistics(frames, *_moments(table, tokens, weights), baseline)
-    if null_joins or not n:
-        return (bias[:k], intensity[:k]), (bias[k:].T, intensity[k:].T)
-    _, nulls = _sweep_statistics(frames, table.unit_rows(tokens), [],
-                                 bias[0] if baseline is None else baseline, draws, n)
-    return (bias, intensity), nulls
+    if swept:
+        nulls = _sweep_null(frames, table.unit_rows(tokens),
+                            bias[0] if baseline is None else baseline, draws, n)
+        return (bias, intensity), nulls
+    return (bias[:k], intensity[:k]), (bias[k:].T, intensity[k:].T)
 
 
-def _sweep_statistics(frames: FrameRegistry, unit_rows: np.ndarray, weights, baseline,
-                      draws, n: int):
-    """`_frame_statistics` over the F×V cosines: each batch of `draws`
-    (None is one batch of none) sweeps the frame blocks once. On a block C
-    (fb×V contributions) and S = (C - baseline)², each count vector's
-    statistics are one 1-D product, never a column of a multi-column GEMM,
-    which rounds differently; the batch's null is C @ D.T and S @ D.T over
-    the sample totals."""
-    if draws is None:
-        draws = [(np.empty((0, len(unit_rows))), np.empty(0))]
-    totals = [w.sum() for w in weights]
-    bias, intensity = np.empty((2, len(weights), len(frames)))
+def _sweep_null(frames: FrameRegistry, unit_rows: np.ndarray, baseline, draws, n: int):
+    """The F×n null bias and intensity of `draws` about `baseline` over the
+    F×V cosines: each batch of draws sweeps the frame blocks once. On a
+    block C (fb×V contributions) and S = (C - baseline)², the batch's null
+    is C @ D.T and S @ D.T over the sample totals."""
     null_bias, null_intensity = np.empty((2, len(frames), n))
-    if baseline is None:
-        baseline = bias[0]  # each block writes its slice before reading it
     done = 0
     for resampled, sizes in draws:
         batch = slice(done, done + len(sizes))
         for block, c in _cosine_blocks(frames, unit_rows):
-            for row, w, total in zip(bias, weights, totals):
-                row[block] = c @ w / total
             null_bias[block, batch] = c @ resampled.T / sizes
             # C becomes S in place, so a block holds one fb×V buffer
             c -= baseline[block, None]
             np.square(c, out=c)
-            for row, w, total in zip(intensity, weights, totals):
-                row[block] = c @ w / total
             null_intensity[block, batch] = c @ resampled.T / sizes
         c = None  # the next batch's sweep makes its own buffer; free this one first
         done += len(sizes)
-    return (bias, intensity), (null_bias, null_intensity)
+    return null_bias, null_intensity
 
 
 def view_statistics(

@@ -536,9 +536,9 @@ class TestEmptyGroupViews:
 
 class TestContributionsOncePerCommand:
     """A command reads the full view's vocabulary once for its observed
-    statistics, in one pass over the unit slices or one sweep of frame
-    blocks, and a null swept in analyze sweeps once per batch of bootstrap
-    draws; every narrower document set is a count vector."""
+    statistics, in one pass over the unit slices, and a null swept in
+    analyze sweeps once per batch of bootstrap draws; every narrower
+    document set is a count vector."""
 
     @pytest.mark.parametrize("command, extra", [
         ("shifts", ["--group", "pos", "--frame", "bad--good", "--kind", "intensity"]),
@@ -597,17 +597,19 @@ class TestContributionsOncePerCommand:
         wide = {**with_corpus(setup, docs), "emb": str(emb), "pairs": str(pairs)}
         return wide, sorted(words + more)
 
-    @pytest.mark.parametrize("command, extra", [
-        ("separation", ["--group-a", "pos", "--group-b", "neg"]),
-        ("analyze", ["--group", "pos", "--n-bootstrap", "2"]),
+    @pytest.mark.parametrize("command, extra, wide", [
+        ("separation", ["--group-a", "pos", "--group-b", "neg"], True),
+        ("analyze", ["--group", "pos", "--n-bootstrap", "2"], True),
+        ("separation", ["--group-a", "pos", "--group-b", "neg"], False),
     ])
     def test_axis_space_makes_one_pass_over_the_unit_slices(
-        self, setup, monkeypatch, command, extra
+        self, setup, monkeypatch, command, extra, wide
     ):
         """Over 78 frames and 40 words of d=3, separation's three count
-        vectors and analyze's two with a two-sample null take the axis-space
-        path: one pass over the unit slices of the full vocabulary, no V×d
-        unit rows and no frame block of cosines."""
+        vectors and analyze's two with a two-sample null, and over the 4
+        frames and 13 words of the unit corpus separation's three, take the
+        axis-space path: one pass over the unit slices of the full
+        vocabulary, no V×d unit rows and no frame block of cosines."""
         calls = []
         unit_slices = EmbeddingTable.unit_slices
 
@@ -622,10 +624,14 @@ class TestContributionsOncePerCommand:
         monkeypatch.setattr(EmbeddingTable, "unit_rows", forbidden)
         monkeypatch.setattr(engine, "_cosine_blocks", forbidden)
         monkeypatch.setattr(engine, "_MOMENT_ROWS", 2)
-        wide, vocabulary = self._all_pairs(setup)
-        assert engine._moments_pay(78, len(vocabulary), 3, engine._OBSERVED_VECTORS)
-        assert main(base_args(wide, command) + extra + ["--formats", "tsv"]) == 0
-        assert calls == [vocabulary[start:start + 2] for start in range(0, 40, 2)]
+        if wide:
+            data, vocabulary = self._all_pairs(setup)
+        else:
+            data = {**setup, "corpus": str(write_unit_corpus(setup["tmp"]))}
+            vocabulary = sorted(line.split()[0] for line in EMBEDDINGS.splitlines())
+        assert main(base_args(data, command) + extra + ["--formats", "tsv"]) == 0
+        assert calls == [vocabulary[start:start + 2]
+                         for start in range(0, len(vocabulary), 2)]
 
     def test_a_null_above_the_switch_sweeps_the_blocks_once_per_batch(
         self, setup, monkeypatch

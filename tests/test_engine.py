@@ -777,10 +777,9 @@ class TestSeparation:
 
 class TestCosineBlocks:
     """`_cosine_blocks` forms each block's axes from the registry's rows:
-    over a built registry, a registry built by hand from its frames, or a
-    list of frames, the blocks are bit for bit those of the stacked
-    `frame.axis` arrays. Every block is written into one buffer, so each
-    is compared as it is yielded."""
+    over a built registry or a registry built by hand from its frames, the
+    blocks are bit for bit those of the stacked `frame.axis` arrays. Every
+    block is written into one buffer, so each is compared as it is yielded."""
 
     @staticmethod
     def _stacked(frames, unit_rows):
@@ -799,14 +798,14 @@ class TestCosineBlocks:
         unit_rows = table.unit_rows([f"w{i}" for i in range(0, 160, 3)])
         expected = [want.tobytes() for want in self._stacked(frames, unit_rows)]
         assert len(expected) == 3
-        for source in (built, FrameRegistry(frames, ()), list(frames)):
+        for source in (built, FrameRegistry(frames, ())):
             seen = []
             for block, got in engine._cosine_blocks(source, unit_rows):
                 assert got.shape == (len(range(150)[block]), len(unit_rows))
                 seen.append((block, got.tobytes()))
             assert seen == list(zip([slice(0, 64), slice(64, 128), slice(128, 192)], expected))
         for frame in frames[::37]:
-            ((_, got),) = engine._cosine_blocks([frame], unit_rows)
+            ((_, got),) = engine._cosine_blocks(FrameRegistry((frame,), ()), unit_rows)
             (want,) = self._stacked([frame], unit_rows)
             assert got.tobytes() == want.tobytes()
 
@@ -863,7 +862,8 @@ class TestFrameContributions:
         table, view, frame = case
         tokens, n, c, bias = engine._frame_contributions(view, frame, table)
         assert tokens == view.vocabulary()
-        ((_, block),) = engine._cosine_blocks([frame], table.unit_rows(tokens))
+        ((_, block),) = engine._cosine_blocks(FrameRegistry((frame,), ()),
+                                              table.unit_rows(tokens))
         assert np.max(np.abs(c - block[0])) <= 1e-15
         assert abs(bias - corpus_bias(view, frame, table)) <= 1e-15
         dim, n_tokens = table.dimension, len(tokens)
@@ -960,7 +960,15 @@ class TestAxisSpace:
     """Bias and intensity from each count vector's moments about a reference
     row (`_moments`, `_axis_statistics`) agree with the sweep over the F×V
     cosines within 4e-15 absolute, give the same p-values, and keep the
-    sweep's exact properties; `_frame_statistics` picks a path per call."""
+    sweep's exact properties; `_frame_statistics` sweeps only a null that
+    costs more in the axis-space pass."""
+
+    @staticmethod
+    def _forbid_sweeps(monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("count vectors formed a frame block of cosines")
+
+        monkeypatch.setattr(engine, "_cosine_blocks", forbidden)
 
     @given(_axis_space_cases())
     @settings(max_examples=150, deadline=None)
@@ -971,18 +979,20 @@ class TestAxisSpace:
     ))
     def test_moments_agree_with_the_sweep(self, case):
         table, tokens, registry, full, target, draws, rows = case
-        (bias, intensity), (null_bias, null_intensity) = engine._sweep_statistics(
-            registry, table.unit_rows(tokens), [full, target], None,
-            [(draws, draws.sum(axis=1))], len(draws))
+        # the count vectors are swept as samples, about the full view's swept bias
+        vectors = np.array([full, target, *draws])
+        swept = [(vectors, vectors.sum(axis=1))]
+        unit_rows = table.unit_rows(tokens)
+        bias, _ = engine._sweep_null(registry, unit_rows, np.zeros(len(registry)), swept,
+                                     len(vectors))
+        bias, intensity = engine._sweep_null(registry, unit_rows, bias[:, 0], swept, len(vectors))
         with mock.patch.object(engine, "_MOMENT_ROWS", rows):
-            moments = engine._moments(table, tokens, [full, target, *draws])
+            moments = engine._moments(table, tokens, list(vectors))
         m_bias, m_intensity = engine._axis_statistics(registry, *moments)
-        pairs = [(bias, m_bias[:2]), (intensity, m_intensity[:2]),
-                 (null_bias, m_bias[2:].T), (null_intensity, m_intensity[2:].T)]
-        for sweep, axis_space in pairs:
-            np.testing.assert_allclose(axis_space, sweep, rtol=0.0, atol=4e-15)
+        np.testing.assert_allclose(m_bias, bias.T, rtol=0.0, atol=4e-15)
+        np.testing.assert_allclose(m_intensity, intensity.T, rtol=0.0, atol=4e-15)
         assert np.all(m_intensity >= 0.0)
-        sweep_p = engine._significance(bias[1], intensity[1], null_bias, null_intensity)
+        sweep_p = engine._significance(bias[:, 1], intensity[:, 1], bias[:, 2:], intensity[:, 2:])
         moment_p = engine._significance(m_bias[1], m_intensity[1], m_bias[2:].T,
                                         m_intensity[2:].T)
         for want, got in zip(sweep_p[:2], moment_p[:2]):
@@ -996,7 +1006,7 @@ class TestAxisSpace:
             registry, *engine._moments(table, ["w"], [np.array([7.0])]))
         assert intensity.tolist() == [[0.0] * 70]
 
-    def test_contributions_equal_to_the_baseline_give_zero_intensity(self):
+    def test_contributions_equal_to_the_baseline_give_zero_intensity(self, monkeypatch):
         """Forty words of different directions that all make the same angle
         with every axis: each contribution is the view's bias, on the axis
         path, and the intensity about it is exactly 0.0."""
@@ -1004,16 +1014,17 @@ class TestAxisSpace:
         table = table_from_dict({f"w{i}": rows[i % 4] for i in range(40)})
         view = _one_document_view(table, [f"w{i}" for i in range(40) for _ in range(i + 1)])
         registry = _registry_of_axes([[x, 0.0, 0.0] for x in range(-32, 32) if x])
-        assert engine._moments_pay(len(registry), 40, 3, engine._OBSERVED_VECTORS)
+        self._forbid_sweeps(monkeypatch)
         bias, intensity = view_statistics(view, registry, table)
         (row,) = table.unit_rows(["w0"])
         assert np.abs(bias).tolist() == [row[0]] * 63
         assert intensity.tolist() == [0.0] * 63
 
-    def test_intensity_is_never_negative(self):
+    def test_intensity_is_never_negative(self, monkeypatch):
         """32 words at one angle to an axis in general position: the
         intensity about their bias is ~1e-32, the axis path's
         q − 2δt + δ² rounds to about ±1e-17, and a negative one reads 0."""
+        self._forbid_sweeps(monkeypatch)
         for seed in range(16):
             rng = np.random.default_rng(seed)
             axis = rng.standard_normal(5)
@@ -1025,12 +1036,11 @@ class TestAxisSpace:
                                    _matrix=0.6 * axis + 0.8 * others, stats=LoadStats(kept=32))
             words = [f"w{i}" for i in range(32) for _ in range(int(rng.integers(1, 9)))]
             registry = _registry_of_axes([axis] * 64)
-            assert engine._moments_pay(64, 32, 5, engine._OBSERVED_VECTORS)
             _, intensity = view_statistics(_one_document_view(table, words), registry, table)
             assert np.all((intensity >= 0.0) & (intensity < 1e-15))
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_flip_negates_bias_exactly_and_keeps_intensity(self, seed):
+    def test_flip_negates_bias_exactly_and_keeps_intensity(self, monkeypatch, seed):
         rng = np.random.default_rng(seed)
         table = table_from_dict({f"w{i}": rng.standard_normal(6).tolist() for i in range(40)})
         docs = [make_document(f"d{j}", " ".join(rng.choice(list(table.vocabulary), size=12)),
@@ -1039,7 +1049,7 @@ class TestAxisSpace:
         view_a, view_b = split_by_group(full, "a")
         axes = rng.standard_normal((100, 6))
         registry, flipped = _registry_of_axes(axes), _registry_of_axes(-axes)
-        assert engine._moments_pay(100, len(full.tokens), 6, engine._OBSERVED_VECTORS)
+        self._forbid_sweeps(monkeypatch)
         seps, seps_flipped = (separation(full, view_a, view_b, r, table).columns
                               for r in (registry, flipped))
         for column in ("bias_a", "bias_b"):
@@ -1052,11 +1062,11 @@ class TestAxisSpace:
         assert intensity_flipped.tolist() == intensity.tolist()
 
     def test_each_path_is_taken_by_a_real_input(self, monkeypatch):
-        """Many frames over few dimensions take the axis path for the
-        observed statistics and a small null; one frame, and a large null,
-        take the sweep."""
+        """Count vectors always take the axis path, and a small null joins
+        it; a large null is swept after it, and one frame's bias sweeps
+        nothing."""
         calls = []
-        for name in ("_moments", "_sweep_statistics"):
+        for name in ("_moments", "_sweep_null"):
             original = getattr(engine, name)
 
             def spy(*args, _name=name, _original=original):
@@ -1075,10 +1085,10 @@ class TestAxisSpace:
         assert calls == [("_moments", 5)]
         calls.clear()
         analyze_frames(full, target, registry, table, n_bootstrap=300, seed=1)
-        assert calls == [("_moments", 2), ("_sweep_statistics",)]
+        assert calls == [("_moments", 2), ("_sweep_null",)]
         calls.clear()
         corpus_bias(full, registry.frames[0], table)
-        assert calls == [("_sweep_statistics",)]
+        assert calls == [("_moments", 1)]
 
 
 class TestRankSumSelect:
