@@ -11,36 +11,38 @@ as multinomial count resampling so no token strings are ever touched.
 
 Every statistic works on the view's unit-length embedding rows (sorted-
 token order, float64 regardless of the table's storage dtype) and unit
-axes normalised by `_unit_axes`. One function, `_frame_statistics`,
-computes every statistic over many frames (`analyze_frames`,
-`bootstrap_null`, `separation`, `view_statistics`) by one rule:
+axes normalised by `_unit_axes`. No V×d array of them is ever held:
+every multi-frame pass walks the vocabulary the same way, one slice of
+_MOMENT_ROWS unit rows at a time (`_vocabulary_slices`). One function,
+`_frame_statistics`, computes every statistic over many frames
+(`analyze_frames`, `bootstrap_null`, `separation`, `view_statistics`) by
+one rule:
 
-- Count vectors always take the axis-space pass, which holds no V×d
-  unit rows and no F×V cosines. Contributions are linear in the unit row
-  u, so a count vector's bias on axis a is a·m and its intensity about β
-  is aᵀGa − 2β(a·m) + β², with m its mean unit row and G its d×d second
+- Count vectors always take the axis-space pass, which forms no F×V
+  cosines. Contributions are linear in the unit row u, so a count
+  vector's bias on axis a is a·m and its intensity about β is
+  aᵀGa − 2β(a·m) + β², with m its mean unit row and G its d×d second
   moment. `_moments` builds each vector's m and G, about a reference row,
-  in one pass over the unit slices of the vocabulary, and
-  `_axis_statistics` reads both statistics off them per block of axes.
+  in one walk over the vocabulary, and `_axis_statistics` reads both
+  statistics off them per block of axes.
 - Null samples join that pass when `_moments_pay` says they cost less
   there than in a sweep: 1.5·n·(V·d²/2 + F·d²) flops (`_AXIS_FLOP_COST`)
-  against F·V·d. Otherwise `_sweep_null` forms the F×V cosines with
-  `_cosine_blocks`, the view's V×d unit rows times the axes of up to
-  _FRAME_BLOCK frames as one frames-major fb×V block in one buffer, and
-  sweeps the blocks once per batch of bootstrap draws; the batch's null
-  samples are count-weighted products on each block, about the count
-  vectors' baseline.
+  against F·V·d. Otherwise `_sweep_null` walks the vocabulary once per
+  batch of bootstrap draws, forms the F×s cosines of each slice, and adds
+  the batch's count-weighted products on them, about the count vectors'
+  baseline, to its null samples.
 
 Over the 1,621 frames of the shipped lexicon at d=100 or d=300, a null of
 a few samples joins the axis-space pass; a one-frame null and a null of
 hundreds of samples are swept. On the property tests' small tables the
 two agree to within 4e-15 absolute and give the same p-values.
 
-Commands over one frame use `_frame_contributions`, which forms the V
-cosines one slice of unit rows at a time and holds no V×d array: the
-per-token shifts and per-document or per-unit sums of one frame
-(`word_shifts`, `document_spectrum`, `unit_statistics`) are
-count-weighted products on those V values.
+Statistics of one frame use `_frame_contributions`, which forms the V
+cosines one slice of unit rows at a time: the bias and intensity of one
+view (`corpus_bias`, `corpus_intensity`), and the per-token shifts and
+per-document or per-unit sums of one frame (`word_shifts`,
+`document_spectrum`, `unit_statistics`) are count-weighted products on
+those V values.
 
 Each frame's statistics are computed once per command, over the full
 view's vocabulary. Every narrower document set (a target and its
@@ -74,9 +76,6 @@ from .reports import Table
 #: Bootstrap draws happen in fixed-size batches so memory stays bounded.
 _BOOTSTRAP_BATCH = 256
 
-#: Frames in one fb×V block of contributions of the sweep (`_cosine_blocks`).
-_FRAME_BLOCK = 64
-
 #: Axes per block of the axis-space path (`_axis_statistics`), which holds
 #: fb×d axes and one fb×(d+1) product per count vector, no fb×V array.
 #: In-process over 1,621 frames at d=300 (V=3,354, 21 alternating runs,
@@ -84,15 +83,17 @@ _FRAME_BLOCK = 64
 #: block and 55.5 ms at 128 or 256; peak RSS moved by at most 0.2 MB.
 _AXIS_BLOCK = 128
 
-#: Unit rows per slice of the axis-space pass (`_moments`). A SYRK of few
-#: rows pays BLAS thread start-up for little work; a slice of many holds
-#: more memory. On the benchmark (perfbench, seed 7, 2-core x86-64), its
-#: d=300 analyze workload's `analyze_frames` took 79 ms at 512 rows against
-#: 79 ms for the sweep, and 76 ms at 768 rows; `peak_rss_mb` read
-#: 58.7-58.8 MB at 512 rows and 60.7-60.8 MB at 768, against 62.1 MB for
-#: the sweep. A budget of 2^17 components (1,310 rows at d=100) raised the
-#: d=100 workload's `peak_rss_mb` by 0.4-0.9 MB; 512 rows left it within
-#: 0.1 MB.
+#: Unit rows per slice of every walk over the vocabulary (`_vocabulary_slices`):
+#: the axis-space pass and each batch of the null sweep, which holds one F×s
+#: block of cosines. A product of few rows pays BLAS thread start-up for little
+#: work; a slice of many holds more memory. On the benchmark (perfbench, seed 7,
+#: 2-core x86-64), its d=300 analyze workload's `analyze_frames` took 79 ms at
+#: 512 rows against 79 ms for the frame-block sweep of the time, and 76 ms at
+#: 768 rows; `peak_rss_mb` read 58.7-58.8 MB at 512 rows and 60.7-60.8 MB at
+#: 768, against 62.1 MB for that sweep. A budget of 2^17 components (1,310 rows
+#: at d=100) raised the d=100 workload's `peak_rss_mb` by 0.4-0.9 MB; 512 rows
+#: left it within 0.1 MB. Criterion 9's B=1,000 sweep at 512 rows took 1.85-2.01 s
+#: against 2.11-2.36 s for the frame-block sweep (four alternating runs).
 _MOMENT_ROWS = 512
 
 #: `_moments_pay` counts an axis-space flop as this many sweep flops when
@@ -223,21 +224,17 @@ def _power_of_two_scaled(x: np.ndarray) -> np.ndarray:
     return np.ldexp(x, -exponent)
 
 
-def _cosine_blocks(frames: FrameRegistry, unit_rows: np.ndarray):
-    """Yield (frame slice, contributions) for at most _FRAME_BLOCK frames at a time.
-
-    Contributions are a frames-major fb×V block of cosines between each
-    frame's axis and each unit row. The block bounds memory at any
-    vocabulary size, and fb×V keeps BLAS packing frame-wide, not
-    vocabulary-wide, panels. Axes are formed per block for the same reason.
-    Every block is written into one buffer: a yielded block is valid until
-    the next one is requested, and a caller may change it in place.
-    """
-    buf = np.empty((min(_FRAME_BLOCK, len(frames)), len(unit_rows)))
-    for start in range(0, len(frames), _FRAME_BLOCK):
-        block = slice(start, start + _FRAME_BLOCK)
-        axes = _unit_axes(frames.axes(block))
-        yield block, np.matmul(axes, unit_rows.T, out=buf[:len(axes)])
+def _vocabulary_slices(table: EmbeddingTable, tokens: list[str]):
+    """Yield (start, unit rows of ``tokens[start:start + _MOMENT_ROWS]``) in
+    order. Every slice is written into one buffer: a yielded slice is valid
+    until the next one is requested, and a caller may change it in place."""
+    step = min(_MOMENT_ROWS, len(tokens))
+    buf = np.empty((step, table.dimension))
+    for start in range(0, len(tokens), step):
+        part = buf[:len(tokens) - start]
+        for _ in table.unit_slices(tokens[start:start + step], out=part):
+            pass
+        yield start, part
 
 
 def _unit_axes(axes: np.ndarray) -> np.ndarray:
@@ -257,8 +254,8 @@ def _frame_contributions(view: CorpusView, frame: Microframe, table: EmbeddingTa
     Contributions are formed one slice of unit rows at a time, so no V×d
     float64 array is held. Each is a per-row sum of the row times the unit
     axis, which gives a word the same bits at any slice size; it lies within
-    1e-15 of the frame's row of `_cosine_blocks`, and the bias within 1e-15
-    of `corpus_bias`.
+    1e-15 of the product of the one-shot unit rows with the unit axis, and
+    the bias within 1e-15 of the axis-space pass's.
     """
     tokens, (n,) = _counts_over(view, [view])
     (axis,) = _unit_axes(np.array(frame.axis, dtype=np.float64, ndmin=2))
@@ -303,20 +300,16 @@ def _moments(table: EmbeddingTable, tokens: list[str], weights):
 
     M[:d, :d] is the second moment G and M[:d, d] the mean m of the rows
     about r. r is the unit row of the first token, so over a one-token
-    vocabulary G and m are exactly zero. One pass over the unit slices of
-    `tokens`, _MOMENT_ROWS rows at a time; per slice, each vector gets its
-    own SYRK of its counted rows, each scaled by √w, so its moments have
-    the same bits whichever other vectors share the pass.
+    vocabulary G and m are exactly zero. One walk over the vocabulary
+    (`_vocabulary_slices`); per slice, each vector gets its own SYRK of its
+    counted rows, each scaled by √w, so its moments have the same bits
+    whichever other vectors share the pass.
     """
-    d, step = table.dimension, min(_MOMENT_ROWS, len(tokens))
-    buf, scaled = np.empty((step, d)), np.empty((step, d + 1))
+    d = table.dimension
+    scaled = np.empty((min(_MOMENT_ROWS, len(tokens)), d + 1))
     square = np.empty((d + 1, d + 1))
     moments = np.zeros((len(weights), d + 1, d + 1))
-    for start in range(0, len(tokens), step):
-        chunk = tokens[start:start + step]
-        part = buf[:len(chunk)]
-        for _ in table.unit_slices(chunk, out=part):
-            pass
+    for start, part in _vocabulary_slices(table, tokens):
         if start == 0:
             r = part[0].copy()
         part -= r
@@ -391,30 +384,34 @@ def _frame_statistics(frames, table: EmbeddingTable, tokens: list[str], weights,
         weights = [*weights, *(row for resampled, _ in draws for row in resampled)]
     bias, intensity = _axis_statistics(frames, *_moments(table, tokens, weights), baseline)
     if swept:
-        nulls = _sweep_null(frames, table.unit_rows(tokens),
-                            bias[0] if baseline is None else baseline, draws, n)
-        return (bias, intensity), nulls
+        baseline = bias[0] if baseline is None else baseline
+        return (bias, intensity), _sweep_null(frames, table, tokens, baseline, draws, n)
     return (bias[:k], intensity[:k]), (bias[k:].T, intensity[k:].T)
 
 
-def _sweep_null(frames: FrameRegistry, unit_rows: np.ndarray, baseline, draws, n: int):
-    """The F×n null bias and intensity of `draws` about `baseline` over the
-    F×V cosines: each batch of draws sweeps the frame blocks once. On a
-    block C (fb×V contributions) and S = (C - baseline)², the batch's null
-    is C @ D.T and S @ D.T over the sample totals."""
-    null_bias, null_intensity = np.empty((2, len(frames), n))
-    done = 0
+def _sweep_null(frames: FrameRegistry, table: EmbeddingTable, tokens: list[str],
+                baseline, draws, n: int):
+    """The null bias and intensity of `draws` about `baseline`, as one 2×F×n
+    array. Each batch of draws walks the vocabulary once: on a slice of unit
+    rows Uₛ, C = A·Uₛᵀ (F×s, A the unit axes; one flat buffer, so a shorter
+    last slice's C is contiguous too) and S = (C − baseline)² add C @ Dₛᵀ and
+    S @ Dₛᵀ to the batch's sums, which the sample totals then divide."""
+    axes = _unit_axes(frames.axes(slice(None)))
+    buf = np.empty(len(frames) * min(_MOMENT_ROWS, len(tokens)))
+    nulls, done = np.zeros((2, len(frames), n)), 0
     for resampled, sizes in draws:
-        batch = slice(done, done + len(sizes))
-        for block, c in _cosine_blocks(frames, unit_rows):
-            null_bias[block, batch] = c @ resampled.T / sizes
-            # C becomes S in place, so a block holds one fb×V buffer
-            c -= baseline[block, None]
+        batch = nulls[:, :, done:done + len(sizes)]
+        for start, part in _vocabulary_slices(table, tokens):
+            counts = resampled[:, start:start + len(part)].T
+            c = np.matmul(axes, part.T, out=buf[:len(frames) * len(part)].reshape(-1, len(part)))
+            batch[0] += c @ counts
+            # C becomes S in place, so a slice holds one F×s buffer
+            c -= baseline[:, None]
             np.square(c, out=c)
-            null_intensity[block, batch] = c @ resampled.T / sizes
-        c = None  # the next batch's sweep makes its own buffer; free this one first
+            batch[1] += c @ counts
+        batch /= sizes
         done += len(sizes)
-    return null_bias, null_intensity
+    return nulls
 
 
 def view_statistics(
@@ -437,8 +434,7 @@ def view_statistics(
 
 def corpus_bias(view: CorpusView, frame: Microframe, table: EmbeddingTable) -> float:
     """Frequency-weighted mean contribution of the view on `frame`."""
-    bias, _ = view_statistics(view, [frame], table)
-    return float(bias[0])
+    return _frame_contributions(view, frame, table)[3]
 
 
 def corpus_intensity(
@@ -452,8 +448,8 @@ def corpus_intensity(
     The baseline is the full-corpus bias on the same frame, computed once
     on the whole corpus and passed down; it is never recomputed per view.
     """
-    _, intensity = view_statistics(view, [frame], table, np.array([baseline_bias]))
-    return float(intensity[0])
+    _, n, c, _ = _frame_contributions(view, frame, table)
+    return float(np.square(c - baseline_bias) @ n / n.sum())
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,8 @@ from .textio import check_utf8, open_text
 # Axes shorter than this are degenerate: contributions divide by the axis norm.
 MIN_AXIS_NORM = 1e-8
 
-#: Axes formed together by the zero-axis check, as many as in one of the
-#: engine's frame blocks.
+#: Axes formed together by the zero-axis check, so its float64 axes take
+#: 64·d·8 bytes (150 KiB at d=300) at any registry size.
 _CHECK_BLOCK = 64
 
 #: A row norm within this relative distance of MIN_AXIS_NORM is taken again

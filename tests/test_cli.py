@@ -548,7 +548,7 @@ class TestContributionsOncePerCommand:
     def test_one_frame_sweeps_the_unit_slices_once(self, setup, monkeypatch, command, extra):
         """A one-frame command forms its V cosines in one pass over the unit
         slices of the full view's vocabulary, and neither gathers V×d unit
-        rows nor forms a frame block."""
+        rows nor takes a multi-frame pass."""
         corpus = write_unit_corpus(setup["tmp"])
         sweeps = []
         unit_slices = EmbeddingTable.unit_slices
@@ -561,11 +561,12 @@ class TestContributionsOncePerCommand:
                 yield start, part
 
         def forbidden(*args):
-            raise AssertionError("a one-frame command forms V×d unit rows or a frame block")
+            raise AssertionError("a one-frame command forms V×d unit rows or a multi-frame pass")
 
         monkeypatch.setattr(EmbeddingTable, "unit_slices", counted_unit_slices)
         monkeypatch.setattr(EmbeddingTable, "unit_rows", forbidden)
-        monkeypatch.setattr(engine, "_cosine_blocks", forbidden)
+        monkeypatch.setattr(engine, "_moments", forbidden)
+        monkeypatch.setattr(engine, "_sweep_null", forbidden)
         monkeypatch.setattr(embeddings, "_CHUNK_COMPONENTS", 6)  # two rows of d=3 a slice
         args = base_args({**setup, "corpus": str(corpus)}, command)
         assert main(args + extra + ["--formats", "tsv"]) == 0
@@ -609,7 +610,7 @@ class TestContributionsOncePerCommand:
         vectors and analyze's two with a two-sample null, and over the 4
         frames and 13 words of the unit corpus separation's three, take the
         axis-space path: one pass over the unit slices of the full
-        vocabulary, no V×d unit rows and no frame block of cosines."""
+        vocabulary, no V×d unit rows and no sweep."""
         calls = []
         unit_slices = EmbeddingTable.unit_slices
 
@@ -618,11 +619,11 @@ class TestContributionsOncePerCommand:
             yield from unit_slices(table, tokens, out)
 
         def forbidden(*args):
-            raise AssertionError("the axis-space path forms V×d unit rows or a frame block")
+            raise AssertionError("the axis-space path forms V×d unit rows or sweeps")
 
         monkeypatch.setattr(EmbeddingTable, "unit_slices", counted_unit_slices)
         monkeypatch.setattr(EmbeddingTable, "unit_rows", forbidden)
-        monkeypatch.setattr(engine, "_cosine_blocks", forbidden)
+        monkeypatch.setattr(engine, "_sweep_null", forbidden)
         monkeypatch.setattr(engine, "_MOMENT_ROWS", 2)
         if wide:
             data, vocabulary = self._all_pairs(setup)
@@ -633,41 +634,42 @@ class TestContributionsOncePerCommand:
         assert calls == [vocabulary[start:start + 2]
                          for start in range(0, len(vocabulary), 2)]
 
-    def test_a_null_above_the_switch_sweeps_the_blocks_once_per_batch(
+    def test_a_null_above_the_switch_walks_the_vocabulary_once_per_batch(
         self, setup, monkeypatch
     ):
         """analyze with more samples than the axis-space path pays for: the
-        observed statistics make one axis-space pass, and the null gathers
-        the unit rows once and sweeps both frame blocks once per batch."""
-        moment_passes, gathers, sweeps, blocks = [], [], [], []
-        moments, unit_rows = engine._moments, EmbeddingTable.unit_rows
-        cosine_blocks = engine._cosine_blocks
+        observed statistics make one axis-space pass, and the null walks
+        the unit slices of the vocabulary once per batch of draws; no V×d
+        unit rows are gathered."""
+        moment_passes, walks = [], []
+        moments, vocabulary_slices = engine._moments, engine._vocabulary_slices
 
         def counted_moments(table, tokens, weights):
             moment_passes.append(len(weights))
             return moments(table, tokens, weights)
 
-        def counted_unit_rows(table, tokens):
-            gathers.append(len(tokens))
-            return unit_rows(table, tokens)
+        def counted_vocabulary_slices(table, tokens):
+            spans = []
+            walks.append(spans)
+            for start, part in vocabulary_slices(table, tokens):
+                spans.append((start, len(part)))
+                yield start, part
 
-        def counted_cosine_blocks(frames, rows):
-            sweeps.append(len(rows))
-            for block, c in cosine_blocks(frames, rows):
-                blocks.append(c.shape[0])
-                yield block, c
+        def forbidden(*args):
+            raise AssertionError("the sweep gathered V×d unit rows")
 
         monkeypatch.setattr(engine, "_moments", counted_moments)
-        monkeypatch.setattr(EmbeddingTable, "unit_rows", counted_unit_rows)
-        monkeypatch.setattr(engine, "_cosine_blocks", counted_cosine_blocks)
+        monkeypatch.setattr(engine, "_vocabulary_slices", counted_vocabulary_slices)
+        monkeypatch.setattr(EmbeddingTable, "unit_rows", forbidden)
+        monkeypatch.setattr(engine, "_MOMENT_ROWS", 16)
         n = engine._BOOTSTRAP_BATCH + 1
         wide, vocabulary = self._all_pairs(setup)
         args = base_args(wide, "analyze")
         assert main(args + ["--group", "pos", "--n-bootstrap", str(n), "--formats", "tsv"]) == 0
         assert moment_passes == [2]
-        assert gathers == [40]
-        assert sweeps == [40, 40]  # one sweep per batch of draws
-        assert blocks == [64, 14, 64, 14]
+        # the moment pass, then one walk per batch of draws
+        assert walks == [[(0, 16), (16, 16), (32, 8)]] * 3
+        assert len(vocabulary) == 40
 
 
 class TestGroupViewsOnly:

@@ -176,16 +176,22 @@ class TestCorpusStatistics:
         want_int = oracles.stream_intensity(stream, contrib, want_bias)
         got_int = corpus_intensity(view, frame, table, got_bias)
         assert got_int == pytest.approx(want_int, abs=1e-12)
-        # without a baseline, intensity is about the view's own bias
+        # without a baseline, intensity is about the view's own bias, which
+        # the axis-space pass gives within 1e-15 of the one-frame one
         (bias,), (own_int,) = view_statistics(view, [frame], table)
-        assert bias == got_bias
+        assert abs(bias - got_bias) <= 1e-15
         assert own_int == pytest.approx(want_int, abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_corpus_bias_is_the_one_frame_baseline(self, seed):
+        """`corpus_bias` is bit for bit the baseline that the one-frame
+        commands measure intensity shifts about, and within 1e-15 of the
+        registry's baseline from the axis-space pass."""
         table, _, _, view, frame = random_instance(np.random.default_rng(seed))
         registry = FrameRegistry((frame,), ())
-        assert corpus_bias(view, frame, table) == baseline_biases(view, registry, table)[frame.id]
+        bias = corpus_bias(view, frame, table)
+        assert bias == engine._frame_contributions(view, frame, table)[3]
+        assert abs(bias - baseline_biases(view, registry, table)[frame.id]) <= 1e-15
 
     def test_bias_bounded_by_max_contribution(self, toy_table):
         docs = [make_document("d", "good bad great awful service")]
@@ -775,59 +781,66 @@ class TestSeparation:
             assert s.rank_sum == s.rank_bias + s.rank_intensity
 
 
-class TestCosineBlocks:
-    """`_cosine_blocks` forms each block's axes from the registry's rows:
-    over a built registry or a registry built by hand from its frames, the
-    blocks are bit for bit those of the stacked `frame.axis` arrays. Every
-    block is written into one buffer, so each is compared as it is yielded."""
+class TestSweepNull:
+    """`_sweep_null` forms the unit axes from the registry's rows and walks
+    the vocabulary's unit slices once per batch of draws: over a built
+    registry or a registry built by hand from its frames, the nulls are
+    byte-identical and within 1e-15 of the one-shot products, and no V×d
+    float64 array is held."""
 
     @staticmethod
-    def _stacked(frames, unit_rows):
-        for start in range(0, len(frames), 64):
-            axes = np.array([f.axis for f in frames[start:start + 64]])
-            axes /= np.linalg.norm(axes, axis=1)[:, None]
-            yield axes @ unit_rows.T
+    def _draws(rng, n_tokens, batches):
+        for size in batches:
+            resampled = rng.multinomial(40, np.full(n_tokens, 1.0 / n_tokens),
+                                        size=size).astype(np.float64)
+            yield resampled, resampled.sum(axis=1)
 
-    def test_every_registry_kind_gives_the_stacked_blocks(self):
+    def test_every_registry_kind_gives_the_same_null(self, monkeypatch):
         rng = np.random.default_rng(11)
         vectors = {f"w{i}": rng.normal(size=7).tolist() for i in range(160)}
         table = table_from_dict(vectors)
         pairs = [(f"w{i}", f"w{i + 1}") for i in range(0, 150)]
         built = build_registry(pairs, table)
-        frames = built.frames
-        unit_rows = table.unit_rows([f"w{i}" for i in range(0, 160, 3)])
-        expected = [want.tobytes() for want in self._stacked(frames, unit_rows)]
-        assert len(expected) == 3
-        for source in (built, FrameRegistry(frames, ())):
-            seen = []
-            for block, got in engine._cosine_blocks(source, unit_rows):
-                assert got.shape == (len(range(150)[block]), len(unit_rows))
-                seen.append((block, got.tobytes()))
-            assert seen == list(zip([slice(0, 64), slice(64, 128), slice(128, 192)], expected))
-        for frame in frames[::37]:
-            ((_, got),) = engine._cosine_blocks(FrameRegistry((frame,), ()), unit_rows)
-            (want,) = self._stacked([frame], unit_rows)
-            assert got.tobytes() == want.tobytes()
+        tokens = [f"w{i}" for i in range(0, 160, 3)]
+        draws = list(self._draws(rng, len(tokens), [3, 2]))
+        baseline = rng.normal(size=len(built)) / 10
+        monkeypatch.setattr(engine, "_MOMENT_ROWS", 20)  # 54 tokens in three slices
+        nulls = [engine._sweep_null(source, table, tokens, baseline, draws, 5)
+                 for source in (built, FrameRegistry(built.frames, ()))]
+        assert [a.tobytes() for a in nulls[0]] == [a.tobytes() for a in nulls[1]]
+        axes = np.array([f.axis for f in built.frames])
+        axes /= np.linalg.norm(axes, axis=1)[:, None]
+        c = axes @ oracles.unit_rows_reference(table, tokens).T
+        d = np.vstack([resampled for resampled, _ in draws])
+        sizes = np.concatenate([totals for _, totals in draws])
+        want = (c @ d.T / sizes, (c - baseline[:, None]) ** 2 @ d.T / sizes)
+        for got, expected in zip(nulls[0], want):
+            np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-15)
+        for i in range(0, 150, 37):
+            one = [engine._sweep_null(source, table, tokens, baseline[i:i + 1], draws, 5)
+                   for source in (build_registry(pairs[i:i + 1], table),
+                                  FrameRegistry(built.frames[i:i + 1], ()))]
+            assert [a.tobytes() for a in one[0]] == [a.tobytes() for a in one[1]]
 
-    def test_a_sweep_holds_one_block(self):
-        """A three-block sweep over V unit rows allocates one fb×V block:
-        the traced peak stays below one and a half blocks."""
+    def test_a_sweep_holds_no_vxd_array(self):
+        """Two batches of a 150-frame sweep over V=5,000 words of d=64 peak
+        below the V×d float64 unit rows of the vocabulary."""
         rng = np.random.default_rng(12)
-        table = table_from_dict({f"w{i}": rng.normal(size=8).tolist() for i in range(5000)})
+        n_tokens, dim = 5000, 64
+        table = table_from_dict({f"w{i}": rng.normal(size=dim).tolist()
+                                 for i in range(n_tokens)})
         registry = build_registry([(f"w{i}", f"w{i + 1}") for i in range(150)], table)
-        unit_rows = table.unit_rows([f"w{i}" for i in range(5000)])
-        block_bytes = 64 * len(unit_rows) * 8
+        tokens = [f"w{i}" for i in range(n_tokens)]
+        draws = list(self._draws(rng, n_tokens, [2, 2]))
+        baseline = np.zeros(len(registry))
         tracemalloc.start()
         try:
             before, _ = tracemalloc.get_traced_memory()
-            n_blocks = 0
-            for _, c in engine._cosine_blocks(registry, unit_rows):
-                n_blocks += 1
+            engine._sweep_null(registry, table, tokens, baseline, draws, 4)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert n_blocks == 3
-        assert peak - before < 1.5 * block_bytes
+        assert peak - before < n_tokens * dim * 8
 
 
 def _one_document_view(table, tokens):
@@ -853,19 +866,19 @@ def _contribution_cases(draw):
 
 class TestFrameContributions:
     """One frame's contributions come one slice of unit rows at a time: within
-    1e-15 of the frame block over the V×d unit rows, the same bits at any
+    1e-15 of the one-shot unit rows times the unit axis, the same bits at any
     slice size, the same errors, and no V×d float64 array."""
 
     @given(_contribution_cases())
     @settings(max_examples=150, deadline=None)
-    def test_within_1e15_of_the_frame_block_at_any_slice_size(self, case):
+    def test_within_1e15_of_the_one_shot_product_at_any_slice_size(self, case):
         table, view, frame = case
         tokens, n, c, bias = engine._frame_contributions(view, frame, table)
         assert tokens == view.vocabulary()
-        ((_, block),) = engine._cosine_blocks(FrameRegistry((frame,), ()),
-                                              table.unit_rows(tokens))
-        assert np.max(np.abs(c - block[0])) <= 1e-15
-        assert abs(bias - corpus_bias(view, frame, table)) <= 1e-15
+        axis = frame.axis / np.linalg.norm(frame.axis)
+        assert np.max(np.abs(c - oracles.unit_rows_reference(table, tokens) @ axis)) <= 1e-15
+        (axis_space_bias,), _ = view_statistics(view, [frame], table)
+        assert abs(bias - axis_space_bias) <= 1e-15
         dim, n_tokens = table.dimension, len(tokens)
         for chunk in {1, dim - 1, dim, embeddings._CHUNK_COMPONENTS, n_tokens * dim + 1} - {0}:
             with mock.patch.object(embeddings, "_CHUNK_COMPONENTS", chunk):
@@ -937,7 +950,7 @@ def _axis_space_cases(draw):
     """A table, its sorted tokens, a registry of up to two frame blocks, the
     full corpus's counts, a target's counts (the corpus itself, or some of
     it), null samples drawn from the corpus at the target's size, and the
-    rows of a slice of the axis-space pass."""
+    rows of a slice of the axis-space pass and of the sweep."""
     dim = draw(st.sampled_from([1, 2, 3, 5, 16]))
     vocab = draw(st.integers(2, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -966,9 +979,9 @@ class TestAxisSpace:
     @staticmethod
     def _forbid_sweeps(monkeypatch):
         def forbidden(*args):
-            raise AssertionError("count vectors formed a frame block of cosines")
+            raise AssertionError("count vectors were swept")
 
-        monkeypatch.setattr(engine, "_cosine_blocks", forbidden)
+        monkeypatch.setattr(engine, "_sweep_null", forbidden)
 
     @given(_axis_space_cases())
     @settings(max_examples=150, deadline=None)
@@ -982,11 +995,11 @@ class TestAxisSpace:
         # the count vectors are swept as samples, about the full view's swept bias
         vectors = np.array([full, target, *draws])
         swept = [(vectors, vectors.sum(axis=1))]
-        unit_rows = table.unit_rows(tokens)
-        bias, _ = engine._sweep_null(registry, unit_rows, np.zeros(len(registry)), swept,
-                                     len(vectors))
-        bias, intensity = engine._sweep_null(registry, unit_rows, bias[:, 0], swept, len(vectors))
         with mock.patch.object(engine, "_MOMENT_ROWS", rows):
+            bias, _ = engine._sweep_null(registry, table, tokens, np.zeros(len(registry)),
+                                         swept, len(vectors))
+            bias, intensity = engine._sweep_null(registry, table, tokens, bias[:, 0], swept,
+                                                 len(vectors))
             moments = engine._moments(table, tokens, list(vectors))
         m_bias, m_intensity = engine._axis_statistics(registry, *moments)
         np.testing.assert_allclose(m_bias, bias.T, rtol=0.0, atol=4e-15)
@@ -1063,8 +1076,8 @@ class TestAxisSpace:
 
     def test_each_path_is_taken_by_a_real_input(self, monkeypatch):
         """Count vectors always take the axis path, and a small null joins
-        it; a large null is swept after it, and one frame's bias sweeps
-        nothing."""
+        it; a large null is swept after it, and one frame's bias takes
+        neither path."""
         calls = []
         for name in ("_moments", "_sweep_null"):
             original = getattr(engine, name)
@@ -1088,7 +1101,8 @@ class TestAxisSpace:
         assert calls == [("_moments", 2), ("_sweep_null",)]
         calls.clear()
         corpus_bias(full, registry.frames[0], table)
-        assert calls == [("_moments", 1)]
+        corpus_intensity(full, registry.frames[0], table, 0.0)
+        assert calls == []
 
 
 class TestRankSumSelect:
