@@ -82,41 +82,40 @@ class EmbeddingTable:
             return None
         return self._matrix[i]
 
-    def unit_slices(self, tokens: list[str], out: np.ndarray | None = None):
-        """Yield (start, unit rows of ``tokens[start:start + step]``) in order,
-        `step` rows at a time, ``step = max(1, _CHUNK_COMPONENTS // dimension)``.
+    def unit_slices(self, tokens: list[str], rows: int):
+        """Yield (start, unit rows of ``tokens[start:start + rows]``) in order.
 
-        All tokens must be present. Each slice is gathered, cast to float64
-        and divided in place by ``sqrt(add.reduce(x * x, axis=1))``, as
-        `np.linalg.norm` does, so rows are bit for bit the one-shot ones
-        whatever the step. Slices are written into ``out[start:start + step]``
-        when `out` (V×d float64) is given, and otherwise into one buffer of
-        `step` rows: a yielded slice is then valid until the next one is
-        requested, and a caller may change it in place.
+        All tokens must be present. Every slice is written into one float64
+        buffer of at most `rows` rows: a yielded slice is valid until the
+        next one is requested, and a caller may change it in place. A slice
+        is gathered and normalised by `normalise_rows` in chunks of
+        ``max(1, _CHUNK_COMPONENTS // dimension)`` rows, so no temporary
+        exceeds a chunk and each row has the bits of the one-shot formula
+        whatever `rows` is.
         """
-        rows = self.rows_of(tokens)
-        if -1 in rows:  # argmin is the first absent token
-            raise DataError(f"token not in embedding table: {tokens[rows.argmin()]!r}")
-        step = max(1, _CHUNK_COMPONENTS // self.dimension)
-        buf = np.empty((min(step, len(rows)), self.dimension)) if out is None else None
-        for start in range(0, len(rows), step):
-            index = rows[start:start + step]
-            part = out[start:start + step] if buf is None else buf[:len(index)]
-            part[...] = self._matrix[index]
-            norms = np.sqrt(np.add.reduce(part * part, axis=1))
-            if np.any(norms == 0.0):
-                raise DataError("zero-norm vector has no direction")
-            part /= norms[:, None]
+        index = self.rows_of(tokens)
+        if -1 in index:  # argmin is the first absent token
+            raise DataError(f"token not in embedding table: {tokens[index.argmin()]!r}")
+        chunk = max(1, _CHUNK_COMPONENTS // self.dimension)
+        buf = np.empty((min(rows, len(index)), self.dimension))
+        for start in range(0, len(index), rows):
+            part = buf[:len(index) - start]
+            for at in range(0, len(part), chunk):
+                piece = part[at:at + chunk]
+                piece[...] = self._matrix[index[start + at:start + at + len(piece)]]
+                normalise_rows(piece, "zero-norm vector has no direction")
             yield start, part
 
-    def unit_rows(self, tokens: list[str]) -> np.ndarray:
-        """Vectors for `tokens` (all must be present) as float64 rows of unit
-        length, filled slice by slice by `unit_slices`: the result is the only
-        V×d array held."""
-        out = np.empty((len(tokens), self.dimension))
-        for _ in self.unit_slices(tokens, out):
-            pass
-        return out
+
+def normalise_rows(x: np.ndarray, message: str) -> np.ndarray:
+    """`x`, one vector a row, divided in place by its norms
+    ``sqrt(add.reduce(x * x, axis=1))``, the bits of ``np.linalg.norm(x,
+    axis=1)``; a zero row is a DataError with `message`."""
+    norms = np.sqrt(np.add.reduce(x * x, axis=1))
+    if np.any(norms == 0.0):
+        raise DataError(message)
+    x /= norms[:, None]
+    return x
 
 
 def _looks_like_header(parts: list[str]) -> bool:
@@ -129,13 +128,12 @@ def _looks_like_header(parts: list[str]) -> bool:
     return True
 
 
-#: Components per bulk parse of kept records: a chunk's float32 block stays at
-#: 64 KiB, below glibc's default 128 KiB mmap threshold, until its rows are
-#: copied into the load's one matrix. On explain-corpus (perfbench, seed 5,
+#: Components per chunk of the loader's bulk parse, and of the gather and
+#: normalisation in `EmbeddingTable.unit_slices`. A parse chunk's float32 block
+#: stays at 64 KiB, below glibc's default 128 KiB mmap threshold, until its rows
+#: are copied into the load's one matrix. On explain-corpus (perfbench, seed 5,
 #: 2-core x86-64) peak RSS read 56.0–56.4 MB; 56.7–56.9 MB with chunks of
-#: 1 << 16 components, and 59.0–59.1 MB when the chunks were kept and stacked
-#: at the end. `EmbeddingTable.unit_slices` works in slices of as many
-#: components.
+#: 1 << 16 components, and 59.0–59.1 MB when the chunks were kept and stacked.
 _CHUNK_COMPONENTS = 1 << 14
 
 #: Rows of the first matrix of an unfiltered load, which doubles when full.

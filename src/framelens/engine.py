@@ -10,13 +10,13 @@ i.i.d. with replacement from the full corpus's bag of words, implemented
 as multinomial count resampling so no token strings are ever touched.
 
 Every statistic works on the view's unit-length embedding rows (sorted-
-token order, float64 regardless of the table's storage dtype) and unit
-axes normalised by `_unit_axes`. No V×d array of them is ever held:
-every multi-frame pass walks the vocabulary the same way, one slice of
-_MOMENT_ROWS unit rows at a time (`_vocabulary_slices`). One function,
-`_frame_statistics`, computes every statistic over many frames
-(`analyze_frames`, `bootstrap_null`, `separation`, `view_statistics`) by
-one rule:
+token order, float64 regardless of the table's storage dtype), read one
+slice at a time from `EmbeddingTable.unit_slices`, and on unit axes
+(`_unit_axes`); both divide by the norms of `normalise_rows`, and no V×d
+array of unit rows is ever held. One function, `_frame_statistics`,
+computes every statistic over many frames (`analyze_frames`,
+`separation`, `view_statistics`), reading _MOMENT_ROWS unit rows a
+slice, by one rule:
 
 - Count vectors always take the axis-space pass, which forms no F×V
   cosines. Contributions are linear in the unit row u, so a count
@@ -39,10 +39,10 @@ two agree to within 4e-15 absolute and give the same p-values.
 
 Statistics of one frame use `_frame_contributions`, which forms the V
 cosines one slice of unit rows at a time: the bias and intensity of one
-view (`corpus_bias`, `corpus_intensity`), and the per-token shifts and
-per-document or per-unit sums of one frame (`word_shifts`,
-`document_spectrum`, `unit_statistics`) are count-weighted products on
-those V values.
+view (`corpus_bias`, `corpus_intensity`), the null samples of one frame
+(`bootstrap_null`), and the per-token shifts and per-document or per-unit
+sums of one frame (`word_shifts`, `document_spectrum`, `unit_statistics`)
+are count-weighted products on those V values.
 
 Each frame's statistics are computed once per command, over the full
 view's vocabulary. Every narrower document set (a target and its
@@ -68,7 +68,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import CorpusView
-from .embeddings import EmbeddingTable
+from . import embeddings
+from .embeddings import EmbeddingTable, normalise_rows
 from .errors import DataError
 from .frames import FrameRegistry, Microframe
 from .reports import Table
@@ -83,9 +84,9 @@ _BOOTSTRAP_BATCH = 256
 #: block and 55.5 ms at 128 or 256; peak RSS moved by at most 0.2 MB.
 _AXIS_BLOCK = 128
 
-#: Unit rows per slice of every walk over the vocabulary (`_vocabulary_slices`):
-#: the axis-space pass and each batch of the null sweep, which holds one F×s
-#: block of cosines. A product of few rows pays BLAS thread start-up for little
+#: Unit rows per slice of every multi-frame walk over the vocabulary: the
+#: axis-space pass and each batch of the null sweep, which holds one F×s block
+#: of cosines. A product of few rows pays BLAS thread start-up for little
 #: work; a slice of many holds more memory. On the benchmark (perfbench, seed 7,
 #: 2-core x86-64), its d=300 analyze workload's `analyze_frames` took 79 ms at
 #: 512 rows against 79 ms for the frame-block sweep of the time, and 76 ms at
@@ -224,34 +225,18 @@ def _power_of_two_scaled(x: np.ndarray) -> np.ndarray:
     return np.ldexp(x, -exponent)
 
 
-def _vocabulary_slices(table: EmbeddingTable, tokens: list[str]):
-    """Yield (start, unit rows of ``tokens[start:start + _MOMENT_ROWS]``) in
-    order. Every slice is written into one buffer: a yielded slice is valid
-    until the next one is requested, and a caller may change it in place."""
-    step = min(_MOMENT_ROWS, len(tokens))
-    buf = np.empty((step, table.dimension))
-    for start in range(0, len(tokens), step):
-        part = buf[:len(tokens) - start]
-        for _ in table.unit_slices(tokens[start:start + step], out=part):
-            pass
-        yield start, part
-
-
 def _unit_axes(axes: np.ndarray) -> np.ndarray:
-    """`axes`, one per row, divided in place by their norms; a zero axis is a
-    DataError."""
-    norms = np.linalg.norm(axes, axis=1)
-    if np.any(norms == 0.0):
-        raise DataError("zero-norm axis")
-    axes /= norms[:, None]
-    return axes
+    """`axes`, one per row, divided in place by their norms, as unit rows
+    are; a zero axis is a DataError."""
+    return normalise_rows(axes, "zero-norm axis")
 
 
 def _frame_contributions(view: CorpusView, frame: Microframe, table: EmbeddingTable):
     """The view's sorted vocabulary, its counts, its contributions (V values)
     to `frame`, and its bias on `frame`.
 
-    Contributions are formed one slice of unit rows at a time, so no V×d
+    Contributions are formed one slice of unit rows at a time, each slice
+    one normalisation chunk of `EmbeddingTable.unit_slices`, so no V×d
     float64 array is held. Each is a per-row sum of the row times the unit
     axis, which gives a word the same bits at any slice size; it lies within
     1e-15 of the product of the one-shot unit rows with the unit axis, and
@@ -260,7 +245,8 @@ def _frame_contributions(view: CorpusView, frame: Microframe, table: EmbeddingTa
     tokens, (n,) = _counts_over(view, [view])
     (axis,) = _unit_axes(np.array(frame.axis, dtype=np.float64, ndmin=2))
     c = np.empty(len(tokens))
-    for start, part in table.unit_slices(tokens):
+    rows = max(1, embeddings._CHUNK_COMPONENTS // table.dimension)
+    for start, part in table.unit_slices(tokens, rows):
         part *= axis
         np.add.reduce(part, axis=1, out=c[start:start + len(part)])
     return tokens, n, c, float(c @ n / n.sum())
@@ -300,16 +286,16 @@ def _moments(table: EmbeddingTable, tokens: list[str], weights):
 
     M[:d, :d] is the second moment G and M[:d, d] the mean m of the rows
     about r. r is the unit row of the first token, so over a one-token
-    vocabulary G and m are exactly zero. One walk over the vocabulary
-    (`_vocabulary_slices`); per slice, each vector gets its own SYRK of its
-    counted rows, each scaled by √w, so its moments have the same bits
-    whichever other vectors share the pass.
+    vocabulary G and m are exactly zero. One walk over the vocabulary,
+    _MOMENT_ROWS unit rows a slice; per slice, each vector gets its own
+    SYRK of its counted rows, each scaled by √w, so its moments have the
+    same bits whichever other vectors share the pass.
     """
     d = table.dimension
     scaled = np.empty((min(_MOMENT_ROWS, len(tokens)), d + 1))
     square = np.empty((d + 1, d + 1))
     moments = np.zeros((len(weights), d + 1, d + 1))
-    for start, part in _vocabulary_slices(table, tokens):
+    for start, part in table.unit_slices(tokens, _MOMENT_ROWS):
         if start == 0:
             r = part[0].copy()
         part -= r
@@ -401,7 +387,7 @@ def _sweep_null(frames: FrameRegistry, table: EmbeddingTable, tokens: list[str],
     nulls, done = np.zeros((2, len(frames), n)), 0
     for resampled, sizes in draws:
         batch = nulls[:, :, done:done + len(sizes)]
-        for start, part in _vocabulary_slices(table, tokens):
+        for start, part in table.unit_slices(tokens, _MOMENT_ROWS):
             counts = resampled[:, start:start + len(part)].T
             c = np.matmul(axes, part.T, out=buf[:len(frames) * len(part)].reshape(-1, len(part)))
             batch[0] += c @ counts
@@ -535,7 +521,9 @@ def bootstrap_null(
     measured against the full-corpus baseline bias. Deterministic under
     `seed`: this is the one-frame case of `analyze_frames`, and scores
     the frame on the same draws that `analyze_frames` shares across
-    frames under the same seed.
+    frames under the same seed. The frame's V contributions c are formed
+    once (`_frame_contributions`); a batch of resampled counts R with
+    sample totals s gives R·c / s and R·(c − β)² / s.
     """
     if n < 1:
         raise DataError(f"need at least one bootstrap sample, got {n}")
@@ -543,13 +531,14 @@ def bootstrap_null(
         raise DataError(f"sample size must be positive, got {sample_size}")
     if unit not in BOOTSTRAP_UNITS:
         raise DataError(f"unknown bootstrap unit {unit!r}")
-    tokens, weights = _counts_over(full_view, [full_view])
-    draws = _resampled_counts(full_view, unit, sample_size, n, seed)
-    _, ((bias,), (intensity,)) = _frame_statistics(
-        [frame], table, tokens, weights, draws=draws, n=n
-    )
+    _, _, c, baseline = _frame_contributions(full_view, frame, table)
+    squares = np.square(c - baseline)
+    nulls, done = np.empty((2, n)), 0
+    for resampled, sizes in _resampled_counts(full_view, unit, sample_size, n, seed):
+        nulls[:, done:done + len(sizes)] = resampled @ c / sizes, resampled @ squares / sizes
+        done += len(sizes)
     return NullDistribution(
-        frame_id=frame.id, bias_samples=bias, intensity_samples=intensity, seed=seed
+        frame_id=frame.id, bias_samples=nulls[0], intensity_samples=nulls[1], seed=seed
     )
 
 

@@ -91,7 +91,11 @@ def relevance_embedding(query: RelevanceQuery, table: EmbeddingTable) -> Table:
                    if plus in missing or minus in missing)
         raise DataError(f"frame {fid!r} has a pole missing from the table")
     words = query.topic_words
-    cosines = table.unit_rows(list(words)) @ table.unit_rows(poles).T
+    if not poles:  # no frames, so no pole slice
+        return _ranked((), [], "embedding", [], higher_first=True)
+    # one slice each: one product, and the unit rows go once it is formed
+    cosines = (next(table.unit_slices(list(words), len(words)))[1]
+               @ next(table.unit_slices(poles, len(poles)))[1].T)
     pole_means = ((cosines[:, : len(frames)] + cosines[:, len(frames) :]) / 2.0).T.tolist()
     # a left-to-right sum per frame, in topic word order
     scores = [sum(means) / len(words) for means in pole_means]

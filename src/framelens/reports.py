@@ -219,15 +219,16 @@ def _encode(value, level: int) -> str:
     if isinstance(value, (list, tuple, Table)):
         return "".join(_list_chunks(value, level))
     if isinstance(value, dict):
-        return _column([value], level)[0] if value else "{}"
+        return _rows(Table({k: [v] for k, v in value.items()}), level)[0] if value else "{}"
     # not JSON-serializable: json.dumps raises its TypeError
     return json.dumps(value, indent=2).replace("\n", "\n" + "  " * level)
 
 
 def _column(values: list, level: int) -> list[str]:
     """The JSON texts of `values`, each `level` levels deep: by type for a
-    column of one scalar type or of dicts that share one key order, value
-    by value otherwise."""
+    column of one scalar type or of dicts that share one order of str keys,
+    value by value otherwise. Other keys can be equal and written apart:
+    0, 0.0 and False, 1 and True, 0.0 and -0.0."""
     kind = _only_type(values)
     if kind is not None:
         if issubclass(kind, str):
@@ -238,7 +239,7 @@ def _column(values: list, level: int) -> list[str]:
             return list(map(int.__repr__, values))
         if issubclass(kind, dict) and values[0]:
             keys = tuple(values[0])
-            if all(map(keys.__eq__, map(tuple, values))):
+            if all(type(k) is str for k in keys) and all(map(keys.__eq__, map(tuple, values))):
                 return _rows(Table({k: list(map(itemgetter(k), values)) for k in keys}), level)
     return [_encode(v, level) for v in values]
 

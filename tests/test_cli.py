@@ -547,24 +547,23 @@ class TestContributionsOncePerCommand:
     ])
     def test_one_frame_sweeps_the_unit_slices_once(self, setup, monkeypatch, command, extra):
         """A one-frame command forms its V cosines in one pass over the unit
-        slices of the full view's vocabulary, and neither gathers V×d unit
-        rows nor takes a multi-frame pass."""
+        slices of the full view's vocabulary, one normalisation chunk a
+        slice, and takes no multi-frame pass."""
         corpus = write_unit_corpus(setup["tmp"])
         sweeps = []
         unit_slices = EmbeddingTable.unit_slices
 
-        def counted_unit_slices(table, tokens, out=None):
+        def counted_unit_slices(table, tokens, rows):
             spans = []
-            sweeps.append((tokens, spans))
-            for start, part in unit_slices(table, tokens, out):
+            sweeps.append((tokens, rows, spans))
+            for start, part in unit_slices(table, tokens, rows):
                 spans.append((start, len(part)))
                 yield start, part
 
         def forbidden(*args):
-            raise AssertionError("a one-frame command forms V×d unit rows or a multi-frame pass")
+            raise AssertionError("a one-frame command takes a multi-frame pass")
 
         monkeypatch.setattr(EmbeddingTable, "unit_slices", counted_unit_slices)
-        monkeypatch.setattr(EmbeddingTable, "unit_rows", forbidden)
         monkeypatch.setattr(engine, "_moments", forbidden)
         monkeypatch.setattr(engine, "_sweep_null", forbidden)
         monkeypatch.setattr(embeddings, "_CHUNK_COMPONENTS", 6)  # two rows of d=3 a slice
@@ -575,8 +574,8 @@ class TestContributionsOncePerCommand:
             assert len(rows) >= 3
         # every table word occurs in the unit corpus
         vocabulary = sorted(line.split()[0] for line in EMBEDDINGS.splitlines())
-        assert [tokens for tokens, _ in sweeps] == [vocabulary]
-        assert sweeps[0][1] == [(start, min(2, 13 - start)) for start in range(0, 13, 2)]
+        assert [(tokens, rows) for tokens, rows, _ in sweeps] == [(vocabulary, 2)]
+        assert sweeps[0][2] == [(start, min(2, 13 - start)) for start in range(0, 13, 2)]
 
     @staticmethod
     def _all_pairs(setup):
@@ -610,19 +609,21 @@ class TestContributionsOncePerCommand:
         vectors and analyze's two with a two-sample null, and over the 4
         frames and 13 words of the unit corpus separation's three, take the
         axis-space path: one pass over the unit slices of the full
-        vocabulary, no V×d unit rows and no sweep."""
+        vocabulary, _MOMENT_ROWS rows a slice, and no sweep."""
         calls = []
         unit_slices = EmbeddingTable.unit_slices
 
-        def counted_unit_slices(table, tokens, out=None):
-            calls.append(tokens)
-            yield from unit_slices(table, tokens, out)
+        def counted_unit_slices(table, tokens, rows):
+            spans = []
+            calls.append((tokens, rows, spans))
+            for start, part in unit_slices(table, tokens, rows):
+                spans.append((start, len(part)))
+                yield start, part
 
         def forbidden(*args):
-            raise AssertionError("the axis-space path forms V×d unit rows or sweeps")
+            raise AssertionError("the axis-space path sweeps")
 
         monkeypatch.setattr(EmbeddingTable, "unit_slices", counted_unit_slices)
-        monkeypatch.setattr(EmbeddingTable, "unit_rows", forbidden)
         monkeypatch.setattr(engine, "_sweep_null", forbidden)
         monkeypatch.setattr(engine, "_MOMENT_ROWS", 2)
         if wide:
@@ -631,36 +632,33 @@ class TestContributionsOncePerCommand:
             data = {**setup, "corpus": str(write_unit_corpus(setup["tmp"]))}
             vocabulary = sorted(line.split()[0] for line in EMBEDDINGS.splitlines())
         assert main(base_args(data, command) + extra + ["--formats", "tsv"]) == 0
-        assert calls == [vocabulary[start:start + 2]
-                         for start in range(0, len(vocabulary), 2)]
+        spans = [(start, min(2, len(vocabulary) - start))
+                 for start in range(0, len(vocabulary), 2)]
+        assert calls == [(vocabulary, 2, spans)]
 
     def test_a_null_above_the_switch_walks_the_vocabulary_once_per_batch(
         self, setup, monkeypatch
     ):
         """analyze with more samples than the axis-space path pays for: the
         observed statistics make one axis-space pass, and the null walks
-        the unit slices of the vocabulary once per batch of draws; no V×d
-        unit rows are gathered."""
+        the unit slices of the vocabulary once per batch of draws, both
+        _MOMENT_ROWS rows a slice."""
         moment_passes, walks = [], []
-        moments, vocabulary_slices = engine._moments, engine._vocabulary_slices
+        moments, unit_slices = engine._moments, EmbeddingTable.unit_slices
 
         def counted_moments(table, tokens, weights):
             moment_passes.append(len(weights))
             return moments(table, tokens, weights)
 
-        def counted_vocabulary_slices(table, tokens):
+        def counted_unit_slices(table, tokens, rows):
             spans = []
-            walks.append(spans)
-            for start, part in vocabulary_slices(table, tokens):
+            walks.append((tokens, rows, spans))
+            for start, part in unit_slices(table, tokens, rows):
                 spans.append((start, len(part)))
                 yield start, part
 
-        def forbidden(*args):
-            raise AssertionError("the sweep gathered V×d unit rows")
-
         monkeypatch.setattr(engine, "_moments", counted_moments)
-        monkeypatch.setattr(engine, "_vocabulary_slices", counted_vocabulary_slices)
-        monkeypatch.setattr(EmbeddingTable, "unit_rows", forbidden)
+        monkeypatch.setattr(EmbeddingTable, "unit_slices", counted_unit_slices)
         monkeypatch.setattr(engine, "_MOMENT_ROWS", 16)
         n = engine._BOOTSTRAP_BATCH + 1
         wide, vocabulary = self._all_pairs(setup)
@@ -668,7 +666,7 @@ class TestContributionsOncePerCommand:
         assert main(args + ["--group", "pos", "--n-bootstrap", str(n), "--formats", "tsv"]) == 0
         assert moment_passes == [2]
         # the moment pass, then one walk per batch of draws
-        assert walks == [[(0, 16), (16, 16), (32, 8)]] * 3
+        assert walks == [(vocabulary, 16, [(0, 16), (16, 16), (32, 8)])] * 3
         assert len(vocabulary) == 40
 
 

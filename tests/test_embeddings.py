@@ -400,9 +400,23 @@ def _table_of(matrix: np.ndarray) -> EmbeddingTable:
                           _matrix=matrix.astype(np.float32), stats=LoadStats(kept=len(index)))
 
 
-def _unit_rows_outcome(unit_rows, table, tokens):
+def _unit_slices_outcome(table, tokens, rows):
+    """The concatenated unit slices of `tokens`, `rows` a slice, or the
+    DataError's message; every slice starts where the last one ended."""
+    parts = []
     try:
-        rows = unit_rows(table, tokens)
+        for start, part in table.unit_slices(tokens, rows):
+            assert start == sum(map(len, parts)) and len(part) == min(rows, len(tokens) - start)
+            parts.append(part.copy())  # the next slice reuses the buffer
+    except DataError as exc:
+        return str(exc)
+    got = np.concatenate(parts) if parts else np.empty((0, table.dimension))
+    return got.dtype, got.shape, got.tobytes()
+
+
+def _reference_outcome(table, tokens):
+    try:
+        rows = oracles.unit_rows_reference(table, tokens)
     except DataError as exc:
         return str(exc)
     return rows.dtype, rows.shape, rows.tobytes()
@@ -410,11 +424,12 @@ def _unit_rows_outcome(unit_rows, table, tokens):
 
 @st.composite
 def _unit_row_cases(draw):
-    """A table, the slice size of `unit_rows`, and tokens to gather: none,
-    one, a slice less or more one, or three slices and more, with repeats,
-    and at most one missing token or zero row at any position."""
+    """A table, the normalisation chunk of `unit_slices`, and tokens to
+    gather: none, one, a chunk less or more one, or three chunks and more,
+    with repeats, and at most one missing token or zero row at any
+    position."""
     dim = draw(st.sampled_from([1, 2, 3, 7, 300]))
-    # the shipped slice size at d=300 (54 rows), smaller ones elsewhere
+    # the shipped chunk at d=300 (54 rows), smaller ones elsewhere
     chunk = embeddings._CHUNK_COMPONENTS if dim == 300 else draw(st.integers(1, 64))
     step = max(1, chunk // dim)
     n = draw(st.sampled_from([0, 1, step - 1, step, step + 1, 3 * step, 3 * step + 2]))
@@ -435,18 +450,22 @@ def _unit_row_cases(draw):
 
 @given(_unit_row_cases())
 @settings(max_examples=300, deadline=None)
-def test_unit_rows_match_the_one_shot_formula(case):
+def test_unit_slices_match_the_one_shot_formula(case):
+    """Slices of one row, of one normalisation chunk and of more rows than
+    there are tokens concatenate to the one-shot unit rows, bit for bit,
+    or give its DataError."""
     table, chunk, tokens = case
-    expected = _unit_rows_outcome(oracles.unit_rows_reference, table, tokens)
+    expected = _reference_outcome(table, tokens)
+    step = max(1, chunk // table.dimension)
     with mock.patch.object(embeddings, "_CHUNK_COMPONENTS", chunk):
-        got = _unit_rows_outcome(EmbeddingTable.unit_rows, table, tokens)
-    assert got == expected
+        for rows in (1, step, len(tokens) + 1):
+            assert _unit_slices_outcome(table, tokens, rows) == expected
 
 
-def test_unit_rows_errors_in_a_later_slice():
-    """A zero row, or a missing token, past the first slice of 54 rows at
-    d=300 gives the one-shot formula's DataError; the first missing token
-    is named."""
+def test_unit_slices_error_in_a_later_slice():
+    """A zero row, or a missing token, past the first chunk of 54 rows at
+    d=300 gives the one-shot formula's DataError at every slice size; the
+    first missing token is named."""
     matrix = np.random.default_rng(3).standard_normal((200, 300))
     matrix[150] = 0.0
     table = _table_of(matrix)
@@ -457,29 +476,33 @@ def test_unit_rows_errors_in_a_later_slice():
             [f"t{i}" for i in range(120)] + ["gone"] + [f"t{i}" for i in range(150)] + ["lost"],
     }
     for message, tokens in cases.items():
-        assert _unit_rows_outcome(oracles.unit_rows_reference, table, tokens) == message
-        with pytest.raises(DataError) as exc:
-            table.unit_rows(tokens)
-        assert str(exc.value) == message
+        assert _reference_outcome(table, tokens) == message
+        for rows in (1, 54, 100, 512):
+            with pytest.raises(DataError) as exc:
+                for _ in table.unit_slices(tokens, rows):
+                    pass
+            assert str(exc.value) == message
 
 
-def test_unit_rows_peak_is_its_output_and_two_slices():
-    """`unit_rows` over V rows holds its V×d float64 result and no second
-    array of that size: its traced peak stays below the result plus two
-    slices of float64 rows."""
+def test_unit_slices_peak_is_one_buffer_and_one_chunk():
+    """A walk over V rows, 1,024 rows a slice, holds one slice buffer, the
+    row index of the tokens and one chunk's temporaries (its float32 gather
+    and float64 squares), and no temporary the size of a slice."""
     dim = 64
     table = _table_of(np.random.default_rng(4).standard_normal((500, dim)))
     tokens = [f"t{i % 500}" for i in range(3000)]
-    slice_bytes = max(1, embeddings._CHUNK_COMPONENTS // dim) * dim * 8
+    rows = 1024
+    chunk = max(1, embeddings._CHUNK_COMPONENTS // dim)
+    assert chunk < rows
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()
-        rows = table.unit_rows(tokens)
+        for _ in table.unit_slices(tokens, rows):
+            pass
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert rows.shape == (3000, dim)
-    assert peak - before < rows.nbytes + 2 * slice_bytes
+    assert peak - before < rows * dim * 8 + len(tokens) * 8 + chunk * dim * (8 + 4)
 
 
 def _load_outcome(table):

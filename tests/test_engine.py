@@ -1029,7 +1029,7 @@ class TestAxisSpace:
         registry = _registry_of_axes([[x, 0.0, 0.0] for x in range(-32, 32) if x])
         self._forbid_sweeps(monkeypatch)
         bias, intensity = view_statistics(view, registry, table)
-        (row,) = table.unit_rows(["w0"])
+        (row,) = oracles.unit_rows_reference(table, ["w0"])
         assert np.abs(bias).tolist() == [row[0]] * 63
         assert intensity.tolist() == [0.0] * 63
 
@@ -1076,8 +1076,8 @@ class TestAxisSpace:
 
     def test_each_path_is_taken_by_a_real_input(self, monkeypatch):
         """Count vectors always take the axis path, and a small null joins
-        it; a large null is swept after it, and one frame's bias takes
-        neither path."""
+        it; a large null is swept after it, and one frame's bias, intensity
+        and bootstrap null take neither path."""
         calls = []
         for name in ("_moments", "_sweep_null"):
             original = getattr(engine, name)
@@ -1102,6 +1102,7 @@ class TestAxisSpace:
         calls.clear()
         corpus_bias(full, registry.frames[0], table)
         corpus_intensity(full, registry.frames[0], table, 0.0)
+        bootstrap_null(full, registry.frames[0], table, sample_size=50, n=300, seed=1)
         assert calls == []
 
 

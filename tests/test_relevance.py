@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from framelens.errors import DataError
-from framelens.frames import build_registry
+from framelens.frames import FrameRegistry, build_registry
 from framelens.relevance import (
     CharGramPerplexity,
     DEFAULT_TEMPLATES,
@@ -16,6 +16,7 @@ from framelens.relevance import (
     relevance_perplexity,
 )
 
+import oracles
 from conftest import table_from_dict
 
 
@@ -72,6 +73,29 @@ class TestEmbeddingRelevance:
             for value in per_word.values():
                 total += value
             assert s.score == total / 20
+
+    def test_cosines_are_the_one_shot_product(self):
+        """400 poles of d=100, over three normalisation chunks of 163 rows:
+        each per-word cosine mean has the bits of one product of the one-shot
+        topic and pole unit rows. Products per chunk of poles move some of
+        these cosines by ~1e-16."""
+        rng = np.random.default_rng(8)
+        words = [f"t{i}" for i in range(4)] + [f"m{i}" for i in range(200)] + [
+            f"p{i}" for i in range(200)]
+        table = table_from_dict({w: rng.normal(size=100).tolist() for w in words})
+        registry = build_registry([(f"m{i}", f"p{i}") for i in range(200)], table)
+        query = make_relevance_query(set(words[:4]), registry, table)
+        poles = [*registry.poles_plus, *registry.poles_minus]
+        cosines = (oracles.unit_rows_reference(table, list(query.topic_words))
+                   @ oracles.unit_rows_reference(table, poles).T)
+        expected = ((cosines[:, :200] + cosines[:, 200:]) / 2.0).T.tolist()
+        by_id = {s.frame_id: list(s.details["per_topic_word"].values())
+                 for s in relevance_embedding(query, table)}
+        assert [by_id[fid] for fid in registry.ids] == expected
+
+    def test_an_empty_registry_gives_an_empty_table(self, rel_table):
+        query = make_relevance_query({"topic"}, FrameRegistry([]), rel_table)
+        assert len(relevance_embedding(query, rel_table)) == 0
 
     def test_pole_aligned_topic_scores_half(self, rel_table, rel_registry):
         q = make_relevance_query({"topic"}, rel_registry, rel_table)

@@ -8,7 +8,7 @@ from urllib.parse import unquote
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from framelens.errors import DataError
@@ -149,6 +149,9 @@ _JSON = st.recursive(
 
 
 @given(_JSON)
+@example([{0: None}, {0.0: None}])
+@example([{1: 2}, {True: 2}])
+@example([{0.0: 1}, {-0.0: 1}])
 @settings(max_examples=500, deadline=None)
 def test_dumps_is_json_dumps_with_indent_2(value):
     assert dumps(value) == json.dumps(value, indent=2)
