@@ -22,9 +22,11 @@ slice, by one rule:
   cosines. Contributions are linear in the unit row u, so a count
   vector's bias on axis a is a·m and its intensity about β is
   aᵀGa − 2β(a·m) + β², with m its mean unit row and G its d×d second
-  moment. `_moments` builds each vector's m and G, about a reference row,
-  in one walk over the vocabulary, and `_axis_statistics` reads both
-  statistics off them per block of axes.
+  moment. The baseline is a first moment only: the full view needs its m,
+  never its G. `_moments` builds every m, and the G of each vector whose
+  intensity is reported, about a reference row in one walk over the
+  vocabulary, and `_axis_statistics` reads the statistics off them per
+  block of axes.
 - Null samples join that pass when `_moments_pay` says they cost less
   there than in a sweep: 1.5·n·(V·d²/2 + F·d²) flops (`_AXIS_FLOP_COST`)
   against F·V·d. Otherwise `_sweep_null` walks the vocabulary once per
@@ -51,13 +53,15 @@ vocabulary, and the full-corpus baseline comes from the same numbers
 inside each statistic that needs it. Each count vector gets its own
 products, never a column of a product shared with other vectors, which
 rounds differently: a group has the same bits in `separation` and
-`analyze_frames`.
+`analyze_frames`. Every mean row is a sum in row order and every a·m a
+pairwise sum; neither calls BLAS.
 
 Reproducibility: one bootstrap stream, ``default_rng(seed)``, is drawn
 once per run and shared by every frame, so a frame's null depends on the
 seed and the corpus, not on the other frames or their order. The same
 seed gives byte-identical reports on every run at a fixed BLAS thread
-count. Across thread counts BLAS may round a product differently; README
+count. Across thread counts BLAS may round a product differently, which
+moves intensities and a swept null but no bias of a count vector; README
 ("Reproducibility") gives what was measured.
 """
 
@@ -78,7 +82,7 @@ from .reports import Table
 _BOOTSTRAP_BATCH = 256
 
 #: Axes per block of the axis-space path (`_axis_statistics`), which holds
-#: fb×d axes and one fb×(d+1) product per count vector, no fb×V array.
+#: fb×d axes and one fb×d product per second moment, no fb×V array.
 #: In-process over 1,621 frames at d=300 (V=3,354, 21 alternating runs,
 #: 2-core x86-64), `analyze_frames` at B=2 took 60.6 ms at 64 axes a
 #: block and 55.5 ms at 128 or 256; peak RSS moved by at most 0.2 MB.
@@ -280,87 +284,91 @@ def _moments_pay(frames: int, vocabulary: int, dimension: int, samples: int) -> 
             < frames * vocabulary * dimension)
 
 
-def _moments(table: EmbeddingTable, tokens: list[str], weights):
-    """The reference row r, and each count vector's moment matrix about r:
-    M = Σ w x xᵀ / Σw over its tokens, with x = (u - r, 1) for a unit row u.
+def _moments(table: EmbeddingTable, tokens: list[str], base, weights):
+    """The reference row r; the mean unit row about r, m = Σ w (u − r) / Σw,
+    of `base` and of each of `weights`, base first; and the second moment
+    about r, G = Σ w (u − r)(u − r)ᵀ / Σw, of each of `weights` only.
 
-    M[:d, :d] is the second moment G and M[:d, d] the mean m of the rows
-    about r. r is the unit row of the first token, so over a one-token
-    vocabulary G and m are exactly zero. One walk over the vocabulary,
-    _MOMENT_ROWS unit rows a slice; per slice, each vector gets its own
-    SYRK of its counted rows, each scaled by √w, so its moments have the
-    same bits whichever other vectors share the pass.
+    r is the unit row of the first token, so over a one-token vocabulary
+    every m and G is exactly zero. One walk over the vocabulary,
+    _MOMENT_ROWS unit rows a slice. Per slice, each mean adds its
+    count-weighted rows in row order (`np.einsum`, which calls no BLAS), so
+    a mean has the same bits at any BLAS thread count; each second moment
+    adds one SYRK of its vector's counted rows, each scaled by √w. Every
+    vector's moments have the same bits whichever others share the pass.
     """
+    vectors = [base, *weights]
     d = table.dimension
-    scaled = np.empty((min(_MOMENT_ROWS, len(tokens)), d + 1))
-    square = np.empty((d + 1, d + 1))
-    moments = np.zeros((len(weights), d + 1, d + 1))
+    scaled = np.empty((min(_MOMENT_ROWS, len(tokens)), d))
+    square = np.empty((d, d))
+    means = np.zeros((len(vectors), d))
+    seconds = np.zeros((len(weights), d, d))
     for start, part in table.unit_slices(tokens, _MOMENT_ROWS):
         if start == 0:
             r = part[0].copy()
         part -= r
-        for moment, w in zip(moments, weights):
-            counted = np.flatnonzero(w[start:start + len(part)])
+        stop = start + len(part)
+        for mean, w in zip(means, vectors):
+            mean += np.einsum("v,vd->d", w[start:stop], part)
+        for second, w in zip(seconds, weights):
+            counted = np.flatnonzero(w[start:stop])
             x = scaled[:len(counted)]
-            root = np.sqrt(w[start + counted])
-            x[:, d] = root
             rows = part if len(counted) == len(part) else part[counted]
-            np.multiply(rows, root[:, None], out=x[:, :d])
-            moment += np.matmul(x.T, x, out=square)
-    moments /= np.array([w.sum() for w in weights])[:, None, None]
-    return r, moments
+            np.multiply(rows, np.sqrt(w[start + counted])[:, None], out=x)
+            second += np.matmul(x.T, x, out=square)
+    totals = np.array([w.sum() for w in vectors])
+    means /= totals[:, None]
+    seconds /= totals[1:, None, None]
+    return r, means, seconds
 
 
-def _axis_statistics(frames: FrameRegistry, r, moments, baseline=None):
-    """Per-frame bias and intensity of each count vector from its moment
-    matrix about r (`_moments`), one block of _AXIS_BLOCK axes at a time.
+def _axis_statistics(frames: FrameRegistry, r, means, seconds):
+    """The baseline bias per frame, and each reported vector's bias and
+    intensity about it, from their moments about r (`_moments`), one block
+    of _AXIS_BLOCK axes at a time.
 
-    With t = a·m and q = aᵀGa the vector's first and second moments on
-    axis a, and δ = β − a·r the baseline's offset, bias is a·r + t and
-    intensity about β is max(0, q − 2δt + δ²). Intensity is measured about
-    `baseline`, or, when it is None, about the first vector's bias (δ = its
-    t). Each vector's t and q come from one fb×d by d×(d+1) product with
-    its own moments. Every step negates exactly with a, so bias negates
-    exactly and intensity is unchanged under a pole flip.
+    On axis a, let δ = a·m of the baseline, and t = a·m and q = aᵀGa of a
+    reported vector. The baseline is a·r + δ, the vector's bias a·r + t,
+    and its intensity about the baseline max(0, q − 2δt + δ²). Every a·r
+    and a·m is a pairwise sum of the axis's products (`np.add.reduce`),
+    which calls no BLAS, so no bias depends on the BLAS thread count; each
+    q comes from one fb×d by d×d product. Every step negates exactly with
+    a, so bias negates exactly and intensity is unchanged under a pole
+    flip.
     """
-    d = len(r)
-    bias, intensity = np.empty((2, len(moments), len(frames)))
+    baseline = np.empty(len(frames))
+    bias, intensity = np.empty((2, len(seconds), len(frames)))
     for start in range(0, len(frames), _AXIS_BLOCK):
         block = slice(start, start + _AXIS_BLOCK)
         axes = _unit_axes(frames.axes(block))
-        offset = np.add.reduce(axes * r, axis=1)
-        products = [axes @ moment[:d] for moment in moments]
-        delta = products[0][:, d] if baseline is None else baseline[block] - offset
-        for b, i, p in zip(bias, intensity, products):
-            t = p[:, d]
-            q = np.add.reduce(p[:, :d] * axes, axis=1)
+        offset, delta, *firsts = (np.add.reduce(axes * v, axis=1) for v in (r, *means))
+        baseline[block] = offset + delta
+        for b, i, t, second in zip(bias, intensity, firsts, seconds):
+            q = np.add.reduce((axes @ second) * axes, axis=1)
             b[block] = offset + t
             i[block] = np.maximum(q - 2.0 * delta * t + delta * delta, 0.0)
-    return bias, intensity
+    return baseline, bias, intensity
 
 
-def _frame_statistics(frames, table: EmbeddingTable, tokens: list[str], weights,
-                      baseline=None, draws=(), n: int = 0):
-    """Per-frame bias and intensity of each count vector, and `n` null
-    samples of each.
+def _frame_statistics(frames, table: EmbeddingTable, tokens: list[str], base, weights,
+                      draws=(), n: int = 0):
+    """The baseline bias of count vector `base` per frame, the per-frame
+    bias and intensity about it of each count vector of `weights`, and `n`
+    null samples of both.
 
-    `weights` are count vectors over `tokens`, a full view's sorted
-    vocabulary. Intensity is measured about `baseline`, one value per
-    frame, or, when it is None, about the bias of the first count vector:
-    a full view's counts put first give every narrower count vector its
-    baseline from the same numbers. `draws` yields the batches of
-    resampled counts that every frame shares, (B×V counts, B sample
-    totals), `n` samples in all. Returns (bias, intensity), each with one
-    row of F values per count vector, and (null bias, null intensity),
-    each F×n.
+    Count vectors run over `tokens`, a full view's sorted vocabulary.
+    `draws` yields the batches of resampled counts that every frame
+    shares, (B×V counts, B sample totals), `n` samples in all. Returns
+    (baseline, (bias, intensity), (null bias, null intensity)): F values,
+    one row of F values per vector of `weights`, and F×n samples each.
 
-    The count vectors always take the axis-space pass (`_moments`,
-    `_axis_statistics`). The null samples join that pass when
-    `_moments_pay` says so for `n` of them, and are otherwise swept about
-    the count vectors' baseline (`_sweep_null`). Each vector's moments
-    have the same bits whichever others share the pass, so a view's
-    observed statistics never depend on the null or on the other count
-    vectors.
+    All count vectors take the axis-space pass (`_moments`,
+    `_axis_statistics`); `base` needs only its mean unit row there. The
+    null samples join that pass when `_moments_pay` says so for `n` of
+    them, and are otherwise swept about the baseline (`_sweep_null`). Each
+    vector's moments have the same bits whichever others share the pass, so
+    a view's observed statistics never depend on the null or on the other
+    count vectors.
     """
     if not isinstance(frames, FrameRegistry):
         frames = FrameRegistry(frames)
@@ -368,11 +376,10 @@ def _frame_statistics(frames, table: EmbeddingTable, tokens: list[str], weights,
     swept = not _moments_pay(len(frames), len(tokens), table.dimension, n)
     if not swept:
         weights = [*weights, *(row for resampled, _ in draws for row in resampled)]
-    bias, intensity = _axis_statistics(frames, *_moments(table, tokens, weights), baseline)
+    baseline, bias, intensity = _axis_statistics(frames, *_moments(table, tokens, base, weights))
     if swept:
-        baseline = bias[0] if baseline is None else baseline
-        return (bias, intensity), _sweep_null(frames, table, tokens, baseline, draws, n)
-    return (bias[:k], intensity[:k]), (bias[k:].T, intensity[k:].T)
+        return baseline, (bias, intensity), _sweep_null(frames, table, tokens, baseline, draws, n)
+    return baseline, (bias[:k], intensity[:k]), (bias[k:].T, intensity[k:].T)
 
 
 def _sweep_null(frames: FrameRegistry, table: EmbeddingTable, tokens: list[str],
@@ -404,17 +411,15 @@ def view_statistics(
     view: CorpusView,
     frames,
     table: EmbeddingTable,
-    baseline: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-frame bias and intensity of `view`.
+    """Per-frame bias and intensity of `view`, intensity about its own bias.
 
-    `baseline` holds one full-corpus bias per frame, in the order of
-    `frames`; intensity is measured about it, or about the view's own bias
-    when it is None. The view's embedding rows are read once for all
-    frames. Returns (bias, intensity) arrays of one value per frame.
+    The bias is the one `baseline_biases` gives. The view's embedding rows
+    are read once for all frames. Returns (bias, intensity) arrays of one
+    value per frame, in the order of `frames`.
     """
-    tokens, weights = _counts_over(view, [view])
-    ((bias,), (intensity,)), _ = _frame_statistics(frames, table, tokens, weights, baseline)
+    tokens, (w,) = _counts_over(view, [view])
+    _, ((bias,), (intensity,)), _ = _frame_statistics(frames, table, tokens, w, [w])
     return bias, intensity
 
 
@@ -754,8 +759,10 @@ def unit_statistics(
 def baseline_biases(
     view: CorpusView, frames: FrameRegistry, table: EmbeddingTable
 ) -> dict[str, float]:
-    """Full-corpus bias per frame, with the embedding rows read once."""
-    biases, _ = view_statistics(view, frames, table)
+    """Full-corpus bias per frame, with the embedding rows read once and no
+    second moment formed."""
+    tokens, (w,) = _counts_over(view, [view])
+    biases, _, _ = _frame_statistics(frames, table, tokens, w, [])
     return dict(zip(frames.ids, biases.tolist()))
 
 
@@ -789,10 +796,9 @@ def separation(
     orders by |delta bias|. Ranks are 1-based, descending, ties by frame
     id. Returns a table of `SeparationResult` rows in registry order.
     """
-    tokens, weights = _counts_over(full_view, [full_view, view_a, view_b])
-    ((_, bias_a, bias_b), (_, int_a, int_b)), _ = _frame_statistics(
-        frames, table, tokens, weights
-    )
+    tokens, (full, a, b) = _counts_over(full_view, [full_view, view_a, view_b])
+    _, ((bias_a, bias_b), (int_a, int_b)), _ = _frame_statistics(frames, table, tokens, full,
+                                                                 [a, b])
     total_a = float(view_a.total_tokens)
     total_b = float(view_b.total_tokens)
     mean_int = (total_a * int_a + total_b * int_b) / (total_a + total_b)
@@ -847,12 +853,12 @@ def analyze_frames(
         raise DataError(f"unknown bootstrap unit {bootstrap_unit!r}")
     if not len(registry):
         raise DataError("no frames to analyze")
-    tokens, weights = _counts_over(full_view, [full_view, target_view])
+    tokens, (full, target) = _counts_over(full_view, [full_view, target_view])
     sample_size = (target_view.total_tokens if bootstrap_unit == "token"
                    else len(target_view.documents))
     draws = _resampled_counts(full_view, bootstrap_unit, sample_size, n_bootstrap, seed)
-    ((baseline, bias), (_, intensity)), nulls = _frame_statistics(
-        registry, table, tokens, weights, draws=draws, n=n_bootstrap
+    baseline, ((bias,), (intensity,)), nulls = _frame_statistics(
+        registry, table, tokens, full, [target], draws, n_bootstrap
     )
     p_b, p_i, eff_b, eff_i = _significance(bias, intensity, *nulls)
     return Table.of(FramingResult, list(registry.ids), bias, intensity, baseline, eff_b, eff_i,

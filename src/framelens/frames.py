@@ -29,16 +29,6 @@ from .textio import check_utf8, open_text
 # Axes shorter than this are degenerate: contributions divide by the axis norm.
 MIN_AXIS_NORM = 1e-8
 
-#: Axes formed together by the zero-axis check, so its float64 axes take
-#: 64·d·8 bytes (150 KiB at d=300) at any registry size.
-_CHECK_BLOCK = 64
-
-#: A row norm within this relative distance of MIN_AXIS_NORM is taken again
-#: as the norm of the 1-D axis. The two sum the squares in different orders,
-#: so they differ by about d * 2**-53 relative, far inside this band at any
-#: table width.
-_RECHECK_BAND = 1e-6
-
 
 @dataclass(frozen=True, eq=False)
 class Microframe:
@@ -156,32 +146,19 @@ def make_frame(pole_minus: str, pole_plus: str, table: EmbeddingTable) -> Microf
 
 def _zero_axes(matrix: np.ndarray, plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
     """Whether each axis ``matrix[plus[i]] - matrix[minus[i]]`` is shorter than
-    MIN_AXIS_NORM, decided as ``np.linalg.norm`` of that 1-D float64 axis
-    decides it.
+    MIN_AXIS_NORM, decided by ``np.linalg.norm`` of that 1-D float64 axis.
 
     A norm is at least the size of any one component, so an axis whose
-    first component reaches the threshold (with _RECHECK_BAND to spare for
-    the norm's rounding) is kept without forming it. The others are formed
-    and their norms taken row-wise, _CHECK_BLOCK axes at a time; the few
-    whose norm falls within _RECHECK_BAND of the threshold are decided
-    again one at a time.
+    first component reaches the threshold is kept without forming it; a
+    relative margin of 1e-6 leaves room for the norm's rounding, which is
+    about d * 2**-53 relative at any table width. Each other axis is formed
+    and decided by its own norm.
     """
     first = np.abs(np.subtract(matrix[plus, 0], matrix[minus, 0], dtype=np.float64))
-    candidates = np.flatnonzero(first < MIN_AXIS_NORM * (1 + _RECHECK_BAND))
-    plus, minus = plus[candidates], minus[candidates]
-    norms = np.empty(len(candidates))
-    for start in range(0, len(candidates), _CHECK_BLOCK):
-        block = slice(start, start + _CHECK_BLOCK)
-        axes = _axes(matrix, plus[block], minus[block])
-        norms[block] = np.einsum("ij,ij->i", axes, axes)
-    np.sqrt(norms, out=norms)
-    short = norms < MIN_AXIS_NORM
-    near = np.abs(norms - MIN_AXIS_NORM) <= _RECHECK_BAND * MIN_AXIS_NORM
-    for i in np.flatnonzero(near).tolist():
-        (axis,) = _axes(matrix, plus[i : i + 1], minus[i : i + 1])
-        short[i] = float(np.linalg.norm(axis)) < MIN_AXIS_NORM
     zero = np.zeros(len(first), dtype=bool)
-    zero[candidates] = short
+    for i in np.flatnonzero(first < MIN_AXIS_NORM * (1 + 1e-6)).tolist():
+        (axis,) = _axes(matrix, plus[i : i + 1], minus[i : i + 1])
+        zero[i] = float(np.linalg.norm(axis)) < MIN_AXIS_NORM
     return zero
 
 

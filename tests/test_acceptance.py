@@ -283,20 +283,22 @@ def test_criterion_7b_semeval_separation():
     assert not failures
 
 
-#: Values other than p-values, ranks and selections agree across BLAS
-#: thread counts to this absolute bound on criterion 8's inputs; README
-#: ("Reproducibility") gives what was measured on the benchmark's.
+#: Values other than p-values, ranks, selections and the columns that
+#: criterion 8 holds equal agree across BLAS thread counts to this absolute
+#: bound on criterion 8's inputs; README ("Reproducibility") gives what was
+#: measured on the benchmark's.
 THREAD_COUNT_BOUND = 1e-15
 
 
-def _agree_across_thread_counts(rows_a, rows_b):
+def _agree_across_thread_counts(rows_a, rows_b, equal):
     """The largest absolute difference between two lists of report rows
-    whose ids, p-values, ranks and other non-float cells are identical."""
+    whose ids, p-values, ranks, `equal` columns and other non-float cells
+    are identical."""
     assert [r["frame_id"] for r in rows_a] == [r["frame_id"] for r in rows_b]
     worst = 0.0
     for row_a, row_b in zip(rows_a, rows_b):
         for key, value in row_a.items():
-            if isinstance(value, float) and not key.startswith("p_"):
+            if isinstance(value, float) and not key.startswith("p_") and key not in equal:
                 worst = max(worst, abs(value - row_b[key]))
             else:
                 assert value == row_b[key], key
@@ -305,10 +307,12 @@ def _agree_across_thread_counts(rows_a, rows_b):
 
 def test_criterion_8_determinism_across_parallelism(tmp_path):
     """Reports are byte-identical across reruns. Across BLAS thread counts
-    (1 and 2), p-values and selections are identical and every other value
-    agrees to THREAD_COUNT_BOUND, on inputs shaped like the compare-docs
-    benchmark (d=100, V≈3k): analyze at B=300, whose null is swept, and
-    separation, which takes the axis-space path."""
+    (1 and 2), p-values, selections and every bias (analyze `bias` and
+    `baseline_bias`, separation `bias_a`, `bias_b` and `delta_bias`, sums
+    in row order) are identical, and every other value agrees to
+    THREAD_COUNT_BOUND, on inputs shaped like the compare-docs benchmark
+    (d=100, V≈3k): analyze at B=300, whose null is swept, and separation,
+    which takes the axis-space path."""
     rng = np.random.default_rng(88)
     dim = 100
     vocab = [f"w{i}" for i in range(3000)]
@@ -355,7 +359,8 @@ def test_criterion_8_determinism_across_parallelism(tmp_path):
     identical_repeat = tsv_a == tsv_b and raw_json_a == raw_json_b
     selections = ("top_significant_bias", "top_significant_intensity")
     same_selections = all(doc_a[key] == doc_c[key] for key in selections)
-    worst = _agree_across_thread_counts(doc_a["results"], doc_c["results"])
+    worst = _agree_across_thread_counts(doc_a["results"], doc_c["results"],
+                                        ("bias", "baseline_bias"))
     seps = []
     for threads in (2, 1):
         out = tmp_path / f"sep{threads}"
@@ -364,11 +369,12 @@ def test_criterion_8_determinism_across_parallelism(tmp_path):
     same_selections = same_selections and (
         seps[0]["rank_sum_selection"] == seps[1]["rank_sum_selection"])
     worst = max(worst, _agree_across_thread_counts(seps[0]["separations"],
-                                                   seps[1]["separations"]))
+                                                   seps[1]["separations"],
+                                                   ("bias_a", "bias_b", "delta_bias")))
     ok = identical_repeat and same_selections and worst <= THREAD_COUNT_BOUND
     _report(8, "determinism", ok,
             f"byte-identical repeat runs; at 1 vs 2 BLAS threads identical p-values, "
-            f"ranks and selections, values within {worst:.1e}")
+            f"ranks, selections and biases, other values within {worst:.1e}")
     assert identical_repeat
     assert same_selections
     assert worst <= THREAD_COUNT_BOUND

@@ -646,9 +646,9 @@ class TestContributionsOncePerCommand:
         moment_passes, walks = [], []
         moments, unit_slices = engine._moments, EmbeddingTable.unit_slices
 
-        def counted_moments(table, tokens, weights):
+        def counted_moments(table, tokens, base, weights):
             moment_passes.append(len(weights))
-            return moments(table, tokens, weights)
+            return moments(table, tokens, base, weights)
 
         def counted_unit_slices(table, tokens, rows):
             spans = []
@@ -664,7 +664,7 @@ class TestContributionsOncePerCommand:
         wide, vocabulary = self._all_pairs(setup)
         args = base_args(wide, "analyze")
         assert main(args + ["--group", "pos", "--n-bootstrap", str(n), "--formats", "tsv"]) == 0
-        assert moment_passes == [2]
+        assert moment_passes == [1]  # the target's second moment
         # the moment pass, then one walk per batch of draws
         assert walks == [(vocabulary, 16, [(0, 16), (16, 16), (32, 8)])] * 3
         assert len(vocabulary) == 40

@@ -176,7 +176,7 @@ class TestCorpusStatistics:
         want_int = oracles.stream_intensity(stream, contrib, want_bias)
         got_int = corpus_intensity(view, frame, table, got_bias)
         assert got_int == pytest.approx(want_int, abs=1e-12)
-        # without a baseline, intensity is about the view's own bias, which
+        # view_statistics measures intensity about the view's own bias, which
         # the axis-space pass gives within 1e-15 of the one-frame one
         (bias,), (own_int,) = view_statistics(view, [frame], table)
         assert abs(bias - got_bias) <= 1e-15
@@ -939,6 +939,15 @@ class TestFrameContributions:
         assert all(peak < n_tokens * dim * 8 / 4 for peak in peaks.values()), peaks
 
 
+def _misaligned(x: np.ndarray, offset: int) -> np.ndarray:
+    """A copy of `x` whose data starts `offset` bytes past a 64-byte boundary."""
+    raw = np.empty(x.nbytes + 128, dtype=np.uint8)
+    at = -raw.ctypes.data % 64 + offset
+    out = raw[at:at + x.nbytes].view(x.dtype).reshape(x.shape)
+    out[...] = x
+    return out
+
+
 def _registry_of_axes(axes) -> FrameRegistry:
     return FrameRegistry(tuple(
         Microframe(f"m{i}--p{i}", f"m{i}", f"p{i}", np.array(axis, dtype=np.float64))
@@ -1000,8 +1009,9 @@ class TestAxisSpace:
                                          swept, len(vectors))
             bias, intensity = engine._sweep_null(registry, table, tokens, bias[:, 0], swept,
                                                  len(vectors))
-            moments = engine._moments(table, tokens, list(vectors))
-        m_bias, m_intensity = engine._axis_statistics(registry, *moments)
+            moments = engine._moments(table, tokens, full, list(vectors))
+        m_baseline, m_bias, m_intensity = engine._axis_statistics(registry, *moments)
+        np.testing.assert_allclose(m_baseline, bias[:, 0], rtol=0.0, atol=4e-15)
         np.testing.assert_allclose(m_bias, bias.T, rtol=0.0, atol=4e-15)
         np.testing.assert_allclose(m_intensity, intensity.T, rtol=0.0, atol=4e-15)
         assert np.all(m_intensity >= 0.0)
@@ -1011,12 +1021,45 @@ class TestAxisSpace:
         for want, got in zip(sweep_p[:2], moment_p[:2]):
             assert got.tolist() == want.tolist()
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_means_and_biases_have_the_same_bits_in_any_company(self, monkeypatch, seed):
+        """A count vector's mean unit row, and the biases read off it, have
+        the same bits whichever other vectors share the pass, whether it is
+        the baseline or a reported vector, and wherever the unit rows, means
+        and axes lie in memory: they are sums in row order, not BLAS calls."""
+        rng = np.random.default_rng(seed)
+        dim = 37
+        table = table_from_dict({f"w{i}": rng.standard_normal(dim).tolist() for i in range(70)})
+        tokens = sorted(table.vocabulary)
+        w, x, y = rng.integers(0, 9, size=(3, len(tokens))).astype(np.float64)
+        registry = _registry_of_axes(rng.standard_normal((150, dim)))
+        unit_slices, unit_axes = EmbeddingTable.unit_slices, engine._unit_axes
+        means, biases = [], []
+        for offset, base, weights, at in [(0, w, [], 0), (8, x, [w, y], 1), (24, y, [x, w], 2),
+                                          (40, w, [w], 0), (56, w, [w], 1)]:
+            monkeypatch.setattr(EmbeddingTable, "unit_slices", lambda *args, _o=offset: (
+                (start, _misaligned(part, _o)) for start, part in unit_slices(*args)))
+            monkeypatch.setattr(engine, "_unit_axes",
+                                lambda axes, _o=offset: unit_axes(_misaligned(axes, _o)))
+            with mock.patch.object(engine, "_MOMENT_ROWS", 16):
+                r, m, seconds = engine._moments(table, tokens, base, weights)
+            baseline, bias, _ = engine._axis_statistics(registry, r, _misaligned(m, offset),
+                                                        seconds)
+            means.append(m[at].tobytes())
+            biases.append((baseline if at == 0 else bias[at - 1]).tobytes())
+        assert len(set(means)) == len(set(biases)) == 1
+        monkeypatch.undo()
+        view = build_view([make_document("d", " ".join(rng.choice(tokens, size=200)))], table)
+        bias, _ = view_statistics(view, registry, table)
+        assert bias.tolist() == list(baseline_biases(view, registry, table).values())
+
     def test_one_type_view_has_zero_intensity(self):
         rng = np.random.default_rng(5)
         table = table_from_dict({"w": rng.standard_normal(4).tolist()})
         registry = _registry_of_axes(rng.standard_normal((70, 4)))
-        _, intensity = engine._axis_statistics(
-            registry, *engine._moments(table, ["w"], [np.array([7.0])]))
+        w = np.array([7.0])
+        _, _, intensity = engine._axis_statistics(
+            registry, *engine._moments(table, ["w"], w, [w]))
         assert intensity.tolist() == [[0.0] * 70]
 
     def test_contributions_equal_to_the_baseline_give_zero_intensity(self, monkeypatch):
@@ -1075,15 +1118,17 @@ class TestAxisSpace:
         assert intensity_flipped.tolist() == intensity.tolist()
 
     def test_each_path_is_taken_by_a_real_input(self, monkeypatch):
-        """Count vectors always take the axis path, and a small null joins
-        it; a large null is swept after it, and one frame's bias, intensity
-        and bootstrap null take neither path."""
+        """Every count vector takes the axis path, and only the reported ones
+        get a second moment: none for `baseline_biases`, the two groups for
+        `separation`, and the target for `analyze_frames`, with a small null
+        joining it; a large null is swept after it, and one frame's bias,
+        intensity and bootstrap null take neither path."""
         calls = []
         for name in ("_moments", "_sweep_null"):
             original = getattr(engine, name)
 
             def spy(*args, _name=name, _original=original):
-                calls.append((_name, len(args[2])) if _name == "_moments" else (_name,))
+                calls.append((_name, len(args[3])) if _name == "_moments" else (_name,))
                 return _original(*args)
 
             monkeypatch.setattr(engine, name, spy)
@@ -1092,13 +1137,19 @@ class TestAxisSpace:
         docs = [make_document(f"d{j}", " ".join(rng.choice(list(table.vocabulary), size=20)),
                               group="ab"[j % 2]) for j in range(10)]
         full = build_view(docs, table)
-        target, _ = split_by_group(full, "a")
+        target, background = split_by_group(full, "a")
         registry = _registry_of_axes(rng.standard_normal((80, 4)))
+        baseline_biases(full, registry, table)
+        assert calls == [("_moments", 0)]
+        calls.clear()
+        separation(full, target, background, registry, table)
+        assert calls == [("_moments", 2)]
+        calls.clear()
         analyze_frames(full, target, registry, table, n_bootstrap=3, seed=1)
-        assert calls == [("_moments", 5)]
+        assert calls == [("_moments", 1 + 3)]
         calls.clear()
         analyze_frames(full, target, registry, table, n_bootstrap=300, seed=1)
-        assert calls == [("_moments", 2), ("_sweep_null",)]
+        assert calls == [("_moments", 1), ("_sweep_null",)]
         calls.clear()
         corpus_bias(full, registry.frames[0], table)
         corpus_intensity(full, registry.frames[0], table, 0.0)

@@ -237,8 +237,9 @@ def _shipped_registry_inputs(dim):
 
 
 def test_registry_is_built_in_array_steps(monkeypatch):
-    """No per-pair `make_frame` or `np.linalg.norm` call: at most one norm
-    call per block of axes."""
+    """No per-pair `make_frame` call, and one `np.linalg.norm` call per axis
+    whose first component is below the threshold: none on the shipped
+    registry at d=8, one each on pairs that differ only past component 0."""
     pairs, table = _shipped_registry_inputs(8)
     calls = {"make_frame": 0, "norm": 0}
     norm = np.linalg.norm
@@ -255,8 +256,14 @@ def test_registry_is_built_in_array_steps(monkeypatch):
     monkeypatch.setattr(frames, "make_frame", counted_make_frame)
     reg = build_registry(pairs, table)
     assert (len(reg), len(reg.dropped)) == (1621, 207)
-    assert calls["make_frame"] == 0
-    assert calls["norm"] <= -(-len(pairs) // frames._CHECK_BLOCK)
+    assert calls == {"make_frame": 0, "norm": 0}
+    # five candidates, three of them kept by a later component
+    seconds = [0.0, 4e-9, 3e-8, 5e-8, 1e-7]
+    table = table_from_dict({"o": [1.0, 0.0], "q": [2.0, 0.0],
+                             **{f"p{i}": [1.0, x] for i, x in enumerate(seconds)}})
+    reg = build_registry([("o", f"p{i}") for i in range(5)] + [("o", "q")], table)
+    assert len(reg.dropped) == 2
+    assert calls == {"make_frame": 0, "norm": 5}
 
 
 def test_built_registry_holds_no_axis_matrix():
