@@ -8,7 +8,7 @@ out (spectrum), and how two corpora differ (separation). A command-line
 tool wraps the pipeline and renders SVG reports.
 """
 
-# before the submodules: reports reads it when frames imports reports
+# before the submodules: reports reads it when engine imports reports
 __version__ = "0.1.0"
 
 from .corpus import (
@@ -55,7 +55,6 @@ from .frames import (
     make_frame,
     read_pairs_tsv,
     registry_record,
-    registry_to_json,
 )
 from .relevance import (
     CharGramPerplexity,
@@ -111,7 +110,6 @@ __all__ = [
     "read_pairs_tsv",
     "read_topic_words",
     "registry_record",
-    "registry_to_json",
     "relevance_embedding",
     "relevance_perplexity",
     "separation",

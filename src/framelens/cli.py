@@ -304,6 +304,13 @@ def _load_pairs(cfg: RunConfig) -> list[tuple[str, str]]:
 def _load_table(cfg: RunConfig, wanted: set[str]):
     with _stage("load embeddings"):
         table = load_embeddings(cfg.embeddings, vocab_filter=wanted or None)
+    stats = table.stats
+    if stats.skipped:
+        _progress(
+            f"embeddings: skipped {stats.skipped} lines in {cfg.embeddings} "
+            f"(malformed={stats.malformed}, zero={stats.zero_vectors}, "
+            f"duplicate={stats.duplicates})"
+        )
     _progress(f"embeddings: {len(table)} vectors of dimension {table.dimension}")
     return table
 

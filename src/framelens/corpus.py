@@ -31,11 +31,9 @@ UNK = "<UNK>"
 
 @dataclass(frozen=True)
 class NormalizerConfig:
-    """Tokenizer settings. Defaults: NFC, lowercase, strip edge punctuation."""
+    """Tokenizer settings: whether to lowercase (default yes)."""
 
     lowercase: bool = True
-    nfc: bool = True
-    strip_punctuation: bool = True
 
 
 #: The ASCII characters whose Unicode category is punctuation (P*).
@@ -57,31 +55,28 @@ def tokenize(raw_text: str, config: NormalizerConfig | None = None) -> list[str]
     """Deterministically split text into normalized tokens.
 
     Splits on Unicode whitespace; per token applies NFC normalization,
-    case folding, and leading/trailing punctuation stripping per
-    `config`; empty tokens are dropped. The literal chunk ``<UNK>`` is
-    preserved verbatim so the reserved sentinel survives normalization.
-    Idempotent on its own output. An ASCII chunk is already NFC and stays
-    ASCII when lowercased, so it skips normalization and strips with
-    `str.strip` over the ASCII punctuation; an all-ASCII text without the
-    sentinel is lowercased and split whole.
+    case folding unless `config` turns it off, and leading/trailing
+    punctuation stripping; empty tokens are dropped. The literal chunk
+    ``<UNK>`` is preserved verbatim so the reserved sentinel survives
+    normalization. Idempotent on its own output. An ASCII chunk is already
+    NFC and stays ASCII when lowercased, so it skips normalization and
+    strips with `str.strip` over the ASCII punctuation; an all-ASCII text
+    without the sentinel is case-folded and split whole.
     """
     cfg = config or NormalizerConfig()
     if raw_text.isascii() and UNK not in raw_text:
         chunks = (raw_text.lower() if cfg.lowercase else raw_text).split()
-        if cfg.strip_punctuation:
-            return list(filter(None, map(str.strip, chunks, repeat(_ASCII_PUNCT))))
-        return chunks
+        return list(filter(None, map(str.strip, chunks, repeat(_ASCII_PUNCT))))
     out: list[str] = []
     for chunk in raw_text.split():
         if chunk == UNK:
             out.append(UNK)
             continue
         ascii_only = chunk.isascii()
-        tok = unicodedata.normalize("NFC", chunk) if cfg.nfc and not ascii_only else chunk
+        tok = chunk if ascii_only else unicodedata.normalize("NFC", chunk)
         if cfg.lowercase:
             tok = tok.lower()
-        if cfg.strip_punctuation:
-            tok = tok.strip(_ASCII_PUNCT) if ascii_only else _strip_edge_punct(tok)
+        tok = tok.strip(_ASCII_PUNCT) if ascii_only else _strip_edge_punct(tok)
         if tok:
             out.append(tok)
     return out

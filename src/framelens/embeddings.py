@@ -8,7 +8,6 @@ any case folding happens upstream in the corpus layer.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from itertools import accumulate, repeat
 
@@ -308,13 +307,11 @@ class _Loader:
         return rows
 
 
-def load_embeddings(
-    path: str,
-    vocab_filter: set[str] | None = None,
-    *,
-    warn: bool = True,
-) -> EmbeddingTable:
+def load_embeddings(path: str, vocab_filter: set[str] | None = None) -> EmbeddingTable:
     """Parse an embedding text file into an EmbeddingTable.
+
+    Prints nothing: the table's `stats` count the kept, skipped and
+    filtered lines.
 
     Parameters
     ----------
@@ -322,8 +319,6 @@ def load_embeddings(
         UTF-8 text file, one ``token c1 ... cd`` record per line.
     vocab_filter : set of str, optional
         When given, only tokens in the filter are kept.
-    warn : bool
-        Emit one summary line to stderr when lines were skipped.
 
     Raises
     ------
@@ -374,11 +369,4 @@ def load_embeddings(
         duplicates=load.duplicates,
         filtered=load.filtered,
     )
-    if warn and stats.skipped:
-        print(
-            f"embeddings: skipped {stats.skipped} lines in {path} "
-            f"(malformed={stats.malformed}, zero={stats.zero_vectors}, "
-            f"duplicate={stats.duplicates})",
-            file=sys.stderr,
-        )
     return EmbeddingTable(dimension=load.dim, _index=load.index, _matrix=matrix, stats=stats)

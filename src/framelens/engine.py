@@ -75,8 +75,11 @@ from .corpus import CorpusView
 from . import embeddings
 from .embeddings import EmbeddingTable, normalise_rows
 from .errors import DataError
-from .frames import FrameRegistry, Microframe
+# reports before frames: the package's modules then set up in the order they
+# had when frames imported reports. The other order moved explain-corpus peak
+# RSS up by 1.5-3 MB through heap placement alone.
 from .reports import Table
+from .frames import FrameRegistry, Microframe
 
 #: Bootstrap draws happen in fixed-size batches so memory stays bounded.
 _BOOTSTRAP_BATCH = 256

@@ -23,7 +23,6 @@ import numpy as np
 
 from .embeddings import EmbeddingTable
 from .errors import DataError
-from .reports import dumps
 from .textio import check_utf8, open_text
 
 # Axes shorter than this are degenerate: contributions divide by the axis norm.
@@ -130,10 +129,6 @@ class FrameRegistry:
 #: The frame id of a ``(pole_minus, pole_plus)`` pair: its poles joined by
 #: ``--``. A C-level callable, so ids of many pairs take no Python call each.
 _pair_id = "--".join
-
-
-def frame_id(pole_minus: str, pole_plus: str) -> str:
-    return _pair_id((pole_minus, pole_plus))
 
 
 def make_frame(pole_minus: str, pole_plus: str, table: EmbeddingTable) -> Microframe:
@@ -253,8 +248,3 @@ def registry_record(registry: FrameRegistry) -> dict:
             {"pair": list(pair), "reason": reason} for pair, reason in registry.dropped
         ],
     }
-
-
-def registry_to_json(registry: FrameRegistry) -> str:
-    """The audit record as JSON text, without provenance."""
-    return dumps(registry_record(registry)) + "\n"

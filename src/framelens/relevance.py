@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from string import Formatter
 from typing import Protocol
@@ -160,8 +161,15 @@ class TablePerplexity:
             raise DataError(f"no perplexity available for sentence: {sentence!r}") from None
 
 
+def _trigrams(text: str) -> Iterator[tuple[str, str]]:
+    """Each character of `text` and then an end mark, with the two characters
+    before it as context; a start mark pads the first two contexts."""
+    seq = "\x02\x02" + text + "\x03"
+    return ((seq[i - 2 : i], seq[i]) for i in range(2, len(seq)))
+
+
 class CharGramPerplexity:
-    """Character n-gram perplexity with add-one smoothing.
+    """Character trigram perplexity with add-one smoothing.
 
     A self-contained, runnable stand-in for a neural language model:
     deterministic, trained on whatever text it is given (typically the
@@ -170,34 +178,23 @@ class CharGramPerplexity:
     for a real model.
     """
 
-    def __init__(self, training_text: str, order: int = 3):
-        if order < 1:
-            raise DataError("n-gram order must be at least 1")
-        self.order = order
-        pad = "\x02" * (order - 1)
+    def __init__(self, training_text: str):
         self._context_counts: Counter[str] = Counter()
         self._gram_counts: Counter[str] = Counter()
         charset = set(training_text) | {"\x02", "\x03"}
         self._vocab_size = len(charset)
         for line in training_text.splitlines():
-            seq = pad + line + "\x03"
-            for i in range(order - 1, len(seq)):
-                ctx = seq[i - order + 1 : i]
-                self._gram_counts[ctx + seq[i]] += 1
+            for ctx, char in _trigrams(line):
+                self._gram_counts[ctx + char] += 1
                 self._context_counts[ctx] += 1
 
     def perplexity(self, sentence: str) -> float:
-        pad = "\x02" * (self.order - 1)
-        seq = pad + sentence + "\x03"
         log_prob = 0.0
-        steps = 0
-        for i in range(self.order - 1, len(seq)):
-            ctx = seq[i - self.order + 1 : i]
-            num = self._gram_counts[ctx + seq[i]] + 1
+        for ctx, char in _trigrams(sentence):
+            num = self._gram_counts[ctx + char] + 1
             den = self._context_counts[ctx] + self._vocab_size
             log_prob += math.log(num / den)
-            steps += 1
-        return math.exp(-log_prob / steps)
+        return math.exp(-log_prob / (len(sentence) + 1))
 
 
 def relevance_perplexity(

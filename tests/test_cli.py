@@ -857,6 +857,18 @@ class TestInvalidUtf8:
         assert f"{path}:{line}: not valid UTF-8" in capsys.readouterr().err
 
 
+def test_cli_reports_skipped_embedding_lines_before_the_table_size(setup, capsys):
+    """The CLI prints the loader's skip summary once, on the line before the
+    table's size."""
+    emb = setup["tmp"] / "skips.txt"
+    emb.write_text(EMBEDDINGS + "good 9 9 9\nmeal 1 x 2\nand 0 0 0\n", encoding="utf-8")
+    assert main(base_args({**setup, "emb": str(emb)}, "spectrum") + ["--frame", "bad--good"]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    summary = f"embeddings: skipped 3 lines in {emb} (malformed=1, zero=1, duplicate=1)"
+    assert lines.count(summary) == 1
+    assert lines[lines.index(summary) + 1] == "embeddings: 12 vectors of dimension 3"
+
+
 #: reader -> its content in the fixture, or a file that changes the reports
 #: when its first record is read
 BOM_READERS = {

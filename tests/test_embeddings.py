@@ -37,10 +37,19 @@ def test_basic_parse(tmp_path):
 
 def test_zero_vector_skipped(tmp_path):
     path = write(tmp_path, "vecs.txt", "a 1 2\nzero 0 0\nb 3 4\n")
-    table = load_embeddings(path, warn=False)
+    table = load_embeddings(path)
     assert "zero" not in table
     assert table.stats.zero_vectors == 1
     assert table.stats.skipped == 1
+
+
+def test_load_prints_nothing_and_counts_every_skipped_line(tmp_path, capsys):
+    """The loader is silent: the skipped lines are counted in `table.stats`,
+    and only the CLI reports them."""
+    path = write(tmp_path, "vecs.txt", "a 1 2\n. . . 1 2\nzero 0 0\na 9 9\nb 3 4\n")
+    table = load_embeddings(path)
+    assert capsys.readouterr() == ("", "")
+    assert table.stats == LoadStats(kept=2, malformed=1, zero_vectors=1, duplicates=1)
 
 
 def test_header_line_detected(tmp_path):
@@ -58,7 +67,7 @@ def test_two_token_first_record_is_not_a_header(tmp_path):
 
 def test_duplicate_first_wins(tmp_path):
     path = write(tmp_path, "vecs.txt", "a 1 2\na 9 9\nb 3 4\n")
-    table = load_embeddings(path, warn=False)
+    table = load_embeddings(path)
     assert table.vector_of("a").tolist() == [1.0, 2.0]
     assert table.stats.duplicates == 1
 
@@ -71,7 +80,7 @@ def test_inconsistent_dimension_fatal(tmp_path):
 
 def test_malformed_line_skipped(tmp_path):
     path = write(tmp_path, "vecs.txt", "a 1 2\n. . . 1 2\nb 3 4\n")
-    table = load_embeddings(path, warn=False)
+    table = load_embeddings(path)
     assert len(table) == 2
     assert table.stats.malformed == 1
 
@@ -79,7 +88,7 @@ def test_malformed_line_skipped(tmp_path):
 def test_non_finite_components_are_malformed(tmp_path):
     # 1e39 parses as a float but overflows float32 to inf on the cast
     path = write(tmp_path, "vecs.txt", "a 1 2\nnotanumber nan 1\nhuge 1e39 1\nb 3 4\n")
-    table = load_embeddings(path, warn=False)
+    table = load_embeddings(path)
     assert set(table.vocabulary) == {"a", "b"}
     assert table.stats.malformed == 2
 
@@ -99,7 +108,7 @@ def test_unreadable_file():
 def test_all_lines_unusable(tmp_path):
     path = write(tmp_path, "vecs.txt", "only 0 0 0\n")
     with pytest.raises(DataError, match="no loadable vectors"):
-        load_embeddings(path, warn=False)
+        load_embeddings(path)
 
 
 def test_load_is_deterministic(tmp_path):
@@ -121,7 +130,7 @@ def test_lookups_are_pure_and_exact_match(tmp_path):
 
 def test_storage_is_float32_and_norms_positive(tmp_path):
     path = write(tmp_path, "vecs.txt", "a 1e-20 0\nb 1 1\n")
-    table = load_embeddings(path, warn=False)
+    table = load_embeddings(path)
     assert table.vector_of("b").dtype == np.float32
     for tok in table.vocabulary:
         assert np.linalg.norm(table.vector_of(tok)) > 0.0
@@ -135,7 +144,7 @@ def test_filtered_record_with_wrong_count_still_aborts(tmp_path):
 
 def test_filtered_record_with_wrong_count_of_non_numbers_is_malformed(tmp_path):
     path = write(tmp_path, "vecs.txt", "a 1 2\n. . . 1 2\nb 3 4\n")
-    table = load_embeddings(path, vocab_filter={"a", "b"}, warn=False)
+    table = load_embeddings(path, vocab_filter={"a", "b"})
     assert set(table.vocabulary) == {"a", "b"}
     assert (table.stats.malformed, table.stats.filtered) == (1, 0)
 
@@ -143,7 +152,7 @@ def test_filtered_record_with_wrong_count_of_non_numbers_is_malformed(tmp_path):
 def test_filtered_record_of_the_right_length_is_not_parsed(tmp_path):
     # its fields are never read as numbers, so it counts as filtered, not malformed
     path = write(tmp_path, "vecs.txt", "a 1 2\nx foo bar\nb 3 4\n")
-    table = load_embeddings(path, vocab_filter={"a", "b"}, warn=False)
+    table = load_embeddings(path, vocab_filter={"a", "b"})
     assert set(table.vocabulary) == {"a", "b"}
     assert (table.stats.malformed, table.stats.filtered) == (0, 1)
 
@@ -265,7 +274,7 @@ def test_loader_matches_the_per_record_reference(table):
                 mock.patch.object(embeddings, "_CHECK_BYTES", check_bytes), \
                 mock.patch.object(embeddings, "_START_ROWS", start_rows):
             got = _outcome(
-                lambda p, f: load_embeddings(p, f, warn=False), path, vocab_filter
+                lambda p, f: load_embeddings(p, f), path, vocab_filter
             )
     if isinstance(expected, str):
         assert got == expected
@@ -335,7 +344,7 @@ def test_edge_strings_match_float(tmp_path):
     assert len(edges) == 32
     lines = ["first 1 1"] + [f"e{i} {s} 1" for i, s in enumerate(edges)]
     path = write(tmp_path, "vecs.txt", "\n".join(lines) + "\n")
-    table = load_embeddings(path, warn=False)
+    table = load_embeddings(path)
     tokens, matrix, counts = oracles.load_embeddings_reference(path)
     assert list(table.vocabulary) == tokens
     assert table._matrix.tobytes() == matrix.tobytes()
@@ -523,7 +532,7 @@ def test_loads_under_a_tracer_or_profiler(tmp_path, monkeypatch, set_hook, grow)
         vocab_filter = None
     else:
         vocab_filter = {f"t{i}" for i in range(0, 40, 3)} | {"absent", "also-absent"}
-    load = functools.partial(load_embeddings, path, vocab_filter, warn=False)
+    load = functools.partial(load_embeddings, path, vocab_filter)
     expected = _load_outcome(load())
     set_hook(lambda *args: None)
     try:

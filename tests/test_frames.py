@@ -16,8 +16,8 @@ from framelens.frames import (
     make_frame,
     read_pairs_tsv,
     registry_record,
-    registry_to_json,
 )
+from framelens.reports import dumps
 
 import oracles
 from conftest import table_from_dict
@@ -113,7 +113,7 @@ def test_read_pairs_tsv_malformed(tmp_path):
 
 def test_registry_json_export(toy_table):
     reg = build_registry([("bad", "good"), ("bad", "zzz")], toy_table)
-    text = registry_to_json(reg)
+    text = dumps(registry_record(reg)) + "\n"
     assert text == json.dumps(registry_record(reg), indent=2) + "\n"
     doc = json.loads(text)
     assert doc["frames"] == [

@@ -1,7 +1,10 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from framelens.errors import DataError
 from framelens.frames import FrameRegistry, build_registry
@@ -243,6 +246,24 @@ class TestCharGramProvider:
         noise = provider.perplexity("zqxv jkwp brrt")
         assert seen < noise
 
-    def test_order_validation(self):
-        with pytest.raises(DataError):
-            CharGramPerplexity("text", order=0)
+    @given(training=st.text("ab \n\x02\x03é", max_size=40),
+           sentence=st.text("abc \x03é", max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_add_one_trigram_definition(self, training, sentence):
+        """Perplexity is exp of the mean negative log of (trigram count + 1) /
+        (bigram context count + charset size), over each character of the
+        sentence and an end mark, with two start marks before the first."""
+        grams, contexts = Counter(), Counter()
+        for line in training.splitlines():
+            seq = "\x02\x02" + line + "\x03"
+            for i in range(2, len(seq)):
+                grams[seq[i - 2 : i + 1]] += 1
+                contexts[seq[i - 2 : i]] += 1
+        size = len(set(training) | {"\x02", "\x03"})
+        seq = "\x02\x02" + sentence + "\x03"
+        log_prob = 0.0
+        for i in range(2, len(seq)):
+            num, den = grams[seq[i - 2 : i + 1]] + 1, contexts[seq[i - 2 : i]] + size
+            log_prob += math.log(num / den)
+        want = math.exp(-log_prob / (len(seq) - 2))
+        assert CharGramPerplexity(training).perplexity(sentence) == want
