@@ -53,6 +53,21 @@ class TestTokenize:
         cfg = NormalizerConfig(lowercase=False)
         assert tokenize("The Service", cfg) == ["The", "Service"]
 
+    @pytest.mark.parametrize("lowercase", [True, False])
+    def test_decomposed_text_is_composed_in_either_case(self, lowercase):
+        cfg = NormalizerConfig(lowercase=lowercase)
+        toks = tokenize("Cafe\u0301 E\u0301te\u0301", cfg)
+        want = ["Caf\xe9", "\xc9t\xe9"]
+        assert toks == ([t.lower() for t in want] if lowercase else want)
+        assert tokenize("Caf\xe9 \xc9t\xe9", cfg) == toks
+
+    @pytest.mark.parametrize("lowercase", [True, False])
+    def test_edge_punctuation_is_stripped_in_either_case(self, lowercase):
+        cfg = NormalizerConfig(lowercase=lowercase)
+        toks = tokenize("\xabGood\xbb \xbfQue\u0301? (Fine)! \u201cR&D\u201d", cfg)
+        want = ["Good", "Qu\xe9", "Fine", "R&D"]
+        assert toks == ([t.lower() for t in want] if lowercase else want)
+
     def test_unk_sentinel_preserved(self):
         assert tokenize("the <UNK> shows up") == ["the", UNK, "shows", "up"]
 
