@@ -387,6 +387,11 @@ def cmd_analyze(cfg: RunConfig) -> Report:
             bootstrap_unit=cfg.bootstrap_unit,
         )
     alpha_eff = cfg.alpha / len(results) if cfg.bonferroni else cfg.alpha
+    p_floor = 2 / (cfg.n_bootstrap + 1)
+    if p_floor > alpha_eff:
+        b = cfg.n_bootstrap
+        _progress(f"analyze: no frame can be selected: the smallest p-value at {b} bootstraps "
+                  f"is 2/({b}+1) = {p_floor:g}, above alpha_effective {alpha_eff:g}")
     top_bias = top_significant_frames(results, "bias", cfg.top_m, alpha_eff)
     top_int = top_significant_frames(results, "intensity", cfg.top_m, alpha_eff)
     return Report(

@@ -12,11 +12,14 @@ writers. Cells are formatted by column, once: a column of floats is one
 ...)``, a column of strings is its values, and only other columns go value
 by value. A TSV is those texts joined by C-level ``str.join``; a text cell
 holding a TAB, LF or CR would split its row, so it is a DataError. A JSON
-report is exactly ``json.dumps(doc, indent=2)``, a table in it the list of
-its rows as dicts; its encoder here works the same way, filling one
-``%``-template per dict from per-key columns. Both write `SLICE_ROWS` rows
-at a time, so a report is never held whole as text. A table keeps the
-texts of its float columns, so each number of a command is formatted once.
+report is exactly ``json.dumps(doc, indent=2)``. Only lists, tuples and
+tables take a path of their own here: a list formats a column of one type
+at once, and a table is the list of its rows as dicts, one ``%``-template
+filled per row from per-key columns. A table may be a payload value or a
+list item, not a dict value. Every other value is ``json.dumps``. Both
+writers write `SLICE_ROWS` rows at a time, so a report is never held whole
+as text. A table keeps the texts of its float columns, so each number of a
+command is formatted once.
 """
 
 from __future__ import annotations
@@ -160,14 +163,16 @@ def write_tsv(path: str, columns: list[str], table: Table, config: dict,
 
 
 def write_json(path: str, payload: dict, config: dict) -> None:
-    """Write provenance and `payload` as ``json.dumps(doc, indent=2)`` and
-    LF; a `Table` in `payload` is the list of its rows as dicts."""
+    """Write provenance and `payload`, whose keys are str, as
+    ``json.dumps(doc, indent=2)`` and LF. A `Table` may be a value of
+    `payload`, written as the list of its rows as dicts, or an item of a
+    list; a `Table` inside a dict is a TypeError, as any non-JSON value."""
     doc = {"provenance": provenance(config)}
     doc.update(payload)
     with _replaced(path) as fh:
         sep = "{"
         for key, value in doc.items():
-            fh.write(f"{sep}\n  {_key(key)}: ")
+            fh.write(f"{sep}\n  {encode_basestring_ascii(key)}: ")
             if isinstance(value, (list, tuple, Table)):
                 fh.writelines(_list_chunks(value, 1))
             else:
@@ -177,20 +182,9 @@ def write_json(path: str, payload: dict, config: dict) -> None:
 
 
 def dumps(value) -> str:
-    """``json.dumps(value, indent=2)`` for every acyclic value."""
+    """``json.dumps(value, indent=2)`` for every acyclic value that holds no
+    `Table`, or a `Table` only as itself or as a list item."""
     return _encode(value, 0)
-
-
-def _key(key) -> str:
-    """A dict key as JSON: a str, or an int, float, bool or None as the
-    string of its JSON text, as `json.dumps` writes it."""
-    if not isinstance(key, str):
-        if not (isinstance(key, (int, float)) or key is None):
-            raise TypeError(
-                f"keys must be str, int, float, bool or None, not {type(key).__name__}"
-            )
-        key = _encode(key, 0)
-    return encode_basestring_ascii(key)
 
 
 def _json_floats(texts: list[str]) -> list[str]:
@@ -202,25 +196,11 @@ def _json_floats(texts: list[str]) -> list[str]:
 
 
 def _encode(value, level: int) -> str:
-    """`value` as ``json.dumps(value, indent=2)`` writes it `level` levels deep."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        text = float.__repr__(value)
-        return _NONFINITE.get(text, text)
+    """`value` as ``json.dumps(value, indent=2)`` writes it `level` levels
+    deep. A list, tuple or `Table` takes `_list_chunks`; every other value
+    is `json.dumps`, which raises its TypeError on a non-JSON value."""
     if isinstance(value, (list, tuple, Table)):
         return "".join(_list_chunks(value, level))
-    if isinstance(value, dict):
-        return _rows(Table({k: [v] for k, v in value.items()}), level)[0] if value else "{}"
-    # not JSON-serializable: json.dumps raises its TypeError
     return json.dumps(value, indent=2).replace("\n", "\n" + "  " * level)
 
 
@@ -245,11 +225,12 @@ def _column(values: list, level: int) -> list[str]:
 
 
 def _rows(table: Table, level: int, floats: list | None = None) -> list[str]:
-    """The rows of `table`, which has columns, as JSON dicts `level` levels
-    deep: one ``%``-template filled per row. `floats` holds the
+    """The rows of `table`, which has str-named columns, as JSON dicts
+    `level` levels deep: one ``%``-template filled per row. `floats` holds the
     `float.__repr__` texts of each column, or None to format it here."""
     inner = "\n" + "  " * (level + 1)
-    items = ",".join(inner + _key(k).replace("%", "%%") + ": %s" for k in table.columns)
+    keys = map(encode_basestring_ascii, table.columns)
+    items = ",".join(inner + k.replace("%", "%%") + ": %s" for k in keys)
     template = "{" + items + "\n" + "  " * level + "}"
     floats = floats or [None] * len(table.columns)
     texts = [

@@ -177,6 +177,28 @@ class TestAnalyze:
         assert any(selected(by, alpha_eff) != selected(by, float(alpha))
                    for by in ("bias", "intensity"))
 
+    @pytest.mark.parametrize("extra, said", [
+        (["--n-bootstrap", "5"], True),  # 2/6 > 0.05
+        (["--n-bootstrap", "50", "--bonferroni"], True),  # 2/51 > 0.05/4
+        (["--n-bootstrap", "200", "--alpha", "0.99"], False),
+    ], ids=["b5", "b50-bonferroni", "b200-alpha-0.99"])
+    def test_says_when_no_frame_can_be_selected(self, setup, capsys, extra, said):
+        """The smallest p-value at B bootstraps is 2/(B+1); above
+        alpha_effective, analyze says so once, before the wrote line."""
+        assert main(base_args(setup, "analyze") + ["--group", "pos"] + extra) == 0
+        err = capsys.readouterr().err.splitlines()
+        lines = [i for i, line in enumerate(err) if "no frame can be selected" in line]
+        assert len(lines) == int(said)
+        if said:
+            b = int(extra[1])
+            alpha_eff = 0.0125 if "--bonferroni" in extra else 0.05
+            assert err[lines[0]] == (
+                f"analyze: no frame can be selected: the smallest p-value at {b} bootstraps "
+                f"is 2/({b}+1) = {2 / (b + 1):g}, above alpha_effective {alpha_eff:g}")
+            assert err[lines[0] + 1].startswith("wrote ")
+            doc = json.loads(Path(setup["out"], "results.json").read_text(encoding="utf-8"))
+            assert doc["top_significant_bias"] == doc["top_significant_intensity"] == []
+
     def test_deterministic_reports(self, setup):
         args = base_args(setup, "analyze") + ["--group", "pos", "--n-bootstrap", "40"]
         assert main(args) == 0

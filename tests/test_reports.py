@@ -68,8 +68,10 @@ def test_shipped_frame_ids_are_their_own_stems():
             ),
             TypeError,
         ),
+        # a table is a payload value or a list item, never a dict value
+        (lambda path: write_json(path, {"rows": {"t": _long_table(3)}}, {}), TypeError),
     ],
-    ids=["text", "json", "json-int64"],
+    ids=["text", "json", "json-int64", "json-nested-table"],
 )
 def test_failed_write_leaves_the_old_report_and_no_temp_file(tmp_path, write, error):
     path = tmp_path / "report"
@@ -188,6 +190,14 @@ def test_write_json_writes_a_table_as_its_rows(tmp_path):
     doc = {"provenance": provenance({"seed": 1}), **payload, "rows": rows, "empty": []}
     assert (tmp_path / "r.json").read_text(encoding="utf-8") == json.dumps(doc, indent=2) + "\n"
     assert dumps(table) == json.dumps(rows, indent=2)
+
+
+def test_a_table_may_be_a_list_item_but_not_a_dict_value():
+    table = _long_table(SLICE_ROWS + 3)
+    rows = [dict(zip(table.columns, values)) for values in zip(*table.columns.values())]
+    assert dumps([table, 1]) == json.dumps([rows, 1], indent=2)
+    with pytest.raises(TypeError):
+        dumps({"t": table})
 
 
 def test_write_json_reuses_the_tsv_float_texts(tmp_path):
